@@ -3,7 +3,7 @@
 // point-to-point; SUMMA broadcasts 2 panels per step down binomial trees.
 #include <iostream>
 
-#include "algs/harness.hpp"
+#include "algs/registry.hpp"
 #include "bench_common.hpp"
 #include "support/table.hpp"
 
@@ -16,10 +16,10 @@ int main() {
            "max |err|"});
   for (int q : {2, 4, 8}) {
     const int n = 8 * q;
-    const auto cannon = algs::harness::run_mm25d(n, q, 1, core::MachineParams::unit(),
-                                                 /*verify=*/true);
-    const auto summa = algs::harness::run_summa(n, q, core::MachineParams::unit(),
-                                                /*verify=*/true);
+    const auto cannon = algs::run({.alg = "mm25d", .n = n, .q = q, .c = 1},
+                                  core::MachineParams::unit(), true);
+    const auto summa = algs::run({.alg = "summa", .n = n, .q = q},
+                                 core::MachineParams::unit(), true);
     t.row()
         .cell(q)
         .cell(cannon.p)

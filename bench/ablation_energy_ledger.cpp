@@ -6,7 +6,7 @@
 // how much of the energy story depends on that assumption.
 #include <iostream>
 
-#include "algs/harness.hpp"
+#include "algs/registry.hpp"
 #include "bench_common.hpp"
 #include "sim/machine.hpp"
 #include "support/table.hpp"
@@ -32,7 +32,7 @@ int main() {
   const int n = 48;
   const int q = 4;
   for (int c : {1, 2, 4}) {
-    const auto r = algs::harness::run_mm25d(n, q, c, mp);
+    const auto r = algs::run({.alg = "mm25d", .n = n, .q = q, .c = c}, mp);
     const double hw =
         static_cast<double>(r.totals.mem_highwater_total) / r.p;
     // Re-price with a machine that carries twice the needed memory.

@@ -4,7 +4,7 @@
 // latency share of T and E growing accordingly.
 #include <iostream>
 
-#include "algs/harness.hpp"
+#include "algs/registry.hpp"
 #include "bench_common.hpp"
 #include "support/common.hpp"
 #include "support/table.hpp"
@@ -22,7 +22,7 @@ int main() {
     mp.alpha_t = 100.0;
     mp.alpha_e = 100.0;
     mp.max_msg_words = m;
-    const auto r = algs::harness::run_mm25d(48, 4, 2, mp);
+    const auto r = algs::run({.alg = "mm25d", .n = 48, .q = 4, .c = 2}, mp);
     t.row()
         .cell(m >= 1e17 ? std::string("unbounded") : strfmt("%.0f", m))
         .cell(r.words_per_proc(), "%.0f")

@@ -5,7 +5,7 @@
 // Strassen cutoff's effect on flop counts.
 #include <iostream>
 
-#include "algs/harness.hpp"
+#include "algs/registry.hpp"
 #include "algs/strassen/local.hpp"
 #include "bench_common.hpp"
 #include "support/table.hpp"
@@ -18,11 +18,9 @@ int main() {
   Table t({"schedule", "W/rank", "S/rank", "mem high-water/rank (words)",
            "T (sim)", "max |err|"});
   for (const char* sched : {"BD", "DB"}) {
-    algs::CapsOptions opts;
-    opts.schedule = sched;
-    opts.local_cutoff = 4;
-    const auto r = algs::harness::run_caps(56, 1, core::MachineParams::unit(),
-                                           opts, /*verify=*/true);
+    const auto r = algs::run({.alg = "caps", .n = 56, .k = 1,
+                              .caps_schedule = sched, .caps_cutoff = 4},
+                             core::MachineParams::unit(), /*verify=*/true);
     t.row()
         .cell(sched)
         .cell(r.words_per_proc(), "%.0f")

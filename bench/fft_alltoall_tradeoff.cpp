@@ -5,7 +5,7 @@
 #include <cmath>
 #include <iostream>
 
-#include "algs/harness.hpp"
+#include "algs/registry.hpp"
 #include "bench_common.hpp"
 #include "core/algmodel.hpp"
 #include "support/cli.hpp"
@@ -38,13 +38,15 @@ int main(int argc, char** argv) {
            "max |err|"});
   for (int p : {4, 8, 16, 32}) {
     if (r_dim % p != 0 || c_dim % p != 0) continue;
-    for (auto kind : {algs::AllToAllKind::kDirect, algs::AllToAllKind::kBruck}) {
+    for (bool bruck : {false, true}) {
       // Verification is O(n^2); only do it at the smallest size.
       const bool v = verify && p == 4;
-      const auto r = algs::harness::run_fft(r_dim, c_dim, p, kind, mp, v);
+      const auto r = algs::run({.alg = "fft", .p = p, .r_dim = r_dim,
+                                .c_dim = c_dim, .fft_bruck = bruck},
+                               mp, v);
       t.row()
           .cell(p)
-          .cell(kind == algs::AllToAllKind::kDirect ? "naive" : "bruck")
+          .cell(bruck ? "bruck" : "naive")
           .cell(r.words_per_proc(), "%.0f")
           .cell(r.msgs_per_proc(), "%.0f")
           .cell(r.makespan, "%.0f")

@@ -26,11 +26,10 @@
 // set with uncapped messages, as in ghost_speedup's frontier row.
 #include <chrono>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <string>
 
-#include "algs/harness.hpp"
+#include "algs/registry.hpp"
 #include "bench_common.hpp"
 #include "core/params.hpp"
 #include "sim/fold.hpp"
@@ -42,7 +41,7 @@
 namespace {
 
 using namespace alge;
-using algs::harness::RunResult;
+using algs::RunResult;
 
 double elapsed(const std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -72,22 +71,18 @@ struct Observed {
   int slots = 0;
 };
 
-/// Run `body` (a harness run_* call) in ghost mode under the given exec
-/// mode, capturing whether the machine actually folded and how many fibers
-/// it ran.
+/// Run `pb` in ghost mode under the given exec mode, capturing whether the
+/// machine actually folded and how many fibers it ran.
 RunResult run_ghost(sim::ExecMode mode, Observed* seen,
-                    const std::function<RunResult()>& body) {
-  algs::harness::RunObserver obs;
-  obs.configure = [mode](sim::MachineConfig& cfg) {
-    cfg.data_mode = sim::DataMode::kGhost;
-    cfg.exec_mode = mode;
-  };
-  obs.after_run = [seen](const sim::Machine& m) {
+                    const algs::Problem& pb, const core::MachineParams& mp) {
+  sim::MachineConfig cfg;
+  cfg.params = mp;
+  cfg.data_mode = sim::DataMode::kGhost;
+  cfg.exec_mode = mode;
+  return algs::run(pb, std::move(cfg), false, [seen](const sim::Machine& m) {
     seen->fold_active = m.fold_active();
     seen->slots = m.num_slots();
-  };
-  algs::harness::ScopedRunObserver scoped(std::move(obs));
-  return body();
+  });
 }
 
 }  // namespace
@@ -164,12 +159,11 @@ int main(int argc, char** argv) {
 
   // Parity anchor: fiber-ghost vs folded-ghost on one spec, bit-identical
   // or the bench fails.
-  auto anchor = [&](const std::string& name,
-                    const std::function<RunResult()>& body) {
+  auto anchor = [&](const std::string& name, const algs::Problem& pb) {
     Observed fib, fold;
-    const RunResult rf = run_ghost(sim::ExecMode::kFibers, &fib, body);
+    const RunResult rf = run_ghost(sim::ExecMode::kFibers, &fib, pb, mp);
     auto t0 = std::chrono::steady_clock::now();
-    const RunResult rd = run_ghost(sim::ExecMode::kFolded, &fold, body);
+    const RunResult rd = run_ghost(sim::ExecMode::kFolded, &fold, pb, mp);
     const double wall = elapsed(t0);
     const bool identical = cost_equal(rf, rd);
     if (!identical) {
@@ -180,11 +174,10 @@ int main(int argc, char** argv) {
   };
 
   // Frontier point: folded-only; must actually fold.
-  auto frontier = [&](const std::string& name,
-                      const std::function<RunResult()>& body) {
+  auto frontier = [&](const std::string& name, const algs::Problem& pb) {
     Observed seen;
     auto t0 = std::chrono::steady_clock::now();
-    const RunResult r = run_ghost(sim::ExecMode::kFolded, &seen, body);
+    const RunResult r = run_ghost(sim::ExecMode::kFolded, &seen, pb, mp);
     const double wall = elapsed(t0);
     if (!seen.fold_active) {
       std::fprintf(stderr, "[frontier] FELL BACK TO FIBERS: %s\n",
@@ -194,60 +187,49 @@ int main(int argc, char** argv) {
     record(name, r, seen, wall, true, true);
   };
 
-  using algs::harness::run_caps;
-  using algs::harness::run_fft;
-  using algs::harness::run_lu;
-  using algs::harness::run_mm25d;
-  using algs::harness::run_nbody;
-  using algs::harness::run_summa;
-  using algs::harness::run_tsqr;
-
   // ---- Parity anchors (small p, both modes run) ----------------------
-  anchor("mm25d q=16", [&] { return run_mm25d(1024, 16, 1, mp); });
+  anchor("mm25d q=16", {.alg = "mm25d", .n = 1024, .q = 16, .c = 1});
   // Rotor-replay folds (rotating roots / moving panel owners).
-  anchor("summa q=16", [&] { return run_summa(1024, 16, mp); });
-  anchor("lu q=16 nb=8", [&] { return run_lu(512, 8, 16, 1, mp); });
-  anchor("mm25d q=16 c=4", [&] { return run_mm25d(1024, 16, 4, mp); });
+  anchor("summa q=16", {.alg = "summa", .n = 1024, .q = 16});
+  anchor("lu q=16 nb=8", {.alg = "lu", .n = 512, .q = 16, .c = 1, .nb = 8});
+  anchor("mm25d q=16 c=4", {.alg = "mm25d", .n = 1024, .q = 16, .c = 4});
   // CAPS share alignment needs n = 2^k * 7^ceil(k/2) * m (all-BFS).
-  anchor("caps k=3", [&] { return run_caps(392, 3, mp); });
-  anchor("fft p=256", [&] {
-    return run_fft(1024, 1024, 256, algs::AllToAllKind::kDirect, mp);
-  });
-  anchor("tsqr p=256", [&] { return run_tsqr(32, 4, 256, mp); });
-  anchor("nbody p=256 c=4", [&] { return run_nbody(4096, 256, 4, mp); });
+  anchor("caps k=3", {.alg = "caps", .n = 392, .k = 3});
+  anchor("fft p=256",
+         {.alg = "fft", .p = 256, .r_dim = 1024, .c_dim = 1024});
+  anchor("tsqr p=256", {.alg = "tsqr", .n = 32, .p = 256, .nb = 4});
+  anchor("nbody p=256 c=4", {.alg = "nbody", .n = 4096, .c = 4, .p = 256});
 
   // ---- Fig. 3 frontier points (folded-only) --------------------------
   // 2.5D matmul, c=1 (2D Cannon): p = q^2 ranks in 4 fold classes.
   frontier("mm25d n=65536 q=1024",
-           [&] { return run_mm25d(65536, 1024, 1, mp); });
+           {.alg = "mm25d", .n = 65536, .q = 1024, .c = 1});
   frontier("mm25d n=65536 q=4096",
-           [&] { return run_mm25d(65536, 4096, 1, mp); });
+           {.alg = "mm25d", .n = 65536, .q = 4096, .c = 1});
   // CAPS Strassen, all-BFS: all 7^k ranks are one class — one fiber.
-  frontier("caps n=614656 k=8", [&] { return run_caps(614656, 8, mp); });
+  frontier("caps n=614656 k=8", {.alg = "caps", .n = 614656, .k = 8});
   // FFT: p bounded by n = R*C fitting an int (R = C = 2^15).
-  frontier("fft n=2^30 p=32768", [&] {
-    return run_fft(32768, 32768, 32768, algs::AllToAllKind::kDirect, mp);
-  });
+  frontier("fft n=2^30 p=32768",
+           {.alg = "fft", .p = 32768, .r_dim = 32768, .c_dim = 32768});
   // SUMMA and LU rotate the bcast root / panel owner every step, so no
   // static class partition exists: these replay a rotor schedule over a
   // per-rank counter array (sim/fold_rotor.hpp) — one sweep, p = q^2
   // million-rank points in single-digit seconds.
-  frontier("summa n=8192 q=1024",
-           [&] { return run_summa(8192, 1024, mp); });
+  frontier("summa n=8192 q=1024", {.alg = "summa", .n = 8192, .q = 1024});
   frontier("lu n=8192 nb=8 q=1024",
-           [&] { return run_lu(8192, 8, 1024, 1, mp); });
+           {.alg = "lu", .n = 8192, .q = 1024, .c = 1, .nb = 8});
   // 2.5D with real replication (c > 1): rotor-folded skew/shift/depth.
   frontier("mm25d n=4096 q=512 c=4",
-           [&] { return run_mm25d(4096, 512, 4, mp); });
+           {.alg = "mm25d", .n = 4096, .q = 512, .c = 4});
   // TSQR binomial tree: ~log2(p)+1 scatter classes.
-  frontier("tsqr p=2^20", [&] { return run_tsqr(32, 4, 1 << 20, mp); });
+  frontier("tsqr p=2^20", {.alg = "tsqr", .n = 32, .p = 1 << 20, .nb = 4});
   // Replicating n-body: c row classes.
   frontier("nbody p=2^20 c=4",
-           [&] { return run_nbody(1 << 20, 1 << 20, 4, mp); });
+           {.alg = "nbody", .n = 1 << 20, .c = 4, .p = 1 << 20});
   if (deep) {
     frontier("mm25d n=65536 q=8192",
-             [&] { return run_mm25d(65536, 8192, 1, mp); });
-    frontier("caps n=8605184 k=9", [&] { return run_caps(8605184, 9, mp); });
+             {.alg = "mm25d", .n = 65536, .q = 8192, .c = 1});
+    frontier("caps n=8605184 k=9", {.alg = "caps", .n = 8605184, .k = 9});
   }
 
   t.print(std::cout);

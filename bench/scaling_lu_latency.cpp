@@ -4,7 +4,7 @@
 // side on the simulator.
 #include <iostream>
 
-#include "algs/harness.hpp"
+#include "algs/registry.hpp"
 #include "bench_common.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
@@ -36,13 +36,14 @@ int main(int argc, char** argv) {
   Table t({"c", "p", "LU S/rank", "LU W/rank", "LU max|err|", "MM S/rank",
            "MM W/rank"});
   for (int c = 1; c <= q * 2; c *= 2) {
-    const auto lu = algs::harness::run_lu(n, nb, q, c, mp, verify);
+    const auto lu = algs::run(
+        {.alg = "lu", .n = n, .q = q, .c = c, .nb = nb}, mp, verify);
     // Matmul on the same q x q x c machine (q must be divisible by c for
     // the step partition; skip otherwise).
     double mm_s = -1.0;
     double mm_w = -1.0;
     if (c <= q && q % c == 0) {
-      const auto mm = algs::harness::run_mm25d(n, q, c, mp);
+      const auto mm = algs::run({.alg = "mm25d", .n = n, .q = q, .c = c}, mp);
       mm_s = mm.msgs_per_proc();
       mm_w = mm.words_per_proc();
     }
@@ -65,7 +66,8 @@ int main(int argc, char** argv) {
   Table s({"nb", "panels nt", "S/rank", "W/rank"});
   for (int b : {2, 4, 8}) {
     if (n % (b * q) != 0) continue;
-    const auto lu = algs::harness::run_lu(n, b, q, 1, mp);
+    const auto lu =
+        algs::run({.alg = "lu", .n = n, .q = q, .c = 1, .nb = b}, mp);
     s.row().cell(b).cell(n / b).cell(lu.msgs_per_proc(), "%.0f").cell(
         lu.words_per_proc(), "%.0f");
   }

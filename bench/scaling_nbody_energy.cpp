@@ -4,7 +4,7 @@
 // n/p <= M <= n/sqrt(p).
 #include <iostream>
 
-#include "algs/harness.hpp"
+#include "algs/registry.hpp"
 #include "bench_common.hpp"
 #include "core/algmodel.hpp"
 #include "algs/nbody/nbody.hpp"
@@ -54,7 +54,8 @@ int main(int argc, char** argv) {
     // that, replication cannot reduce communication further and the extra
     // team members only add broadcast/reduce traffic.
     const bool in_range = c * c <= p;
-    const auto r = algs::harness::run_nbody(n, p, c, mp, verify);
+    const auto r =
+        algs::run({.alg = "nbody", .n = n, .c = c, .p = p}, mp, verify);
     const double txp = r.makespan * r.p;
     const double e = r.energy.total();
     if (t0p < 0.0) {

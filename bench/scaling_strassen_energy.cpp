@@ -4,7 +4,7 @@
 // regime claim with ω0 = log2 7).
 #include <iostream>
 
-#include "algs/harness.hpp"
+#include "algs/registry.hpp"
 #include "bench_common.hpp"
 #include "core/algmodel.hpp"
 #include "support/cli.hpp"
@@ -45,9 +45,8 @@ int main(int argc, char** argv) {
   double t0p = -1.0;
   double e0 = -1.0;
   for (int k = 0; k <= kmax; ++k) {
-    algs::CapsOptions opts;
-    opts.local_cutoff = 4;
-    const auto r = algs::harness::run_caps(n, k, mp, opts, verify);
+    const auto r = algs::run(
+        {.alg = "caps", .n = n, .k = k, .caps_cutoff = 4}, mp, verify);
     const double txp = r.makespan * r.p;
     const double e = r.energy.total();
     if (t0p < 0.0) {

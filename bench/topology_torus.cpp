@@ -6,7 +6,7 @@
 #include <iostream>
 #include <memory>
 
-#include "algs/harness.hpp"
+#include "algs/fft/fft.hpp"
 #include "algs/matmul/distributed.hpp"
 #include "algs/matmul/local.hpp"
 #include "bench_common.hpp"

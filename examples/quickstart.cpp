@@ -9,7 +9,7 @@
 // Build and run:  ./build/examples/quickstart
 #include <iostream>
 
-#include "algs/harness.hpp"
+#include "algs/registry.hpp"
 #include "core/algmodel.hpp"
 #include "core/opt.hpp"
 #include "machines/db.hpp"
@@ -48,9 +48,8 @@ int main() {
   // 3. Execute the actual 2.5D algorithm on the simulator (small instance,
   // unit costs) and verify the product.
   std::cout << "Simulated 2.5D matmul (n=32, q=4, c=2 -> p=32):\n";
-  const auto run = algs::harness::run_mm25d(32, 4, 2,
-                                            core::MachineParams::unit(),
-                                            /*verify=*/true);
+  const auto run = algs::run({.alg = "mm25d", .n = 32, .q = 4, .c = 2},
+                             core::MachineParams::unit(), /*verify=*/true);
   std::cout << "  simulated time " << run.makespan << " s, energy "
             << run.energy.total() << " J\n";
   std::cout << "  per-rank words " << run.words_per_proc() << ", messages "

@@ -6,14 +6,13 @@
 //
 //   ./build/examples/simulate_cluster
 #include <iostream>
+#include <utility>
 
-#include "algs/harness.hpp"
+#include "algs/registry.hpp"
 #include "support/table.hpp"
 
 int main() {
   using namespace alge;
-  using algs::harness::RunResult;
-
   core::MachineParams mp;
   mp.gamma_t = 1.0;
   mp.beta_t = 2.0;
@@ -29,7 +28,24 @@ int main() {
 
   Table t({"experiment", "p", "T (sim)", "E (sim)", "avg power", "W/rank",
            "S/rank", "verified max |err|"});
-  auto add = [&](const std::string& name, const RunResult& r) {
+  const std::pair<const char*, algs::Problem> runs[] = {
+      {"matmul 2D (Cannon, q=4)", {.alg = "mm25d", .n = 32, .q = 4, .c = 1}},
+      {"matmul 2.5D (q=4, c=2)", {.alg = "mm25d", .n = 32, .q = 4, .c = 2}},
+      {"matmul 3D (q=c=4)", {.alg = "mm25d", .n = 32, .q = 4, .c = 4}},
+      {"matmul SUMMA (q=4)", {.alg = "summa", .n = 32, .q = 4}},
+      {"Strassen CAPS (k=1, p=7)", {.alg = "caps", .n = 28, .k = 1}},
+      {"Strassen CAPS (k=2, p=49)", {.alg = "caps", .n = 28, .k = 2}},
+      {"n-body ring (c=1)", {.alg = "nbody", .n = 128, .c = 1, .p = 8}},
+      {"n-body replicated (c=2)", {.alg = "nbody", .n = 128, .c = 2, .p = 16}},
+      {"LU 2D (q=2)", {.alg = "lu", .n = 32, .q = 2, .c = 1, .nb = 4}},
+      {"LU 2.5D (q=2, c=2)", {.alg = "lu", .n = 32, .q = 2, .c = 2, .nb = 4}},
+      {"FFT naive a2a (p=8)",
+       {.alg = "fft", .p = 8, .r_dim = 32, .c_dim = 32}},
+      {"FFT Bruck a2a (p=8)",
+       {.alg = "fft", .p = 8, .r_dim = 32, .c_dim = 32, .fft_bruck = true}},
+  };
+  for (const auto& [name, pb] : runs) {
+    const algs::RunResult r = algs::run(pb, mp, /*verify=*/true);
     t.row()
         .cell(name)
         .cell(r.p)
@@ -39,28 +55,7 @@ int main() {
         .cell(r.words_per_proc(), "%.0f")
         .cell(r.msgs_per_proc(), "%.0f")
         .cell(r.max_abs_error, "%.2g");
-  };
-
-  add("matmul 2D (Cannon, q=4)",
-      algs::harness::run_mm25d(32, 4, 1, mp, true));
-  add("matmul 2.5D (q=4, c=2)", algs::harness::run_mm25d(32, 4, 2, mp, true));
-  add("matmul 3D (q=c=4)", algs::harness::run_mm25d(32, 4, 4, mp, true));
-  add("matmul SUMMA (q=4)", algs::harness::run_summa(32, 4, mp, true));
-  add("Strassen CAPS (k=1, p=7)",
-      algs::harness::run_caps(28, 1, mp, {}, true));
-  add("Strassen CAPS (k=2, p=49)",
-      algs::harness::run_caps(28, 2, mp, {}, true));
-  add("n-body ring (c=1)", algs::harness::run_nbody(128, 8, 1, mp, true));
-  add("n-body replicated (c=2)",
-      algs::harness::run_nbody(128, 16, 2, mp, true));
-  add("LU 2D (q=2)", algs::harness::run_lu(32, 4, 2, 1, mp, true));
-  add("LU 2.5D (q=2, c=2)", algs::harness::run_lu(32, 4, 2, 2, mp, true));
-  add("FFT naive a2a (p=8)",
-      algs::harness::run_fft(32, 32, 8, algs::AllToAllKind::kDirect, mp,
-                             true));
-  add("FFT Bruck a2a (p=8)",
-      algs::harness::run_fft(32, 32, 8, algs::AllToAllKind::kBruck, mp,
-                             true));
+  }
   t.print(std::cout);
 
   std::cout << "\nReading the table: replication (2.5D/3D, CAPS levels, "

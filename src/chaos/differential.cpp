@@ -1,18 +1,14 @@
 #include "chaos/differential.hpp"
 
-#include <cmath>
 #include <ostream>
 #include <utility>
 
-#include "algs/harness.hpp"
 #include "chaos/schedule.hpp"
 #include "support/common.hpp"
 
 namespace alge::chaos {
 
 namespace {
-
-using algs::harness::RunResult;
 
 /// Relative slack for "may only grow" clock comparisons: injected stalls
 /// interleave extra additions into the clock accumulation, so the faulted
@@ -39,127 +35,13 @@ core::MachineParams tuned_params() {
   return mp;
 }
 
-/// Valid grid parameters per size class; see effective_p for the mapping.
-struct Mm25dShape {
-  int q;
-  int c;
-};
-int isqrt(int p) {
-  int q = static_cast<int>(std::sqrt(static_cast<double>(p)));
-  while ((q + 1) * (q + 1) <= p) ++q;
-  while (q > 1 && q * q > p) --q;
-  return q;
-}
-
-Mm25dShape mm25d_shape(int p) {
-  // q = 2 keeps problems tiny; c absorbs the rest when p is a multiple of
-  // q² — but only while c divides q (p = 8 -> the 2×2×2 grid). Perfect
-  // squares of q >= 3 run the q×q 2D grid instead — the size classes
-  // fold-mode sweeps use, since Cannon only folds nontrivially for q >= 3.
-  if (p % 4 == 0 && (p / 4 == 1 || p / 4 == 2)) return {2, p / 4};
-  const int q = isqrt(p);
-  if (q >= 3 && q * q == p) return {q, 1};
-  return {2, 1};
-}
-
-/// FFT needs a power-of-two rank count (R and C are powers of two and p
-/// divides both); size classes round down.
-int fft_p(int p) {
-  int v = 1;
-  while (2 * v <= p) v *= 2;
-  return v;
-}
-
-RunResult dispatch(const CaseSpec& spec, bool verify) {
-  namespace h = algs::harness;
-  const int p = spec.p;
-  const auto seed = spec.problem_seed;
-  const core::MachineParams& mp = spec.params;
-  switch (spec.alg) {
-    case Alg::kMm25d: {
-      const auto [q, c] = mm25d_shape(p);
-      return h::run_mm25d(8 * q, q, c, mp, verify, seed);
-    }
-    case Alg::kSumma: {
-      const int q = isqrt(p);
-      return h::run_summa(8 * q, q, mp, verify, seed);
-    }
-    case Alg::kCaps:
-      // CAPS runs on 7^k ranks; k = 1 is the smallest nontrivial tree,
-      // and n = 14 is the smallest even size with 7 | n² (share layout).
-      return h::run_caps(14, 1, mp, {}, verify, seed);
-    case Alg::kNbody: {
-      const int c = p % 2 == 0 ? 2 : 1;
-      return h::run_nbody(4 * (p / c), p, c, mp, verify, seed);
-    }
-    case Alg::kLu: {
-      const auto [q, c] = mm25d_shape(p);
-      return h::run_lu(8 * q, 4, q, c, mp, verify, seed);
-    }
-    case Alg::kTsqr:
-      return h::run_tsqr(8, 4, p, mp, verify, seed);
-    case Alg::kFft: {
-      const int fp = fft_p(p);
-      return h::run_fft(2 * fp, 2 * fp, fp, algs::AllToAllKind::kDirect, mp,
-                        verify, seed);
-    }
-  }
-  throw invalid_argument_error("unknown algorithm");
+/// The rank count `alg` actually runs on for size class `p`.
+int effective_p(const std::string& alg, int p) {
+  const algs::Entry& e = algs::find(alg);
+  return e.ranks(e.preset(p));
 }
 
 }  // namespace
-
-const char* alg_name(Alg alg) {
-  switch (alg) {
-    case Alg::kMm25d: return "mm25d";
-    case Alg::kSumma: return "summa";
-    case Alg::kCaps: return "caps";
-    case Alg::kNbody: return "nbody";
-    case Alg::kLu: return "lu";
-    case Alg::kTsqr: return "tsqr";
-    case Alg::kFft: return "fft";
-  }
-  return "?";
-}
-
-Alg parse_alg(std::string_view name) {
-  for (Alg a : all_algs()) {
-    if (name == alg_name(a)) return a;
-  }
-  throw invalid_argument_error(
-      strfmt("unknown algorithm '%.*s' (have: mm25d, summa, caps, nbody, "
-             "lu, tsqr, fft)",
-             static_cast<int>(name.size()), name.data()));
-}
-
-const std::vector<Alg>& all_algs() {
-  static const std::vector<Alg> algs = {Alg::kMm25d, Alg::kSumma, Alg::kCaps,
-                                        Alg::kNbody, Alg::kLu,   Alg::kTsqr,
-                                        Alg::kFft};
-  return algs;
-}
-
-int effective_p(Alg alg, int p) {
-  switch (alg) {
-    case Alg::kMm25d:
-    case Alg::kLu: {
-      const auto [q, c] = mm25d_shape(p);
-      return q * q * c;
-    }
-    case Alg::kSumma: {
-      const int q = isqrt(p);
-      return q * q;
-    }
-    case Alg::kCaps:
-      return 7;
-    case Alg::kNbody:
-    case Alg::kTsqr:
-      return p;
-    case Alg::kFft:
-      return fft_p(p);
-  }
-  return p;
-}
 
 bool RunSignature::identical_to(const RunSignature& o) const {
   return ranks == o.ranks && totals == o.totals && makespan == o.makespan &&
@@ -172,33 +54,31 @@ bool RunSignature::cost_identical_to(const RunSignature& o) const {
 }
 
 RunSignature run_case(const CaseSpec& spec, const ChaosConfig& chaos) {
-  algs::harness::RunObserver obs;
+  const algs::Entry& entry = algs::find(spec.alg);
+  algs::Problem pb = entry.preset(spec.p);
+  pb.seed = spec.problem_seed;
+  sim::MachineConfig cfg;
+  cfg.params = spec.params;
+  cfg.data_mode = chaos.data_mode;
+  cfg.exec_mode = chaos.exec_mode;
+  if (chaos.schedule_seed != 0) {
+    cfg.wake_policy = std::make_shared<SchedulePermuter>(chaos.schedule_seed);
+  }
   std::shared_ptr<PlanInjector> injector;
-  obs.configure = [&chaos, &injector](sim::MachineConfig& cfg) {
-    cfg.data_mode = chaos.data_mode;
-    cfg.exec_mode = chaos.exec_mode;
-    if (chaos.schedule_seed != 0) {
-      cfg.wake_policy =
-          std::make_shared<SchedulePermuter>(chaos.schedule_seed);
-    }
-    if (!chaos.plan.inert()) {
-      injector =
-          chaos.plan.make_injector(chaos.fault_seed, cfg.params.alpha_t);
-      cfg.faults = injector;
-    }
-  };
+  if (!chaos.plan.inert()) {
+    injector = chaos.plan.make_injector(chaos.fault_seed, cfg.params.alpha_t);
+    cfg.faults = injector;
+  }
   RunSignature sig;
-  obs.after_run = [&sig](const sim::Machine& m) {
-    sig.fold_active = m.fold_active();
-    sig.ranks.clear();
-    sig.ranks.reserve(static_cast<std::size_t>(m.p()));
-    for (int r = 0; r < m.p(); ++r) sig.ranks.push_back(m.rank_counters(r));
-  };
-  algs::harness::ScopedRunObserver scope(std::move(obs));
   // Ghost runs have no output, so verification only makes sense in full
-  // mode (the harness rejects the combination outright).
-  const RunResult res =
-      dispatch(spec, /*verify=*/chaos.data_mode == sim::DataMode::kFull);
+  // mode (algs::run rejects the combination outright).
+  const algs::RunResult res = algs::run(
+      pb, std::move(cfg), /*verify=*/chaos.data_mode == sim::DataMode::kFull,
+      [&sig](const sim::Machine& m) {
+        sig.fold_active = m.fold_active();
+        sig.ranks.reserve(static_cast<std::size_t>(m.p()));
+        for (int r = 0; r < m.p(); ++r) sig.ranks.push_back(m.rank_counters(r));
+      });
   sig.totals = res.totals;
   sig.makespan = res.makespan;
   sig.energy = res.energy.breakdown;
@@ -210,7 +90,10 @@ RunSignature run_case(const CaseSpec& spec, const ChaosConfig& chaos) {
 namespace {
 
 /// Name the first field that differs between two signatures (diagnostics).
-std::string first_difference(const RunSignature& a, const RunSignature& b) {
+/// `cost_only` compares what cost_identical_to does: memory high-water and
+/// injected faults, but not max_abs_error (ghost runs have no output).
+std::string first_difference(const RunSignature& a, const RunSignature& b,
+                             bool cost_only) {
   if (a.ranks.size() != b.ranks.size()) return "rank count";
   for (std::size_t r = 0; r < a.ranks.size(); ++r) {
     const sim::RankCounters& x = a.ranks[r];
@@ -221,12 +104,18 @@ std::string first_difference(const RunSignature& a, const RunSignature& b) {
     if (x.msgs_sent != y.msgs_sent) return strfmt("rank %zu msgs", r);
     if (x.clock != y.clock) return strfmt("rank %zu clock", r);
     if (x.idle_time != y.idle_time) return strfmt("rank %zu idle", r);
+    if (cost_only && x.mem_highwater != y.mem_highwater) {
+      return strfmt("rank %zu memory high-water", r);
+    }
     return strfmt("rank %zu counters", r);
   }
   if (!(a.totals == b.totals)) return "totals";
   if (a.makespan != b.makespan) return "makespan";
   if (!(a.energy == b.energy)) return "energy";
-  if (a.max_abs_error != b.max_abs_error) return "max_abs_error";
+  if (!cost_only && a.max_abs_error != b.max_abs_error) {
+    return "max_abs_error";
+  }
+  if (cost_only && !(a.faults == b.faults)) return "injected faults";
   return "(none)";
 }
 
@@ -282,30 +171,71 @@ std::string check_faulted(const RunSignature& base, const RunSignature& sig,
   return {};
 }
 
+/// Mismatch and failure counts of one sweep, with its FAIL-line printer.
+struct Tally {
+  std::ostream* out = nullptr;
+  int mismatches = 0;
+  int failures = 0;
+
+  /// Runs `check`, which returns the violated invariant ("" when all hold),
+  /// and reports a violation — or an exception, after `threw` — as one
+  /// FAIL line about `what`. Returns whether the run passed.
+  template <typename Check>
+  bool probe(const std::string& what, const char* threw, Check check) {
+    try {
+      const std::string err = check();
+      if (err.empty()) return true;
+      ++mismatches;
+      if (out != nullptr) *out << "FAIL " << what << ": " << err << "\n";
+    } catch (const std::exception& e) {
+      ++failures;
+      if (out != nullptr) {
+        *out << "FAIL " << what << ": " << threw << e.what() << "\n";
+      }
+    }
+    return false;
+  }
+};
+
+/// One fault-free pairing, then every bundled plan × seed.
+struct Pairing {
+  std::string label;
+  ChaosConfig cc;
+};
+
+std::vector<Pairing> pairings(const std::vector<std::string>& plans,
+                              int seeds) {
+  std::vector<Pairing> out{{"fault-free", ChaosConfig{}}};
+  for (const std::string& plan_name : plans) {
+    if (plan_name == "none") continue;  // that *is* the baseline
+    const FaultPlan plan = FaultPlan::bundled(plan_name);
+    for (int s = 1; s <= seeds; ++s) {
+      ChaosConfig cc;
+      cc.plan = plan;
+      cc.fault_seed = static_cast<std::uint64_t>(s);
+      out.push_back({strfmt("plan=%s seed=%d", plan_name.c_str(), s), cc});
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 DiffReport explore(const DiffOptions& opts) {
   ALGE_REQUIRE(opts.seeds >= 1, "need at least one seed");
   DiffReport rep;
-  std::ostream* out = opts.out;
-  for (Alg alg : opts.algs) {
+  Tally tally{opts.out};
+  for (const std::string& alg : opts.algs) {
     for (int p : opts.ps) {
       ++rep.cases;
-      CaseSpec spec;
-      spec.alg = alg;
-      spec.p = p;
-      spec.problem_seed = opts.problem_seed;
-      spec.params = tuned_params();
+      const CaseSpec spec{alg, p, opts.problem_seed, tuned_params()};
+      const std::string where = strfmt("%s p=%d", alg.c_str(), p);
 
       RunSignature base;
-      try {
-        base = run_case(spec, ChaosConfig{});
-      } catch (const std::exception& e) {
-        ++rep.failures;
-        if (out != nullptr) {
-          *out << strfmt("FAIL %s p=%d: baseline threw: %s\n",
-                         alg_name(alg), p, e.what());
-        }
+      if (!tally.probe(where, "baseline threw: ", [&] {
+            base = run_case(spec, ChaosConfig{});
+            return std::string();
+          })) {
         continue;
       }
 
@@ -316,283 +246,150 @@ DiffReport explore(const DiffOptions& opts) {
         ++rep.schedule_runs;
         ChaosConfig cc;
         cc.schedule_seed = static_cast<std::uint64_t>(s);
-        try {
-          const RunSignature sig = run_case(spec, cc);
-          if (!sig.identical_to(base)) {
-            ++rep.mismatches;
-            ++sched_bad;
-            if (out != nullptr) {
-              *out << strfmt(
-                  "FAIL %s p=%d schedule seed %d: differs from round-robin "
-                  "baseline at %s\n",
-                  alg_name(alg), p, s,
-                  first_difference(base, sig).c_str());
-            }
-          }
-        } catch (const std::exception& e) {
-          ++rep.failures;
-          ++sched_bad;
-          if (out != nullptr) {
-            *out << strfmt("FAIL %s p=%d schedule seed %d: threw: %s\n",
-                           alg_name(alg), p, s, e.what());
-          }
-        }
+        const bool ok = tally.probe(
+            strfmt("%s schedule seed %d", where.c_str(), s), "threw: ", [&] {
+              const RunSignature sig = run_case(spec, cc);
+              return sig.identical_to(base)
+                         ? std::string()
+                         : "differs from round-robin baseline at " +
+                               first_difference(base, sig, false);
+            });
+        sched_bad += ok ? 0 : 1;
       }
 
       // (a) Fault plans: convergence plus graceful, monotone degradation.
       int fault_bad = 0;
       int case_fault_runs = 0;
       std::uint64_t injected = 0;
-      for (const std::string& plan_name : opts.plans) {
-        if (plan_name == "none") continue;  // that *is* the baseline
-        const FaultPlan plan = FaultPlan::bundled(plan_name);
-        for (int s = 1; s <= opts.seeds; ++s) {
-          ++rep.fault_runs;
-          ++case_fault_runs;
-          ChaosConfig cc;
-          cc.plan = plan;
-          cc.fault_seed = static_cast<std::uint64_t>(s);
-          try {
-            const RunSignature sig = run_case(spec, cc);
-            injected += sig.faults.total();
-            const std::string err = check_faulted(base, sig, plan);
-            if (!err.empty()) {
-              ++rep.mismatches;
-              ++fault_bad;
-              if (out != nullptr) {
-                *out << strfmt("FAIL %s p=%d plan=%s seed %d: %s\n",
-                               alg_name(alg), p, plan_name.c_str(), s,
-                               err.c_str());
-              }
-            }
-          } catch (const std::exception& e) {
-            ++rep.failures;
-            ++fault_bad;
-            if (out != nullptr) {
-              *out << strfmt(
-                  "FAIL %s p=%d plan=%s seed %d: did not converge: %s\n",
-                  alg_name(alg), p, plan_name.c_str(), s, e.what());
-            }
-          }
-        }
+      for (const Pairing& run : pairings(opts.plans, opts.seeds)) {
+        if (run.cc.plan.inert()) continue;  // the baseline above
+        ++rep.fault_runs;
+        ++case_fault_runs;
+        const bool ok = tally.probe(
+            strfmt("%s plan=%s seed %llu", where.c_str(),
+                   run.cc.plan.name().c_str(),
+                   static_cast<unsigned long long>(run.cc.fault_seed)),
+            "did not converge: ", [&] {
+              const RunSignature sig = run_case(spec, run.cc);
+              injected += sig.faults.total();
+              return check_faulted(base, sig, run.cc.plan);
+            });
+        fault_bad += ok ? 0 : 1;
       }
 
-      if (out != nullptr && opts.verbose) {
-        *out << strfmt(
+      if (opts.out != nullptr && opts.verbose) {
+        *opts.out << strfmt(
             "%-6s p=%d (runs on %d ranks): %d/%d schedules bit-identical, "
             "%d/%d fault runs converged (%llu faults injected)\n",
-            alg_name(alg), p, effective_p(alg, p), opts.seeds - sched_bad,
+            alg.c_str(), p, effective_p(alg, p), opts.seeds - sched_bad,
             opts.seeds, case_fault_runs - fault_bad, case_fault_runs,
             static_cast<unsigned long long>(injected));
       }
     }
   }
+  rep.mismatches = tally.mismatches;
+  rep.failures = tally.failures;
   rep.summary = strfmt(
       "%d cases: %d schedule runs, %d fault runs; %d mismatches, %d "
       "failures -> %s",
       rep.cases, rep.schedule_runs, rep.fault_runs, rep.mismatches,
       rep.failures, rep.ok() ? "OK" : "FAIL");
-  if (out != nullptr) *out << rep.summary << "\n";
+  if (opts.out != nullptr) *opts.out << rep.summary << "\n";
   return rep;
 }
 
 namespace {
 
-/// Name the first *cost* field that differs (ghost diagnostics; ignores
-/// max_abs_error, which ghost runs cannot reproduce by design).
-std::string first_cost_difference(const RunSignature& a,
-                                  const RunSignature& b) {
-  if (a.ranks.size() != b.ranks.size()) return "rank count";
-  for (std::size_t r = 0; r < a.ranks.size(); ++r) {
-    const sim::RankCounters& x = a.ranks[r];
-    const sim::RankCounters& y = b.ranks[r];
-    if (x == y) continue;
-    if (x.flops != y.flops) return strfmt("rank %zu flops", r);
-    if (x.words_sent != y.words_sent) return strfmt("rank %zu words", r);
-    if (x.msgs_sent != y.msgs_sent) return strfmt("rank %zu msgs", r);
-    if (x.clock != y.clock) return strfmt("rank %zu clock", r);
-    if (x.idle_time != y.idle_time) return strfmt("rank %zu idle", r);
-    if (x.mem_highwater != y.mem_highwater) {
-      return strfmt("rank %zu memory high-water", r);
+/// The data and execution modes one side of a pairing runs in.
+struct Mode {
+  sim::DataMode data;
+  sim::ExecMode exec;
+};
+
+/// The pairing loop behind ghost_explore and fold_explore: for every
+/// (alg, p), one fault-free pairing, then every plan × seed, each run in
+/// mode `first` and then `second`; the cost signatures must be
+/// bit-identical. `pair` names the two modes in reports ("full/ghost"),
+/// `side` the second one ("ghost"); `fold` adds whether it actually folded.
+FoldDiffReport explore_pairs(const ExploreOptions& opts, Mode first,
+                             Mode second, const char* pair, const char* side,
+                             bool fold) {
+  ALGE_REQUIRE(opts.seeds >= 1, "need at least one seed");
+  FoldDiffReport rep;
+  Tally tally{opts.out};
+  for (const std::string& alg : opts.algs) {
+    for (int p : opts.ps) {
+      ++rep.cases;
+      const CaseSpec spec{alg, p, opts.problem_seed, tuned_params()};
+      const std::vector<Pairing> runs = pairings(opts.plans, opts.seeds);
+      int case_bad = 0;
+      int case_folded = 0;
+      for (const Pairing& run : runs) {
+        ++rep.pairs;
+        const bool ok = tally.probe(
+            strfmt("%s p=%d %s", alg.c_str(), p, run.label.c_str()),
+            "threw: ", [&] {
+              ChaosConfig cc = run.cc;
+              cc.data_mode = first.data;
+              cc.exec_mode = first.exec;
+              const RunSignature a = run_case(spec, cc);
+              cc.data_mode = second.data;
+              cc.exec_mode = second.exec;
+              const RunSignature b = run_case(spec, cc);
+              rep.folded_pairs += b.fold_active ? 1 : 0;
+              case_folded += b.fold_active ? 1 : 0;
+              if (b.cost_identical_to(a)) return std::string();
+              return strfmt("%s cost signature differs at %s%s", side,
+                            first_difference(a, b, true).c_str(),
+                            !fold           ? ""
+                            : b.fold_active ? " (fold active)"
+                                            : " (fold fell back)");
+            });
+        case_bad += ok ? 0 : 1;
+      }
+      if (opts.out != nullptr && opts.verbose) {
+        *opts.out << strfmt(
+            "%-6s p=%d (runs on %d ranks): %zu/%zu %s pairs "
+            "bit-identical%s\n",
+            alg.c_str(), p, effective_p(alg, p),
+            runs.size() - static_cast<std::size_t>(case_bad), runs.size(),
+            pair, fold ? strfmt(", %d folded", case_folded).c_str() : "");
+      }
     }
-    return strfmt("rank %zu counters", r);
   }
-  if (!(a.totals == b.totals)) return "totals";
-  if (a.makespan != b.makespan) return "makespan";
-  if (!(a.energy == b.energy)) return "energy";
-  if (!(a.faults == b.faults)) return "injected faults";
-  return "(none)";
+  rep.mismatches = tally.mismatches;
+  rep.failures = tally.failures;
+  return rep;
 }
 
 }  // namespace
 
-GhostDiffReport ghost_explore(const GhostDiffOptions& opts) {
-  ALGE_REQUIRE(opts.seeds >= 1, "need at least one seed");
-  GhostDiffReport rep;
-  std::ostream* out = opts.out;
-  for (Alg alg : opts.algs) {
-    for (int p : opts.ps) {
-      ++rep.cases;
-      CaseSpec spec;
-      spec.alg = alg;
-      spec.p = p;
-      spec.problem_seed = opts.problem_seed;
-      spec.params = tuned_params();
-
-      // One fault-free pairing, then every plan × seed. Each entry is a
-      // (label, config) template; the pair loop runs it in both modes.
-      struct Pairing {
-        std::string label;
-        ChaosConfig cc;
-      };
-      std::vector<Pairing> pairings;
-      pairings.push_back({"fault-free", ChaosConfig{}});
-      for (const std::string& plan_name : opts.plans) {
-        if (plan_name == "none") continue;
-        const FaultPlan plan = FaultPlan::bundled(plan_name);
-        for (int s = 1; s <= opts.seeds; ++s) {
-          ChaosConfig cc;
-          cc.plan = plan;
-          cc.fault_seed = static_cast<std::uint64_t>(s);
-          pairings.push_back(
-              {strfmt("plan=%s seed=%d", plan_name.c_str(), s), cc});
-        }
-      }
-
-      int case_bad = 0;
-      for (const Pairing& pairing : pairings) {
-        ++rep.pairs;
-        try {
-          ChaosConfig full_cc = pairing.cc;
-          full_cc.data_mode = sim::DataMode::kFull;
-          const RunSignature full = run_case(spec, full_cc);
-          ChaosConfig ghost_cc = pairing.cc;
-          ghost_cc.data_mode = sim::DataMode::kGhost;
-          const RunSignature ghost = run_case(spec, ghost_cc);
-          if (!ghost.cost_identical_to(full)) {
-            ++rep.mismatches;
-            ++case_bad;
-            if (out != nullptr) {
-              *out << strfmt(
-                  "FAIL %s p=%d %s: ghost cost signature differs at %s\n",
-                  alg_name(alg), p, pairing.label.c_str(),
-                  first_cost_difference(full, ghost).c_str());
-            }
-          }
-        } catch (const std::exception& e) {
-          ++rep.failures;
-          ++case_bad;
-          if (out != nullptr) {
-            *out << strfmt("FAIL %s p=%d %s: threw: %s\n", alg_name(alg), p,
-                           pairing.label.c_str(), e.what());
-          }
-        }
-      }
-      if (out != nullptr && opts.verbose) {
-        *out << strfmt("%-6s p=%d (runs on %d ranks): %zu/%zu full/ghost "
-                       "pairs bit-identical\n",
-                       alg_name(alg), p, effective_p(alg, p),
-                       pairings.size() - static_cast<std::size_t>(case_bad),
-                       pairings.size());
-      }
-    }
-  }
+GhostDiffReport ghost_explore(const ExploreOptions& opts) {
+  GhostDiffReport rep = explore_pairs(
+      opts, {sim::DataMode::kFull, sim::ExecMode::kFibers},
+      {sim::DataMode::kGhost, sim::ExecMode::kFibers}, "full/ghost", "ghost",
+      false);
   rep.summary = strfmt(
       "%d cases: %d full/ghost pairs; %d mismatches, %d failures -> %s",
       rep.cases, rep.pairs, rep.mismatches, rep.failures,
       rep.ok() ? "OK" : "FAIL");
-  if (out != nullptr) *out << rep.summary << "\n";
+  if (opts.out != nullptr) *opts.out << rep.summary << "\n";
   return rep;
 }
 
-FoldDiffReport fold_explore(const FoldDiffOptions& opts) {
-  ALGE_REQUIRE(opts.seeds >= 1, "need at least one seed");
-  FoldDiffReport rep;
-  std::ostream* out = opts.out;
-  for (Alg alg : opts.algs) {
-    for (int p : opts.ps) {
-      ++rep.cases;
-      CaseSpec spec;
-      spec.alg = alg;
-      spec.p = p;
-      spec.problem_seed = opts.problem_seed;
-      spec.params = tuned_params();
-
-      // One fault-free pairing (the case that actually folds), then every
-      // plan × seed (faults force the per-fiber fallback on the "folded"
-      // side, which must still match bit for bit).
-      struct Pairing {
-        std::string label;
-        ChaosConfig cc;
-      };
-      std::vector<Pairing> pairings;
-      pairings.push_back({"fault-free", ChaosConfig{}});
-      for (const std::string& plan_name : opts.plans) {
-        if (plan_name == "none") continue;
-        const FaultPlan plan = FaultPlan::bundled(plan_name);
-        for (int s = 1; s <= opts.seeds; ++s) {
-          ChaosConfig cc;
-          cc.plan = plan;
-          cc.fault_seed = static_cast<std::uint64_t>(s);
-          pairings.push_back(
-              {strfmt("plan=%s seed=%d", plan_name.c_str(), s), cc});
-        }
-      }
-
-      int case_bad = 0;
-      int case_folded = 0;
-      for (const Pairing& pairing : pairings) {
-        ++rep.pairs;
-        try {
-          ChaosConfig fiber_cc = pairing.cc;
-          fiber_cc.data_mode = sim::DataMode::kGhost;
-          fiber_cc.exec_mode = sim::ExecMode::kFibers;
-          const RunSignature fiber = run_case(spec, fiber_cc);
-          ChaosConfig folded_cc = pairing.cc;
-          folded_cc.data_mode = sim::DataMode::kGhost;
-          folded_cc.exec_mode = sim::ExecMode::kFolded;
-          const RunSignature folded = run_case(spec, folded_cc);
-          if (folded.fold_active) {
-            ++rep.folded_pairs;
-            ++case_folded;
-          }
-          if (!folded.cost_identical_to(fiber)) {
-            ++rep.mismatches;
-            ++case_bad;
-            if (out != nullptr) {
-              *out << strfmt(
-                  "FAIL %s p=%d %s: folded cost signature differs at %s "
-                  "(fold %s)\n",
-                  alg_name(alg), p, pairing.label.c_str(),
-                  first_cost_difference(fiber, folded).c_str(),
-                  folded.fold_active ? "active" : "fell back");
-            }
-          }
-        } catch (const std::exception& e) {
-          ++rep.failures;
-          ++case_bad;
-          if (out != nullptr) {
-            *out << strfmt("FAIL %s p=%d %s: threw: %s\n", alg_name(alg), p,
-                           pairing.label.c_str(), e.what());
-          }
-        }
-      }
-      if (out != nullptr && opts.verbose) {
-        *out << strfmt(
-            "%-6s p=%d (runs on %d ranks): %zu/%zu fiber/folded pairs "
-            "bit-identical, %d folded\n",
-            alg_name(alg), p, effective_p(alg, p),
-            pairings.size() - static_cast<std::size_t>(case_bad),
-            pairings.size(), case_folded);
-      }
-    }
-  }
+FoldDiffReport fold_explore(const ExploreOptions& opts) {
+  // Faulted pairings force the per-fiber fallback on the folded side,
+  // which must still match bit for bit.
+  FoldDiffReport rep = explore_pairs(
+      opts, {sim::DataMode::kGhost, sim::ExecMode::kFibers},
+      {sim::DataMode::kGhost, sim::ExecMode::kFolded}, "fiber/folded",
+      "folded", true);
   rep.summary = strfmt(
       "%d cases: %d fiber/folded pairs (%d actually folded); %d "
       "mismatches, %d failures -> %s",
       rep.cases, rep.pairs, rep.folded_pairs, rep.mismatches, rep.failures,
       rep.ok() ? "OK" : "FAIL");
-  if (out != nullptr) *out << rep.summary << "\n";
+  if (opts.out != nullptr) *opts.out << rep.summary << "\n";
   return rep;
 }
 

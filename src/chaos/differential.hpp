@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "algs/registry.hpp"
 #include "chaos/fault_plan.hpp"
 #include "core/costs.hpp"
 #include "core/params.hpp"
@@ -30,19 +31,12 @@
 
 namespace alge::chaos {
 
-/// Algorithms under differential test (the repo's full distributed set).
-enum class Alg { kMm25d, kSumma, kCaps, kNbody, kLu, kTsqr, kFft };
-
-const char* alg_name(Alg alg);
-/// Parse "mm25d" etc.; throws invalid_argument_error on unknown names.
-Alg parse_alg(std::string_view name);
-const std::vector<Alg>& all_algs();
-
 /// One concrete run: algorithm + requested machine size + problem seed.
-/// The harness maps `p` to valid per-algorithm grid parameters (CAPS, for
-/// example, always runs on 7^k ranks); `p` is a size class, not a promise.
+/// The run uses the table entry's preset problem for size class `p`
+/// (algs::Entry::preset; CAPS, for example, always runs on 7^k ranks), so
+/// `p` is a size class, not a promise.
 struct CaseSpec {
-  Alg alg = Alg::kMm25d;
+  std::string alg = "mm25d";  ///< an algs::all() name
   int p = 4;
   std::uint64_t problem_seed = 1;
   core::MachineParams params;
@@ -92,20 +86,22 @@ struct RunSignature {
 /// caller decides whether that is expected.
 RunSignature run_case(const CaseSpec& spec, const ChaosConfig& chaos);
 
-/// The per-alg machine-size mapping run_case uses (exposed for reports):
-/// the rank count the algorithm actually runs on for size class `p`.
-int effective_p(Alg alg, int p);
-
-struct DiffOptions {
-  std::vector<Alg> algs = all_algs();
+/// Knobs shared by the three sweeps below.
+struct ExploreOptions {
+  std::vector<std::string> algs = algs::names();
   std::vector<int> ps = {4, 8};
-  int seeds = 32;  ///< schedule seeds (and fault seeds) per case
-  /// Bundled plan names to run; "none" is skipped (it is the baseline).
+  /// Schedule and fault seeds per case (explore); fault seeds per
+  /// (case, plan) for the pairwise sweeps.
+  int seeds = 32;
+  /// Bundled plan names to run; "none" is skipped (it is the baseline, and
+  /// the pairwise sweeps always run a fault-free pairing).
   std::vector<std::string> plans = FaultPlan::bundled_names();
   std::uint64_t problem_seed = 1;
   bool verbose = false;
   std::ostream* out = nullptr;  ///< progress/failure stream (null = silent)
 };
+
+using DiffOptions = ExploreOptions;
 
 struct DiffReport {
   int cases = 0;
@@ -123,23 +119,27 @@ struct DiffReport {
 /// permutations and bounded, convergent degradation under every plan.
 DiffReport explore(const DiffOptions& opts);
 
-/// Ghost-payload differential sweep options. Smaller seed count than
-/// DiffOptions by default: every comparison is a *pair* of runs.
-struct GhostDiffOptions {
-  std::vector<Alg> algs = all_algs();
-  std::vector<int> ps = {4, 8};
-  int seeds = 4;  ///< fault seeds per (case, plan)
-  /// Bundled plan names to pair up; "none" is skipped (the fault-free
-  /// pairing always runs).
-  std::vector<std::string> plans = FaultPlan::bundled_names();
-  std::uint64_t problem_seed = 1;
-  bool verbose = false;
-  std::ostream* out = nullptr;  ///< progress/failure stream (null = silent)
+/// Ghost-payload sweep defaults. Fewer seeds than DiffOptions: every
+/// comparison is a *pair* of runs.
+struct GhostDiffOptions : ExploreOptions {
+  GhostDiffOptions() { seeds = 4; }
 };
 
+/// Folded-execution sweep defaults. The size classes include an odd
+/// perfect square so Cannon (q >= 3) genuinely folds; faulted machines fall
+/// back to fibers, so faulted pairs prove the fallback never perturbs the
+/// signature.
+struct FoldDiffOptions : ExploreOptions {
+  FoldDiffOptions() {
+    ps = {4, 9};
+    seeds = 2;
+  }
+};
+
+/// Outcome of a pairwise sweep.
 struct GhostDiffReport {
   int cases = 0;
-  int pairs = 0;       ///< full/ghost run pairs compared
+  int pairs = 0;       ///< run pairs compared
   int mismatches = 0;  ///< cost signatures that differed
   int failures = 0;    ///< unexpected exceptions in either mode
   std::string summary;
@@ -147,44 +147,23 @@ struct GhostDiffReport {
   bool ok() const { return mismatches == 0 && failures == 0; }
 };
 
+struct FoldDiffReport : GhostDiffReport {
+  int folded_pairs = 0;  ///< pairs whose folded side actually folded
+};
+
 /// The ghost differential gate: for every (alg, p), run full-data and
 /// ghost mode back to back — fault-free and under every plan × seed — and
 /// assert the cost signatures (clocks, F/W/S, energy, injected faults) are
 /// bit-identical. Any difference means ghost mode's cost schedule has
-/// drifted from the real one.
-GhostDiffReport ghost_explore(const GhostDiffOptions& opts);
-
-/// Folded-execution differential sweep options. The default size classes
-/// include an odd perfect square so Cannon (q >= 3) genuinely folds.
-struct FoldDiffOptions {
-  std::vector<Alg> algs = all_algs();
-  std::vector<int> ps = {4, 9};
-  int seeds = 2;  ///< fault seeds per (case, plan)
-  /// Bundled plan names to pair up; faulted machines fall back to fibers,
-  /// so these pairs prove the fallback never perturbs the signature.
-  std::vector<std::string> plans = FaultPlan::bundled_names();
-  std::uint64_t problem_seed = 1;
-  bool verbose = false;
-  std::ostream* out = nullptr;  ///< progress/failure stream (null = silent)
-};
-
-struct FoldDiffReport {
-  int cases = 0;
-  int pairs = 0;         ///< fiber/folded run pairs compared
-  int folded_pairs = 0;  ///< pairs whose folded side actually folded
-  int mismatches = 0;    ///< cost signatures that differed
-  int failures = 0;      ///< unexpected exceptions in either mode
-  std::string summary;
-
-  bool ok() const { return mismatches == 0 && failures == 0; }
-};
+/// drifted from the real one. Pass GhostDiffOptions for its defaults.
+GhostDiffReport ghost_explore(const ExploreOptions& opts);
 
 /// The fold differential gate: for every (alg, p), run ghost mode per-fiber
 /// and folded back to back — fault-free and under every plan × seed — and
 /// assert the cost signatures (clocks, F/W/S, energy, injected faults) are
 /// bit-identical. Any difference means class replay has drifted from the
 /// per-fiber schedule; faulted pairs additionally prove the transparent
-/// fiber fallback is exact.
-FoldDiffReport fold_explore(const FoldDiffOptions& opts);
+/// fiber fallback is exact. Pass FoldDiffOptions for its defaults.
+FoldDiffReport fold_explore(const ExploreOptions& opts);
 
 }  // namespace alge::chaos

@@ -23,8 +23,9 @@
 
 namespace alge::engine {
 
-/// Everything the runner knows how to execute: the six harness algorithms
-/// plus the collective microbenchmarks (used by ablation_collectives).
+/// Everything the runner knows how to execute: the seven algorithm-table
+/// entries (algs/registry.hpp) plus the collective microbenchmarks (used by
+/// ablation_collectives).
 enum class Alg {
   kMm25d,          ///< 2.5D matmul (c=1: Cannon 2D; c=q: 3D), p = q²c
   kSumma,          ///< SUMMA 2D baseline, p = q²
@@ -54,7 +55,7 @@ struct ExperimentSpec {
   core::MachineParams params;
 
   // Problem / grid dimensions; an algorithm reads only the fields it needs
-  // (matching the harness entry points), the rest stay at their defaults.
+  // (matching algs::Problem), the rest stay at their defaults.
   int n = 0;      ///< problem size (matrix dim, particles, FFT points)
   int q = 0;      ///< grid edge (mm25d/summa/lu)
   int c = 0;      ///< replication factor / team count

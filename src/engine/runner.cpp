@@ -8,7 +8,6 @@
 #include <sstream>
 #include <utility>
 
-#include "algs/harness.hpp"
 #include "chaos/fault_plan.hpp"
 #include "chaos/schedule.hpp"
 #include "engine/backend.hpp"
@@ -22,110 +21,114 @@ namespace alge::engine {
 
 namespace {
 
-ExperimentResult from_run(const algs::harness::RunResult& r) {
-  ExperimentResult out;
-  out.p = r.p;
-  out.makespan = r.makespan;
-  out.totals = r.totals;
-  out.energy = r.energy.breakdown;
-  out.max_abs_error = r.max_abs_error;
-  out.verified = r.verified;
-  out.fold_slots = r.fold_slots;
-  return out;
+ExperimentResult from_run(const algs::RunResult& r) {
+  return {.p = r.p,
+          .makespan = r.makespan,
+          .totals = r.totals,
+          .energy = r.energy.breakdown,
+          .max_abs_error = r.max_abs_error,
+          .verified = r.verified,
+          .fold_slots = r.fold_slots};
 }
 
 /// The collective microbenches of ablation_collectives as engine jobs: one
 /// Machine of spec.p ranks runs the collective once on a payload of
 /// spec.payload_words.
-ExperimentResult run_collective(const ExperimentSpec& spec) {
+ExperimentResult run_collective(const ExperimentSpec& spec,
+                                sim::MachineConfig cfg,
+                                const algs::Inspect& inspect) {
   ALGE_REQUIRE(spec.p >= 1, "collective spec needs p >= 1");
   ALGE_REQUIRE(spec.payload_words >= 1,
                "collective spec needs payload_words >= 1");
-  const algs::harness::RunObserver& obs = algs::harness::run_observer();
-  // Shared config path with the harness run_* entry points, so the
-  // observer's trace/ledger flags and configure hook (chaos fault
-  // injection, wake policies) apply to collectives too.
-  sim::MachineConfig cfg = algs::harness::observed_config(spec.params);
   cfg.p = spec.p;
   const bool ghost = cfg.data_mode == sim::DataMode::kGhost;
   sim::Machine m(cfg);
   const std::size_t k = static_cast<std::size_t>(spec.payload_words);
-  const int p = spec.p;
+  const std::size_t kp = k * static_cast<std::size_t>(spec.p);
   m.run([&](sim::Comm& c) {
-    const sim::Group world = sim::Group::world(p);
-    const std::size_t kp = k * static_cast<std::size_t>(p);
+    const sim::Group world = sim::Group::world(spec.p);
     // Ghost runs pass storage-free views of the same sizes; the cost
     // schedule is identical either way.
     std::vector<double> d, out;
+    auto view = [ghost](std::vector<double>& v, std::size_t words,
+                        double fill) {
+      if (ghost) return sim::Payload::ghost(words);
+      v.assign(words, fill);
+      return sim::Payload(v);
+    };
     switch (spec.alg) {
       case Alg::kCollBcast:
-        if (!ghost) d.assign(k, 1.0);
-        c.bcast(ghost ? sim::Payload::ghost(k) : sim::Payload(d), 0, world);
+        c.bcast(view(d, k, 1.0), 0, world);
         break;
       case Alg::kCollReduce:
-        if (!ghost) {
-          d.assign(k, 1.0);
-          out.resize(k);
-        }
-        c.reduce_sum(
-            ghost ? sim::ConstPayload::ghost(k) : sim::ConstPayload(d),
-            ghost ? sim::Payload::ghost(k) : sim::Payload(out), 0, world);
+        c.reduce_sum(view(d, k, 1.0), view(out, k, 0.0), 0, world);
         break;
       case Alg::kCollAllgather:
-        if (!ghost) {
-          d.assign(k, 1.0);
-          out.resize(kp);
-        }
-        c.allgather(
-            ghost ? sim::ConstPayload::ghost(k) : sim::ConstPayload(d),
-            ghost ? sim::Payload::ghost(kp) : sim::Payload(out), world);
+        c.allgather(view(d, k, 1.0), view(out, kp, 0.0), world);
         break;
       case Alg::kCollA2aDirect:
-        if (!ghost) {
-          d.assign(kp, 1.0);
-          out.resize(kp);
-        }
-        c.alltoall(
-            ghost ? sim::ConstPayload::ghost(kp) : sim::ConstPayload(d),
-            ghost ? sim::Payload::ghost(kp) : sim::Payload(out), world);
+        c.alltoall(view(d, kp, 1.0), view(out, kp, 0.0), world);
         break;
       case Alg::kCollA2aBruck:
-        if (!ghost) {
-          d.assign(kp, 1.0);
-          out.resize(kp);
-        }
-        c.alltoall_bruck(
-            ghost ? sim::ConstPayload::ghost(kp) : sim::ConstPayload(d),
-            ghost ? sim::Payload::ghost(kp) : sim::Payload(out), world);
+        c.alltoall_bruck(view(d, kp, 1.0), view(out, kp, 0.0), world);
         break;
       default:
         ALGE_CHECK(false, "not a collective alg");
     }
   });
-  ExperimentResult out;
-  out.p = m.p();
-  out.makespan = m.makespan();
-  out.totals = m.totals();
-  out.energy = m.energy().breakdown;
-  if (obs.after_run) obs.after_run(m);
-  return out;
+  if (inspect) inspect(m);
+  return {.p = m.p(),
+          .makespan = m.makespan(),
+          .totals = m.totals(),
+          .energy = m.energy().breakdown};
 }
 
 }  // namespace
 
-ExperimentResult execute(const ExperimentSpec& spec) {
-  using namespace algs;
-  if (!spec.transport.empty()) {
-    // Transport axis, resolved before every other axis: a real backend
-    // executes the whole spec itself (and rejects incompatible axes), so
-    // nothing below should see the field. "sim" is the explicit name of
-    // the default path — strip it and run normally (distinct cache key,
-    // identical result).
-    if (spec.transport == "sim") {
-      ExperimentSpec inner = spec;
-      inner.transport.clear();
-      return execute(inner);
+algs::Problem problem_of(const ExperimentSpec& spec) {
+  return {.alg = std::string(to_string(spec.alg)), .n = spec.n, .q = spec.q,
+          .c = spec.c, .p = spec.p, .k = spec.k, .nb = spec.nb,
+          .r_dim = spec.r_dim, .c_dim = spec.c_dim,
+          .fft_bruck = spec.fft_bruck, .caps_schedule = spec.caps_schedule,
+          .caps_cutoff = spec.caps_cutoff,
+          .ring_replication = spec.ring_replication, .seed = spec.seed};
+}
+
+sim::MachineConfig machine_config(const ExperimentSpec& spec) {
+  // Folded replay carries costs, not data, so a full-data folded run has
+  // nothing to produce — reject it up front rather than deep inside the
+  // Machine constructor.
+  ALGE_REQUIRE(spec.exec_mode != sim::ExecMode::kFolded ||
+                   spec.data_mode == sim::DataMode::kGhost,
+               "exec_mode=folded requires data_mode=ghost (class replay "
+               "moves costs, not data)");
+  sim::MachineConfig cfg;
+  cfg.params = spec.params;
+  cfg.data_mode = spec.data_mode;
+  cfg.exec_mode = spec.exec_mode;
+  if (spec.chaos_seed != 0) {
+    cfg.wake_policy =
+        std::make_shared<chaos::SchedulePermuter>(spec.chaos_seed);
+  }
+  if (!spec.fault_plan.empty()) {
+    const chaos::FaultPlan plan = chaos::FaultPlan::bundled(spec.fault_plan);
+    if (!plan.inert()) {
+      cfg.faults = plan.make_injector(
+          spec.chaos_seed != 0 ? spec.chaos_seed : 1, cfg.params.alpha_t);
     }
+  }
+  return cfg;
+}
+
+namespace {
+
+ExperimentResult run_spec(const ExperimentSpec& spec, bool trace,
+                          const algs::Inspect& inspect) {
+  // Transport axis, resolved before every other axis: a real backend
+  // executes the whole spec itself (and rejects incompatible axes). "sim"
+  // is the explicit name of the default path (distinct cache key,
+  // identical result).
+  if (!spec.transport.empty() && spec.transport != "sim") {
     const BackendExecutor* exec = find_backend_executor(spec.transport);
     ALGE_REQUIRE(exec != nullptr,
                  "no executor registered for transport \"%s\" — link "
@@ -134,116 +137,27 @@ ExperimentResult execute(const ExperimentSpec& spec) {
                  spec.transport.c_str());
     return (*exec)(spec);
   }
-  if (spec.exec_mode == sim::ExecMode::kFolded) {
-    // Execution-mode axis, resolved before the data-mode axis below so the
-    // two configure hooks stack. Folded replay carries costs, not data, so
-    // a full-data folded run has nothing to produce — reject it up front
-    // rather than deep inside the Machine constructor.
-    ALGE_REQUIRE(spec.data_mode == sim::DataMode::kGhost,
-                 "exec_mode=folded requires data_mode=ghost (class replay "
-                 "moves costs, not data)");
-    harness::RunObserver obs = harness::run_observer();
-    auto prev = obs.configure;
-    obs.configure = [prev](sim::MachineConfig& cfg) {
-      if (prev) prev(cfg);
-      cfg.exec_mode = sim::ExecMode::kFolded;
-    };
-    harness::ScopedRunObserver scoped(std::move(obs));
-    ExperimentSpec inner = spec;
-    inner.exec_mode = sim::ExecMode::kFibers;
-    return execute(inner);
+  sim::MachineConfig cfg = machine_config(spec);
+  cfg.enable_trace = trace;
+  // The collective microbenches follow the table algorithms in Alg.
+  if (spec.alg >= Alg::kCollBcast) {
+    return run_collective(spec, std::move(cfg), inspect);
   }
-  if (spec.data_mode == sim::DataMode::kGhost) {
-    // Data-mode axis: like the chaos axes below, chain a configure hook
-    // onto the caller's observer, strip the field, and dispatch the plain
-    // spec — the harness reads cfg.data_mode via observed_config().
-    harness::RunObserver obs = harness::run_observer();
-    auto prev = obs.configure;
-    obs.configure = [prev](sim::MachineConfig& cfg) {
-      if (prev) prev(cfg);
-      cfg.data_mode = sim::DataMode::kGhost;
-    };
-    harness::ScopedRunObserver scoped(std::move(obs));
-    ExperimentSpec inner = spec;
-    inner.data_mode = sim::DataMode::kFull;
-    return execute(inner);
-  }
-  if (spec.chaos_seed != 0 || !spec.fault_plan.empty()) {
-    // Chaos axes: chain a configure hook onto the caller's observer (so
-    // tracing/ledger/after_run still work), strip the chaos fields, and
-    // dispatch the plain spec under the scoped observer.
-    harness::RunObserver obs = harness::run_observer();
-    const std::uint64_t seed = spec.chaos_seed;
-    const chaos::FaultPlan plan =
-        spec.fault_plan.empty() ? chaos::FaultPlan{}
-                                : chaos::FaultPlan::bundled(spec.fault_plan);
-    auto prev = obs.configure;
-    obs.configure = [prev, seed, plan](sim::MachineConfig& cfg) {
-      if (prev) prev(cfg);
-      if (seed != 0) {
-        cfg.wake_policy = std::make_shared<chaos::SchedulePermuter>(seed);
-      }
-      if (!plan.inert()) {
-        cfg.faults =
-            plan.make_injector(seed != 0 ? seed : 1, cfg.params.alpha_t);
-      }
-    };
-    harness::ScopedRunObserver scoped(std::move(obs));
-    ExperimentSpec inner = spec;
-    inner.chaos_seed = 0;
-    inner.fault_plan.clear();
-    return execute(inner);
-  }
-  switch (spec.alg) {
-    case Alg::kMm25d: {
-      Mm25dOptions opts;
-      opts.ring_replication = spec.ring_replication;
-      return from_run(harness::run_mm25d(spec.n, spec.q, spec.c, spec.params,
-                                         spec.verify, spec.seed, opts));
-    }
-    case Alg::kSumma:
-      return from_run(harness::run_summa(spec.n, spec.q, spec.params,
-                                         spec.verify, spec.seed));
-    case Alg::kCaps: {
-      CapsOptions opts;
-      opts.schedule = spec.caps_schedule;
-      opts.local_cutoff = spec.caps_cutoff;
-      return from_run(harness::run_caps(spec.n, spec.k, spec.params, opts,
-                                        spec.verify, spec.seed));
-    }
-    case Alg::kNBody:
-      return from_run(harness::run_nbody(spec.n, spec.p, spec.c, spec.params,
-                                         spec.verify, spec.seed));
-    case Alg::kLu:
-      return from_run(harness::run_lu(spec.n, spec.nb, spec.q, spec.c,
-                                      spec.params, spec.verify, spec.seed));
-    case Alg::kFft:
-      return from_run(harness::run_fft(
-          spec.r_dim, spec.c_dim, spec.p,
-          spec.fft_bruck ? AllToAllKind::kBruck : AllToAllKind::kDirect,
-          spec.params, spec.verify, spec.seed));
-    case Alg::kTsqr:
-      return from_run(harness::run_tsqr(spec.n, spec.nb, spec.p, spec.params,
-                                        spec.verify, spec.seed));
-    case Alg::kCollBcast:
-    case Alg::kCollReduce:
-    case Alg::kCollAllgather:
-    case Alg::kCollA2aDirect:
-    case Alg::kCollA2aBruck:
-      return run_collective(spec);
-  }
-  ALGE_CHECK(false, "unhandled Alg value %d", static_cast<int>(spec.alg));
-  return {};
+  return from_run(
+      algs::run(problem_of(spec), std::move(cfg), spec.verify, inspect));
+}
+
+}  // namespace
+
+ExperimentResult execute(const ExperimentSpec& spec) {
+  return run_spec(spec, false, {});
 }
 
 ExperimentResult execute_traced(const ExperimentSpec& spec,
                                 sim::Trace* trace) {
   ALGE_REQUIRE(trace != nullptr, "execute_traced needs a trace to fill");
-  algs::harness::RunObserver obs;
-  obs.enable_trace = true;
-  obs.after_run = [trace](const sim::Machine& m) { *trace = m.trace(); };
-  algs::harness::ScopedRunObserver scoped(std::move(obs));
-  return execute(spec);
+  return run_spec(spec, true,
+                  [trace](const sim::Machine& m) { *trace = m.trace(); });
 }
 
 SweepRunner::SweepRunner(SweepOptions opts)

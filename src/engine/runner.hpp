@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "algs/registry.hpp"
 #include "engine/cache.hpp"
 #include "engine/job.hpp"
 #include "sim/trace.hpp"
@@ -23,16 +24,27 @@
 
 namespace alge::engine {
 
-/// Execute one spec on the calling thread (cache not consulted): dispatches
-/// to the algs/harness entry point (or runs the collective microbench) named
-/// by spec.alg.
+/// The algorithm-table problem `spec` names (spec.alg must be one of the
+/// table's algorithms, not a collective microbench).
+algs::Problem problem_of(const ExperimentSpec& spec);
+
+/// The simulated machine `spec` asks for: parameters, data and execution
+/// mode, and the chaos axes (wake-order permuter, fault injector). Throws
+/// invalid_argument_error for folded execution without ghost data or an
+/// unknown fault plan. The caller sets p (and any trace or ledger flags).
+sim::MachineConfig machine_config(const ExperimentSpec& spec);
+
+/// Execute one spec on the calling thread (cache not consulted): a real
+/// transport backend when spec.transport names one, otherwise
+/// algs::run(problem_of(spec), machine_config(spec), spec.verify) — or the
+/// collective microbench spec.alg names.
 ExperimentResult execute(const ExperimentSpec& spec);
 
 /// Like execute(), but with tracing enabled on the simulated machine: the
 /// run's event stream is copied into *trace before the machine is torn
-/// down (via the thread's harness RunObserver, so cache keys and the
-/// execute() path itself are untouched). Use result.p for the rank count
-/// when exporting, e.g. obs::write_chrome_trace.
+/// down (cache keys and the execute() path itself are untouched). Use
+/// result.p for the rank count when exporting, e.g.
+/// obs::write_chrome_trace.
 ExperimentResult execute_traced(const ExperimentSpec& spec, sim::Trace* trace);
 
 struct SweepOptions {

@@ -487,27 +487,8 @@ NavReport navigate(const NavRequest& req) {
     rep.sim_candidates = static_cast<int>(cands.size());
     for (ExecCand& c : cands) {
       // Closed-form prune score at the candidate's replication memory.
-      double pp = 0.0;
-      switch (c.spec.alg) {
-        case engine::Alg::kMm25d:
-          pp = static_cast<double>(c.spec.q) * c.spec.q * c.spec.c;
-          break;
-        case engine::Alg::kSumma:
-          pp = static_cast<double>(c.spec.q) * c.spec.q;
-          break;
-        case engine::Alg::kCaps:
-          pp = std::pow(7.0, c.spec.k);
-          break;
-        case engine::Alg::kNBody:
-        case engine::Alg::kFft:
-          pp = c.spec.p;
-          break;
-        case engine::Alg::kLu:
-          pp = static_cast<double>(c.spec.q) * c.spec.q * c.spec.c;
-          break;
-        default:
-          ALGE_CHECK(false, "unexpected exec alg");
-      }
+      const double pp = algs::find(engine::to_string(c.spec.alg))
+                            .ranks(engine::problem_of(c.spec));
       const double model_M =
           std::max(c.model_M, model->min_memory(n, pp));
       c.model_T = model->time(n, pp, model_M, req.params);

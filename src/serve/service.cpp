@@ -503,10 +503,10 @@ json::Value QueryService::run_experiment(const json::Value& req) {
                "experiment query needs a \"spec\" object");
   const engine::ExperimentSpec spec = spec_from_request(*spec_json);
 
-  if (auto cached = result_cache_.lookup(spec)) return cached->to_json();
-
   // Spec-level coalescing: requests that differ as bytes (ids, field
   // order, defaulted fields) but name the same simulation share one run.
+  // The slot is claimed before the result cache is consulted, so only the
+  // owner looks up (one miss per simulation, however many callers wait).
   const std::string key = spec.canonical_json();
   std::shared_ptr<InFlight> fl;
   bool owner = false;
@@ -553,9 +553,14 @@ json::Value QueryService::run_experiment(const json::Value& req) {
   };
 
   try {
-    auto result = std::make_shared<engine::ExperimentResult>(
-        engine::execute(spec));
-    result_cache_.store(spec, *result);
+    std::shared_ptr<engine::ExperimentResult> result;
+    if (auto cached = result_cache_.lookup(spec)) {
+      result = std::make_shared<engine::ExperimentResult>(std::move(*cached));
+    } else {
+      result = std::make_shared<engine::ExperimentResult>(
+          engine::execute(spec));
+      result_cache_.store(spec, *result);
+    }
     const json::Value out = result->to_json();
     publish(false, "", std::move(result));
     return out;

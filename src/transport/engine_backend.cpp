@@ -1,33 +1,11 @@
 #include "transport/engine_backend.hpp"
 
 #include "engine/backend.hpp"
+#include "engine/runner.hpp"
 #include "support/common.hpp"
 #include "transport/programs.hpp"
 
 namespace alge::transport {
-
-namespace {
-
-ProgramSpec program_spec_of(const engine::ExperimentSpec& spec) {
-  ProgramSpec ps;
-  ps.alg = std::string(engine::to_string(spec.alg));
-  ps.n = spec.n;
-  ps.q = spec.q;
-  ps.c = spec.c;
-  ps.p = spec.p;
-  ps.k = spec.k;
-  ps.nb = spec.nb;
-  ps.r_dim = spec.r_dim;
-  ps.c_dim = spec.c_dim;
-  ps.fft_bruck = spec.fft_bruck;
-  ps.caps_schedule = spec.caps_schedule;
-  ps.caps_cutoff = spec.caps_cutoff;
-  ps.ring_replication = spec.ring_replication;
-  ps.seed = spec.seed;
-  return ps;
-}
-
-}  // namespace
 
 engine::ExperimentResult execute_on(Backend backend,
                                     const engine::ExperimentSpec& spec) {
@@ -49,17 +27,15 @@ engine::ExperimentResult execute_on(Backend backend,
   ALGE_REQUIRE(!spec.verify,
                "real-backend specs must set verify=false; output checking "
                "is the cross-backend conformance suite's job");
-  const AlgProgram ap = make_program(program_spec_of(spec));
+  const AlgProgram ap = make_program(engine::problem_of(spec));
   RunOptions opts;
   opts.p = ap.p;
   opts.params = spec.params;
   const RunReport report = run(backend, opts, ap.program);
-  engine::ExperimentResult out;
-  out.p = report.p;
-  out.makespan = report.makespan();
-  out.totals = report.totals();
-  out.energy = report.energy(spec.params).breakdown;
-  return out;
+  return {.p = report.p,
+          .makespan = report.makespan(),
+          .totals = report.totals(),
+          .energy = report.energy(spec.params).breakdown};
 }
 
 void register_engine_backends() {

@@ -1,60 +1,46 @@
-// Self-contained per-rank programs for the 7 algorithms, runnable on any
-// transport backend.
-//
-// The harness (algs/harness.cpp) generates inputs once in the driver and
-// hands each fiber a slice — fine inside one process, useless across fork
-// or separate shells. These programs instead regenerate the deterministic
-// inputs from Rng(seed) *inside every rank* (same seed → same matrix on
-// every process) and carve out the rank's share locally, so the identical
+// The algorithm table (algs/registry.hpp) under the names the transport
+// tools, tests and benchmark use. Every entry's program regenerates its
+// inputs from Rng(seed) in whichever process runs it, so the identical
 // closure runs under the simulator, in a forked shm child, or in a rank's
-// own shell over TCP. Each rank publishes its natural local result (its C
-// block, force block, factored blocks, FFT rows, or R) through the
-// RankProgram output vector; the conformance suite compares those outputs
+// own shell over TCP; the conformance suite compares the per-rank outputs
 // bitwise across backends.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "algs/registry.hpp"
 #include "transport/run.hpp"
 
 namespace alge::transport {
 
-/// Problem parameters for one algorithm run; field meanings match
-/// engine::ExperimentSpec (n/q/c/p/k/nb/r_dim/c_dim and the per-algorithm
-/// options).
-struct ProgramSpec {
-  std::string alg;  ///< mm25d, summa, caps, nbody, lu, fft, tsqr
-  int n = 8;
-  int q = 2;
-  int c = 1;
-  int p = 4;      ///< rank count where independent (nbody, fft, tsqr)
-  int k = 1;      ///< CAPS levels (p = 7^k)
-  int nb = 2;     ///< LU block size; TSQR column count b
-  int r_dim = 4;  ///< FFT rows
-  int c_dim = 4;  ///< FFT columns
-  bool fft_bruck = false;
-  std::string caps_schedule;
-  int caps_cutoff = 32;
-  bool ring_replication = false;
-  std::uint64_t seed = 1;
-};
-
-struct AlgProgram {
-  int p = 0;  ///< world size the spec implies (q²c, 7^k, or spec.p)
-  RankProgram program;
-};
+using ProgramSpec = algs::Problem;
+using AlgProgram = algs::Instance;
 
 /// Build the rank program for `spec.alg`; throws invalid_argument_error on
 /// an unknown name or invalid dimensions.
-AlgProgram make_program(const ProgramSpec& spec);
+inline AlgProgram make_program(const ProgramSpec& spec) {
+  return algs::find(spec.alg).make(spec);
+}
 
-/// The 7 algorithm names make_program accepts, in conformance order.
-const std::vector<std::string>& program_names();
+/// The table's algorithm names, in table order.
+inline const std::vector<std::string>& program_names() {
+  return algs::names();
+}
 
 /// A small, fast parameterization of `alg` for the cross-backend
-/// conformance matrix (p ≤ 8 everywhere).
-ProgramSpec conformance_spec(const std::string& alg);
+/// conformance matrix (p ≤ 8 everywhere). Problem's defaults are the
+/// conformance sizes (n = 8 on a 2×2 grid, 4×4 FFT, p = 4); c = 2 adds
+/// mm25d's cross-layer traffic (p = 8) and n-body's teams, n = 14 is CAPS's
+/// smallest share-aligned size (p = 7), and TSQR takes 4 rows × 2 columns
+/// per rank.
+inline ProgramSpec conformance_spec(const std::string& alg) {
+  ProgramSpec spec;
+  spec.alg = std::string(algs::find(alg).name);
+  if (alg == "mm25d" || alg == "nbody") spec.c = 2;
+  if (alg == "caps") spec.n = 14;
+  if (alg == "tsqr") spec.n = 4;
+  return spec;
+}
 
 }  // namespace alge::transport

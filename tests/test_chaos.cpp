@@ -311,7 +311,7 @@ TEST(FaultPlan, BundledNamesResolveAndUnknownThrows) {
 
 TEST(Differential, ScheduleRunsAreBitIdentical) {
   chaos::CaseSpec spec;
-  spec.alg = chaos::Alg::kSumma;
+  spec.alg = "summa";
   spec.p = 4;
   const chaos::RunSignature base = chaos::run_case(spec, {});
   for (std::uint64_t seed : {1ull, 2ull, 97ull}) {
@@ -324,7 +324,7 @@ TEST(Differential, ScheduleRunsAreBitIdentical) {
 
 TEST(Differential, FaultedRunsConvergeWithIdenticalResults) {
   chaos::CaseSpec spec;
-  spec.alg = chaos::Alg::kMm25d;
+  spec.alg = "mm25d";
   spec.p = 8;
   const chaos::RunSignature base = chaos::run_case(spec, {});
   chaos::ChaosConfig cc;

@@ -17,13 +17,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "algs/foldmaps.hpp"
-#include "algs/harness.hpp"
+#include "algs/registry.hpp"
 #include "chaos/differential.hpp"
 #include "chaos/fault_plan.hpp"
 #include "engine/job.hpp"
@@ -183,7 +182,7 @@ TEST(FoldDifferential, AllAlgorithmsMatchFibersBitForBit) {
 
 TEST(FoldDifferential, FaultedRunFallsBackAndStillMatches) {
   chaos::CaseSpec spec;
-  spec.alg = chaos::Alg::kMm25d;
+  spec.alg = "mm25d";
   spec.p = 9;
   chaos::ChaosConfig fiber_cc;
   fiber_cc.data_mode = sim::DataMode::kGhost;
@@ -253,23 +252,26 @@ std::vector<std::string> schedule_of(const sim::Trace& trace, int rank,
   return out;
 }
 
-/// Run `body` per-fiber in ghost mode with tracing and assert every fold
+/// The trace of `pb` run per-fiber in ghost mode under unit parameters.
+sim::Trace ghost_trace(const algs::Problem& pb) {
+  sim::Trace trace;
+  sim::MachineConfig cfg;
+  cfg.params = core::MachineParams::unit();
+  cfg.data_mode = sim::DataMode::kGhost;
+  cfg.enable_trace = true;
+  (void)algs::run(pb, std::move(cfg), false,
+                  [&trace](const sim::Machine& m) { trace = m.trace(); });
+  return trace;
+}
+
+/// Run `pb` per-fiber in ghost mode with tracing and assert every fold
 /// class's members produce identical normalized schedules — i.e. the
 /// builder never merges ranks whose (src, tag) schedules differ.
-void expect_congruent_classes(
-    const std::shared_ptr<const sim::FoldMap>& map,
-    const std::function<algs::harness::RunResult()>& body) {
+void expect_congruent_classes(const std::shared_ptr<const sim::FoldMap>& map,
+                              const algs::Problem& pb) {
   ASSERT_NE(map, nullptr);
   ASSERT_NO_THROW(map->validate());
-  sim::Trace trace;
-  algs::harness::RunObserver obs;
-  obs.enable_trace = true;
-  obs.configure = [](sim::MachineConfig& cfg) {
-    cfg.data_mode = sim::DataMode::kGhost;
-  };
-  obs.after_run = [&trace](const sim::Machine& m) { trace = m.trace(); };
-  algs::harness::ScopedRunObserver scoped(std::move(obs));
-  (void)body();
+  const sim::Trace trace = ghost_trace(pb);
   for (int c = 0; c < map->num_classes(); ++c) {
     const sim::FoldClass& fc = map->cls(c);
     const bool include_peers = !fc.scatter;
@@ -285,37 +287,28 @@ void expect_congruent_classes(
 }
 
 TEST(FoldProperty, Mm25dClassesAreCongruent) {
-  const core::MachineParams mp = core::MachineParams::unit();
-  expect_congruent_classes(algs::foldmap_mm25d(3, 1), [&] {
-    return algs::harness::run_mm25d(18, 3, 1, mp);
-  });
+  expect_congruent_classes(algs::foldmap_mm25d(3, 1),
+                           {.alg = "mm25d", .n = 18, .q = 3, .c = 1});
 }
 
 TEST(FoldProperty, CapsClassIsCongruent) {
-  const core::MachineParams mp = core::MachineParams::unit();
-  expect_congruent_classes(
-      algs::foldmap_caps(7), [&] { return algs::harness::run_caps(14, 1, mp); });
+  expect_congruent_classes(algs::foldmap_caps(7),
+                           {.alg = "caps", .n = 14, .k = 1});
 }
 
 TEST(FoldProperty, FftClassIsCongruent) {
-  const core::MachineParams mp = core::MachineParams::unit();
-  expect_congruent_classes(algs::foldmap_fft(4), [&] {
-    return algs::harness::run_fft(8, 8, 4, algs::AllToAllKind::kDirect, mp);
-  });
+  expect_congruent_classes(algs::foldmap_fft(4),
+                           {.alg = "fft", .p = 4, .r_dim = 8, .c_dim = 8});
 }
 
 TEST(FoldProperty, NbodyRowClassesAreCongruent) {
-  const core::MachineParams mp = core::MachineParams::unit();
-  expect_congruent_classes(algs::foldmap_nbody(8, 2), [&] {
-    return algs::harness::run_nbody(8, 8, 2, mp);
-  });
+  expect_congruent_classes(algs::foldmap_nbody(8, 2),
+                           {.alg = "nbody", .n = 8, .c = 2, .p = 8});
 }
 
 TEST(FoldProperty, TsqrSkeletonClassesAreCongruent) {
-  const core::MachineParams mp = core::MachineParams::unit();
-  expect_congruent_classes(algs::foldmap_tsqr(8), [&] {
-    return algs::harness::run_tsqr(8, 2, 8, mp);
-  });
+  expect_congruent_classes(algs::foldmap_tsqr(8),
+                           {.alg = "tsqr", .n = 8, .p = 8, .nb = 2});
 }
 
 // ------------------------------------------- rotor per-rank parity
@@ -336,30 +329,31 @@ core::MachineParams rotor_mp() {
   return mp;
 }
 
-/// Per-rank counters of a ghost run under the given exec mode.
-std::vector<sim::RankCounters> ghost_counters(
-    sim::ExecMode mode, bool* folded, const std::function<void()>& body) {
+/// Per-rank counters of `pb` run in ghost mode under the given exec mode.
+std::vector<sim::RankCounters> ghost_counters(sim::ExecMode mode,
+                                              bool* folded,
+                                              const algs::Problem& pb) {
   std::vector<sim::RankCounters> out;
-  algs::harness::RunObserver obs;
-  obs.configure = [mode](sim::MachineConfig& cfg) {
-    cfg.data_mode = sim::DataMode::kGhost;
-    cfg.exec_mode = mode;
-  };
-  obs.after_run = [&out, folded](const sim::Machine& m) {
-    if (folded != nullptr) *folded = m.fold_active();
-    for (int r = 0; r < m.p(); ++r) out.push_back(m.rank_counters(r));
-  };
-  algs::harness::ScopedRunObserver scoped(std::move(obs));
-  body();
+  sim::MachineConfig cfg;
+  cfg.params = rotor_mp();
+  cfg.data_mode = sim::DataMode::kGhost;
+  cfg.exec_mode = mode;
+  (void)algs::run(pb, std::move(cfg), false,
+                  [&out, folded](const sim::Machine& m) {
+                    if (folded != nullptr) *folded = m.fold_active();
+                    for (int r = 0; r < m.p(); ++r) {
+                      out.push_back(m.rank_counters(r));
+                    }
+                  });
   return out;
 }
 
 /// Rotor congruence is per-rank, not per-class: the replay must reproduce
 /// every rank's full counter record bit for bit, world-rank order.
-void expect_rotor_parity(const std::function<void()>& body) {
+void expect_rotor_parity(const algs::Problem& pb) {
   bool folded = false;
-  const auto fib = ghost_counters(sim::ExecMode::kFibers, nullptr, body);
-  const auto fol = ghost_counters(sim::ExecMode::kFolded, &folded, body);
+  const auto fib = ghost_counters(sim::ExecMode::kFibers, nullptr, pb);
+  const auto fol = ghost_counters(sim::ExecMode::kFolded, &folded, pb);
   ASSERT_TRUE(folded) << "rotor map did not engage";
   ASSERT_EQ(fib.size(), fol.size());
   for (std::size_t r = 0; r < fib.size(); ++r) {
@@ -372,20 +366,17 @@ void expect_rotor_parity(const std::function<void()>& body) {
 }
 
 TEST(FoldProperty, SummaRotorMatchesFibersPerRank) {
-  expect_rotor_parity(
-      [&] { algs::harness::run_summa(40, 5, rotor_mp()); });
+  expect_rotor_parity({.alg = "summa", .n = 40, .q = 5});
 }
 
 TEST(FoldProperty, LuRotorMatchesFibersPerRank) {
   // nt = 12 > q = 4: block-cyclic reps above 1 and a moving panel owner.
-  expect_rotor_parity(
-      [&] { algs::harness::run_lu(48, 4, 4, 1, rotor_mp()); });
+  expect_rotor_parity({.alg = "lu", .n = 48, .q = 4, .c = 1, .nb = 4});
 }
 
 TEST(FoldProperty, Mm25dReplicatedRotorMatchesFibersPerRank) {
   // c > 1: depth replication, per-layer skew, shift loop, depth reduce.
-  expect_rotor_parity(
-      [&] { algs::harness::run_mm25d(32, 4, 2, rotor_mp()); });
+  expect_rotor_parity({.alg = "mm25d", .n = 32, .q = 4, .c = 2});
 }
 
 // An off-by-one root rotation in the rotor schedule must be caught by the
@@ -393,9 +384,8 @@ TEST(FoldProperty, Mm25dReplicatedRotorMatchesFibersPerRank) {
 // position-to-root mapping would produce. Guards the guard.
 TEST(FoldProperty, DetectsAWrongRootRotation) {
   const core::MachineParams mp = rotor_mp();
-  const auto fib = ghost_counters(sim::ExecMode::kFibers, nullptr, [&] {
-    algs::harness::run_summa(40, 5, mp);
-  });
+  const auto fib = ghost_counters(sim::ExecMode::kFibers, nullptr,
+                                  {.alg = "summa", .n = 40, .q = 5});
   const auto good = algs::foldmap_summa(40, 5);
   ASSERT_NE(good, nullptr);
   auto mutant = std::make_shared<sim::RotorSchedule>(*good->rotor());
@@ -431,23 +421,13 @@ TEST(FoldProperty, DetectsAWrongRootRotation) {
 // schedules (column 0's A-alignment self-sends are free), so a map that
 // merges them fails congruence. Guards the guard.
 TEST(FoldProperty, DetectsAWrongMerge) {
-  const core::MachineParams mp = core::MachineParams::unit();
   // One class for rank 0, one for everything else: merges row/column/
   // interior ranks whose schedules differ.
   auto bad = std::make_shared<sim::FoldMap>(
       9, std::vector<sim::FoldClass>{{0, 1, true}, {1, 8, true}},
       [](int r) { return r == 0 ? 0 : 1; });
-  sim::Trace trace;
-  algs::harness::RunObserver obs;
-  obs.enable_trace = true;
-  obs.configure = [](sim::MachineConfig& cfg) {
-    cfg.data_mode = sim::DataMode::kGhost;
-  };
-  obs.after_run = [&trace](const sim::Machine& m) { trace = m.trace(); };
-  {
-    algs::harness::ScopedRunObserver scoped(std::move(obs));
-    (void)algs::harness::run_mm25d(18, 3, 1, mp);
-  }
+  const sim::Trace trace =
+      ghost_trace({.alg = "mm25d", .n = 18, .q = 3, .c = 1});
   bool all_equal = true;
   const auto rep_sched = schedule_of(trace, 1, *bad, false);
   for (int r = 2; r < 9; ++r) {

@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "algs/harness.hpp"
+#include "algs/registry.hpp"
 #include "algs/nbody/nbody.hpp"
 #include "core/algmodel.hpp"
 #include "core/bounds.hpp"
@@ -39,7 +39,7 @@ TEST_P(RandomMachines, ClockDecomposesExactlyAsEq1PlusIdle) {
   // waiting made explicit — and it must hold for every rank of every run.
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 31 + 7);
   const core::MachineParams mp = random_machine(rng);
-  const auto r = algs::harness::run_mm25d(16, 2, 2, mp);
+  const auto r = algs::run({.alg = "mm25d", .n = 16, .q = 2, .c = 2}, mp);
   (void)r;
   // Re-run at machine level to inspect per-rank counters.
   sim::MachineConfig cfg;
@@ -97,7 +97,7 @@ TEST_P(RandomMachines, SimulatedMatmulEnergyTracksModelWithinBand) {
   const int n = 32;
   const int q = 4;
   const int c = 2;
-  const auto r = algs::harness::run_mm25d(n, q, c, mp);
+  const auto r = algs::run({.alg = "mm25d", .n = n, .q = q, .c = c}, mp);
   core::ClassicalMatmulModel model;
   const double p = static_cast<double>(q) * q * c;
   const double M = static_cast<double>(n) * n * c / p;
@@ -118,7 +118,7 @@ TEST(BoundsCheck, MeasuredTrafficAttainsLowerBounds) {
     for (auto [q, c] : {std::pair{4, 1}, {4, 2}, {4, 4}}) {
       const double p = static_cast<double>(q) * q * c;
       const double M = 3.0 * n * n * c / p;
-      const auto r = algs::harness::run_mm25d(n, q, c, mp);
+      const auto r = algs::run({.alg = "mm25d", .n = n, .q = q, .c = c}, mp);
       const double bound = core::bounds::matmul_words(n, p, M);
       const double ratio = r.words_per_proc() / bound;
       EXPECT_GT(ratio, 0.8) << "q=" << q << " c=" << c;
@@ -129,7 +129,7 @@ TEST(BoundsCheck, MeasuredTrafficAttainsLowerBounds) {
     const int n = 128;
     for (auto [p, c] : {std::pair{8, 1}, {16, 2}}) {
       const double M = static_cast<double>(n) * c / p;
-      const auto r = algs::harness::run_nbody(n, p, c, mp);
+      const auto r = algs::run({.alg = "nbody", .n = n, .c = c, .p = p}, mp);
       const double bound =
           core::bounds::nbody_words(n, p, M) * algs::kParticleWords;
       const double ratio = r.words_per_proc() / bound;

@@ -6,11 +6,11 @@
 
 #include <cmath>
 
-#include "algs/harness.hpp"
+#include "algs/registry.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 
-namespace alge::algs::harness {
+namespace alge::algs {
 namespace {
 
 core::MachineParams random_machine(std::uint64_t seed) {
@@ -28,52 +28,54 @@ core::MachineParams random_machine(std::uint64_t seed) {
   return mp;
 }
 
-void check(const RunResult& r) {
-  EXPECT_TRUE(r.verified);
-  EXPECT_LT(r.max_abs_error, 1e-7);
-  EXPECT_GT(r.makespan, 0.0);
-  const auto& b = r.energy.breakdown;
-  EXPECT_GT(b.total(), 0.0);
-  EXPECT_NEAR(b.total(),
-              b.flops + b.words + b.messages + b.memory + b.leakage,
-              1e-9 * b.total());
-}
-
 class StressSeeds : public ::testing::TestWithParam<int> {
  protected:
-  core::MachineParams mp_ = random_machine(
-      static_cast<std::uint64_t>(GetParam()) * 7907 + 11);
+  const std::uint64_t seed_ = static_cast<std::uint64_t>(GetParam());
+  core::MachineParams mp_ = random_machine(seed_ * 7907 + 11);
+
+  /// Run `pb` with this seed's inputs on this seed's machine, verified.
+  void check(Problem pb) const {
+    pb.seed = seed_;
+    const RunResult r = run(pb, mp_, /*verify=*/true);
+    EXPECT_TRUE(r.verified);
+    EXPECT_LT(r.max_abs_error, 1e-7);
+    EXPECT_GT(r.makespan, 0.0);
+    const auto& b = r.energy.breakdown;
+    EXPECT_GT(b.total(), 0.0);
+    EXPECT_NEAR(b.total(),
+                b.flops + b.words + b.messages + b.memory + b.leakage,
+                1e-9 * b.total());
+  }
 };
 
 TEST_P(StressSeeds, Matmul25D) {
-  check(run_mm25d(24, 2, 2, mp_, true, GetParam()));
+  check({.alg = "mm25d", .n = 24, .q = 2, .c = 2});
 }
 
-TEST_P(StressSeeds, Summa) { check(run_summa(24, 3, mp_, true, GetParam())); }
+TEST_P(StressSeeds, Summa) { check({.alg = "summa", .n = 24, .q = 3}); }
 
 TEST_P(StressSeeds, Caps) {
-  CapsOptions opts;
-  opts.local_cutoff = 4;
-  check(run_caps(14, 1, mp_, opts, true, GetParam()));
+  check({.alg = "caps", .n = 14, .k = 1, .caps_cutoff = 4});
 }
 
 TEST_P(StressSeeds, NBody) {
-  check(run_nbody(48, 8, 2, mp_, true, GetParam()));
+  check({.alg = "nbody", .n = 48, .c = 2, .p = 8});
 }
 
 TEST_P(StressSeeds, Lu25D) {
-  check(run_lu(16, 2, 2, 2, mp_, true, GetParam()));
+  check({.alg = "lu", .n = 16, .q = 2, .c = 2, .nb = 2});
 }
 
 TEST_P(StressSeeds, Fft) {
-  check(run_fft(16, 16, 4, AllToAllKind::kBruck, mp_, true, GetParam()));
+  check({.alg = "fft", .p = 4, .r_dim = 16, .c_dim = 16, .fft_bruck = true});
 }
 
 TEST_P(StressSeeds, ResultsIndependentOfMachineParameters) {
   // The same seed must give bit-identical *data* under any machine: only
   // the clocks and joules may differ.
-  const auto a = run_mm25d(16, 2, 2, mp_, true, /*seed=*/99);
-  const auto b = run_mm25d(16, 2, 2, core::MachineParams::unit(), true, 99);
+  const Problem pb{.alg = "mm25d", .n = 16, .q = 2, .c = 2, .seed = 99};
+  const auto a = run(pb, mp_, true);
+  const auto b = run(pb, core::MachineParams::unit(), true);
   EXPECT_DOUBLE_EQ(a.max_abs_error, b.max_abs_error);
   EXPECT_DOUBLE_EQ(a.totals.flops_total, b.totals.flops_total);
   EXPECT_DOUBLE_EQ(a.totals.words_total, b.totals.words_total);
@@ -82,4 +84,4 @@ TEST_P(StressSeeds, ResultsIndependentOfMachineParameters) {
 INSTANTIATE_TEST_SUITE_P(Machines, StressSeeds, ::testing::Range(0, 6));
 
 }  // namespace
-}  // namespace alge::algs::harness
+}  // namespace alge::algs

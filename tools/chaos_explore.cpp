@@ -54,8 +54,8 @@ int main(int argc, char** argv) {
   using namespace alge;
   CliArgs cli;
   cli.add_flag("algs", "all",
-               "algorithms to test: all or a comma list of "
-               "mm25d,summa,caps,nbody,lu,tsqr,fft");
+               "algorithms to test: all or a comma list of " +
+                   algs::names_list(","));
   cli.add_flag("p", "4,8", "machine size classes (comma list)");
   cli.add_flag("seeds", "32", "schedule/fault seeds per case");
   cli.add_flag("plans", "all",
@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
     if (cli.get("algs") != "all") {
       opts.algs.clear();
       for (const std::string& name : split_csv(cli.get("algs"))) {
-        opts.algs.push_back(chaos::parse_alg(name));
+        opts.algs.emplace_back(algs::find(name).name);
       }
     }
     opts.ps.clear();
@@ -113,28 +113,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (cli.get_bool("fold")) {
-    chaos::FoldDiffOptions fopts;
-    fopts.algs = opts.algs;
-    fopts.ps = opts.ps;
-    fopts.seeds = opts.seeds;
-    fopts.plans = opts.plans;
-    fopts.verbose = opts.verbose;
-    fopts.out = opts.out;
-    const chaos::FoldDiffReport rep = chaos::fold_explore(fopts);
-    return rep.ok() ? 0 : 1;
-  }
-  if (cli.get_bool("ghost")) {
-    chaos::GhostDiffOptions gopts;
-    gopts.algs = opts.algs;
-    gopts.ps = opts.ps;
-    gopts.seeds = opts.seeds;
-    gopts.plans = opts.plans;
-    gopts.verbose = opts.verbose;
-    gopts.out = opts.out;
-    const chaos::GhostDiffReport rep = chaos::ghost_explore(gopts);
-    return rep.ok() ? 0 : 1;
-  }
-  const chaos::DiffReport rep = chaos::explore(opts);
-  return rep.ok() ? 0 : 1;
+  if (cli.get_bool("fold")) return chaos::fold_explore(opts).ok() ? 0 : 1;
+  if (cli.get_bool("ghost")) return chaos::ghost_explore(opts).ok() ? 0 : 1;
+  return chaos::explore(opts).ok() ? 0 : 1;
 }

@@ -68,7 +68,9 @@ bool ledger_matches(const transport::RunReport& report) {
 int main(int argc, char** argv) {
   using namespace alge;
   CliArgs cli;
-  cli.add_flag("algs", "all", "comma-separated algorithms, or all");
+  cli.add_flag("algs", "all",
+               "comma-separated algorithms (" + algs::names_list(",") +
+                   "), or all");
   cli.add_flag("backends", "shm,tcp",
                "comma-separated real backends to measure (sim allowed too)");
   cli.add_flag("gamma-t", "1.0", "seconds per flop for the Eq. (1) column");

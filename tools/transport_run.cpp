@@ -29,8 +29,7 @@
 int main(int argc, char** argv) {
   using namespace alge;
   CliArgs cli;
-  cli.add_flag("alg", "summa",
-               "algorithm: mm25d, summa, caps, nbody, lu, fft, tsqr");
+  cli.add_flag("alg", "summa", "algorithm: " + algs::names_list());
   cli.add_flag("rank", "0", "this shell's rank (0 hosts the rendezvous)");
   cli.add_flag("host", "127.0.0.1", "rank 0's host (loopback only)");
   cli.add_flag("port", "7777", "rank 0's rendezvous port");
