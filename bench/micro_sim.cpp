@@ -2,7 +2,7 @@
 // hot paths — message matching, payload transport, and fiber scheduling —
 // tracked before/after optimization work in BENCH_sim.json.
 //
-// The four benchmarks map onto the costs a simulated experiment pays:
+// The first four benchmarks map onto the costs a simulated experiment pays:
 //   BM_PingPong            per-message latency incl. the block/unblock path
 //   BM_AllToAllMatch/p     recv-side matching with p-1 pending messages per
 //                          rank (recvs issued in reverse arrival order: the
@@ -12,18 +12,28 @@
 //   BM_SendRecvThroughput  credit-window streaming (payload transport +
 //                          the blocking exchange cycle, the shape of real
 //                          collective traffic)
+//
+// BM_RotorSweep/alg/threads times one sim::rotor_run of a folded SUMMA, LU
+// or 2.5D (c = 4) schedule at q = 256, inline (threads = 1) and with the
+// default team (threads = 0), and reports ns_per_rank_op: wall time per
+// (rank, schedule op) pair, the unit of the array sweep's work.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "algs/foldmaps.hpp"
 #include "fiber/fiber.hpp"
 #include "obs/chrome_trace.hpp"
 #include "sim/comm.hpp"
+#include "sim/fold.hpp"
+#include "sim/fold_rotor.hpp"
 #include "sim/group.hpp"
 #include "sim/machine.hpp"
 
@@ -151,6 +161,51 @@ void BM_SendRecvThroughput(benchmark::State& state) {
                           static_cast<int64_t>(words));
 }
 BENCHMARK(BM_SendRecvThroughput)->Arg(32)->Arg(256);
+
+void BM_RotorSweep(benchmark::State& state) {
+  // Folded ghost schedules at q = 256 (n = 4096): SUMMA and LU at
+  // p = 65,536, 2.5D at c = 4, p = 262,144.
+  const int q = 256;
+  const int n = 4096;
+  std::shared_ptr<const sim::FoldMap> map;
+  switch (state.range(0)) {
+    case 0:
+      map = algs::foldmap_summa(n, q);
+      state.SetLabel("summa");
+      break;
+    case 1:
+      map = algs::foldmap_lu(n, 8, q, 1);
+      state.SetLabel("lu");
+      break;
+    default:
+      map = algs::foldmap_mm25d(q, 4, n / q, false);
+      state.SetLabel("mm25d c=4");
+      break;
+  }
+  const sim::RotorSchedule& rs = *map->rotor();
+  sim::MachineConfig cfg = unit_config(rs.p());
+  cfg.data_mode = sim::DataMode::kGhost;
+  std::vector<sim::RankCounters> out(static_cast<std::size_t>(rs.p()));
+  const int threads = static_cast<int>(state.range(1));
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    sim::rotor_run(rs, cfg, out, threads);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  const double elapsed_ns = std::chrono::duration<double, std::nano>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+  const double rank_ops =
+      static_cast<double>(rs.p()) * static_cast<double>(rs.ops.size());
+  state.counters["ns_per_rank_op"] =
+      elapsed_ns / (rank_ops * static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_RotorSweep)
+    ->ArgNames({"alg", "threads"})
+    ->ArgsProduct({{0, 1, 2}, {1, 0}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // --trace-out=PATH: export a Chrome trace of a small representative run — a
 // p=4 machine doing phased compute, a ring exchange, and an allreduce —

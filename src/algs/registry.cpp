@@ -529,10 +529,11 @@ RunResult run(const Problem& pb, sim::MachineConfig cfg, bool verify,
                              : outputs[static_cast<std::size_t>(comm.rank())]);
   });
   if (inspect) inspect(m);
+  const sim::SimTotals totals = m.totals();
   return {.p = m.p(),
           .makespan = m.makespan(),
-          .totals = m.totals(),
-          .energy = m.energy(),
+          .totals = totals,
+          .energy = m.energy(totals),
           .max_abs_error = verify ? inst.verify(outputs) : 0.0,
           .verified = verify,
           .fold_slots = m.fold_active() ? m.num_slots() : 0};

@@ -77,10 +77,11 @@ ExperimentResult run_collective(const ExperimentSpec& spec,
     }
   });
   if (inspect) inspect(m);
+  const sim::SimTotals totals = m.totals();
   return {.p = m.p(),
           .makespan = m.makespan(),
-          .totals = m.totals(),
-          .energy = m.energy().breakdown};
+          .totals = totals,
+          .energy = m.energy(totals).breakdown};
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 // Machine::phase / Comm::phase scopes; unlabelled work lands in "(main)").
 //
 // Attribution rules, chosen so the cells sum EXACTLY (up to floating-point
-// reassociation) to Machine::energy_with_memory(M).total():
+// reassociation) to Machine::energy_with_memory(M, totals).total():
 //
 //   γe·F, βe·W, αe·S   from each cell's own flop / hop-weighted traffic
 //                      counts (the dynamic terms follow the work);
@@ -61,7 +61,7 @@ class EnergyLedger {
   /// Sum over ranks for one phase.
   LedgerCell phase_total(int phase) const;
 
-  /// Grand total; equals Machine::energy_with_memory(M).total() up to
+  /// Grand total; equals Machine::energy_with_memory(M, totals).total() up to
   /// floating-point reassociation (verified by tests/test_obs.cpp).
   double total() const;
 

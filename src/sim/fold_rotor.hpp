@@ -26,7 +26,14 @@
 //     axis profile per grid dimension for mask-free ops (O(q) per op) and
 //     a per-rank array for masked and skew ops;
 //   * memory registration is uniform across ranks in these schedules, so
-//     the high-water mark and the M-capacity check replay from a scalar.
+//     the high-water mark and the M-capacity check replay from a scalar;
+//   * each op's work splits into rank-disjoint chunks (rows, row groups,
+//     column slices, depth instances, skew blocks) that the members of a
+//     thread team created for the call claim first come, first served, so
+//     each rank's floating-point sequence is the serial one whichever
+//     member runs it and at any team size. All checks, the memory replay
+//     and the mask-free ops' integer profiles run in a serial pre-pass
+//     first; the team itself never throws.
 //
 // Participation masks (row_rep/col_rep/layer_rep) make one op vector
 // describe LU's shrinking active grid: member (i, j, l) participates
@@ -96,8 +103,19 @@ struct RotorSchedule {
 /// SimError with the fiber path's message when the per-rank memory
 /// capacity is exceeded. `cfg` must describe a fold-eligible machine
 /// (ghost data, no faults/speeds/trace/ledger/network) — violations are
-/// programming errors and trip ALGE_CHECK.
+/// programming errors and trip ALGE_CHECK. Every check, and the memory
+/// replay behind the SimError, runs before any rank is evaluated, so `out`
+/// is unchanged whenever the call throws.
+///
+/// `threads` sizes the team that evaluates each op: the calling thread
+/// plus threads - 1 threads started for this call and joined before it
+/// returns. 0 picks std::thread::hardware_concurrency() when the run holds
+/// at least 2^24 rank-ops (p × ops.size()) and runs inline on the caller
+/// otherwise. Every op's work splits into rank-disjoint chunks, each
+/// rank's floating-point updates keep the serial order, so `out` is
+/// bit-identical for every team size and every assignment of chunks to
+/// members.
 void rotor_run(const RotorSchedule& rs, const MachineConfig& cfg,
-               std::vector<RankCounters>& out);
+               std::vector<RankCounters>& out, int threads = 0);
 
 }  // namespace alge::sim

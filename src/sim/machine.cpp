@@ -267,15 +267,16 @@ SimTotals Machine::totals() const {
   return t;
 }
 
-SimEnergy Machine::energy() const {
-  const SimTotals t = totals();
+SimEnergy Machine::energy() const { return energy(totals()); }
+
+SimEnergy Machine::energy(const SimTotals& t) const {
   const double mean_mem = static_cast<double>(t.mem_highwater_total) /
                           static_cast<double>(cfg_.p);
-  return energy_with_memory(mean_mem);
+  return energy_with_memory(mean_mem, t);
 }
 
-SimEnergy Machine::energy_with_memory(double mem_words_per_rank) const {
-  const SimTotals t = totals();
+SimEnergy Machine::energy_with_memory(double mem_words_per_rank,
+                                      const SimTotals& t) const {
   const double T = makespan();
   const core::MachineParams& mp = cfg_.params;
   SimEnergy e;

@@ -246,10 +246,15 @@ class Machine {
   /// memory high-water mark. For the balanced algorithms in this repo this
   /// is exactly the paper's p·(γe·F + βe·W + αe·S + δe·M·T + εe·T).
   SimEnergy energy() const;
+  /// Same, from this machine's totals() already computed by the caller
+  /// (one pass over the per-rank counters instead of two more).
+  SimEnergy energy(const SimTotals& t) const;
 
   /// Same but with an explicit per-rank M (e.g. the full configured memory,
-  /// matching the paper's convention that you pay for the memory you hold).
-  SimEnergy energy_with_memory(double mem_words_per_rank) const;
+  /// matching the paper's convention that you pay for the memory you hold),
+  /// from this machine's totals() `t`.
+  SimEnergy energy_with_memory(double mem_words_per_rank,
+                               const SimTotals& t) const;
 
  private:
   friend class Comm;

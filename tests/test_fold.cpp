@@ -437,6 +437,93 @@ TEST(FoldProperty, DetectsAWrongMerge) {
       << "congruence check failed to distinguish known-divergent ranks";
 }
 
+// ------------------------------------------------- rotor thread teams
+
+const int kTeamSizes[] = {1, 2, 3, 4, 7};
+
+sim::MachineConfig rotor_cfg(const core::MachineParams& mp, int p) {
+  sim::MachineConfig cfg;
+  cfg.p = p;
+  cfg.params = mp;
+  cfg.data_mode = sim::DataMode::kGhost;
+  cfg.exec_mode = sim::ExecMode::kFolded;
+  return cfg;
+}
+
+/// Two back-to-back rotor_run calls (the second accumulates onto the
+/// first's counters) with a team of `threads`.
+std::vector<sim::RankCounters> rotor_counters(const sim::RotorSchedule& rs,
+                                              int threads) {
+  const sim::MachineConfig cfg = rotor_cfg(rotor_mp(), rs.p());
+  std::vector<sim::RankCounters> out(static_cast<std::size_t>(rs.p()));
+  sim::rotor_run(rs, cfg, out, threads);
+  sim::rotor_run(rs, cfg, out, threads);
+  return out;
+}
+
+/// Every team size must reproduce the inline sweep bit for bit, per rank.
+void expect_team_invariant(const std::shared_ptr<const sim::FoldMap>& map) {
+  ASSERT_NE(map, nullptr);
+  ASSERT_NE(map->rotor(), nullptr);
+  const sim::RotorSchedule& rs = *map->rotor();
+  const auto serial = rotor_counters(rs, 1);
+  for (const int threads : kTeamSizes) {
+    const auto team = rotor_counters(rs, threads);
+    ASSERT_EQ(team.size(), serial.size());
+    for (std::size_t r = 0; r < serial.size(); ++r) {
+      ASSERT_EQ(std::memcmp(&serial[r], &team[r], sizeof(sim::RankCounters)),
+                0)
+          << threads << " threads, rank " << r << ": clock "
+          << serial[r].clock << " vs " << team[r].clock << ", words_sent "
+          << serial[r].words_sent << " vs " << team[r].words_sent;
+    }
+  }
+}
+
+TEST(RotorTeam, SummaOddGridIsBitIdentical) {
+  // q = 37: column slices are cut at multiples of 8, so at 7 threads (56
+  // chunks per op) most chunks get no columns at all.
+  expect_team_invariant(algs::foldmap_summa(74, 37));
+}
+
+TEST(RotorTeam, LuShrinkingMasksAreBitIdentical) {
+  // nt = 36 > q = 12: masked ops with repetition counts up to 3.
+  expect_team_invariant(algs::foldmap_lu(144, 4, 12, 1));
+}
+
+TEST(RotorTeam, Mm25dSkewShiftAndDepthAreBitIdentical) {
+  expect_team_invariant(algs::foldmap_mm25d(8, 2, 4, false));
+  expect_team_invariant(algs::foldmap_mm25d(8, 4, 4, false));
+}
+
+TEST(RotorTeam, CapacityOverflowThrowsTheSameErrorAndLeavesOutUnchanged) {
+  const auto map = algs::foldmap_summa(74, 37);
+  ASSERT_NE(map, nullptr);
+  const auto before = rotor_counters(*map->rotor(), 1);
+  // One more alloc after the last op overflows the cap only at the very
+  // end, when an unchecked sweep would already have evaluated every op.
+  sim::RotorSchedule rs = *map->rotor();
+  rs.ops.push_back({});
+  rs.ops.back().kind = sim::RotorOp::Kind::kAlloc;
+  rs.ops.back().words = before[0].mem_highwater + 1;
+  core::MachineParams mp = rotor_mp();
+  mp.mem_words = static_cast<double>(before[0].mem_highwater);
+  const sim::MachineConfig cfg = rotor_cfg(mp, rs.p());
+  std::string first;
+  for (const int threads : kTeamSizes) {
+    std::vector<sim::RankCounters> out = before;
+    try {
+      sim::rotor_run(rs, cfg, out, threads);
+      ADD_FAILURE() << threads << " threads: no SimError";
+    } catch (const sim::SimError& e) {
+      if (first.empty()) first = e.what();
+      EXPECT_EQ(first, e.what()) << threads << " threads";
+    }
+    EXPECT_TRUE(out == before) << threads << " threads: out was modified";
+  }
+  EXPECT_NE(first.find("out of memory"), std::string::npos) << first;
+}
+
 // ------------------------------------------------------ engine spec axis
 
 engine::ExperimentSpec foldable_mm_spec() {

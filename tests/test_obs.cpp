@@ -101,7 +101,7 @@ TEST(EnergyLedger, SumsToMachineEnergyAcrossMachineDb) {
       // Explicit-memory convention too (the paper's "pay for what you hold").
       const double M = 4096.0;
       expect_close(build_energy_ledger(m, M).total(),
-                   m.energy_with_memory(M).total());
+                   m.energy_with_memory(M, m.totals()).total());
     }
   }
 }
