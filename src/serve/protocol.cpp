@@ -1,6 +1,7 @@
 #include "serve/protocol.hpp"
 
 #include <arpa/inet.h>
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <netinet/in.h>
@@ -26,6 +27,16 @@ std::uint32_t read_be32(const char* p) {
 void set_nodelay(int fd) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+/// Socket buffer sizes are set before listen()/connect(): TCP sizes its
+/// window at the handshake, and buffers shrunk on a live loopback
+/// connection stall bulk transfers for seconds.
+void set_buffers(int fd, std::size_t bytes) {
+  if (bytes == 0) return;
+  const int n = static_cast<int>(std::min<std::size_t>(bytes, 1 << 30));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &n, sizeof(n));
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &n, sizeof(n));
 }
 
 }  // namespace
@@ -72,7 +83,7 @@ bool FrameReader::frame_buffered() const {
   return avail >= kHeaderBytes + len;
 }
 
-bool FrameReader::fill() {
+bool FrameReader::fill(int flags) {
   // Compact once the consumed prefix dominates, so the buffer cannot grow
   // without bound across a long-lived connection.
   if (pos_ > 0 && (pos_ == buf_.size() || pos_ >= kReadChunk)) {
@@ -81,7 +92,7 @@ bool FrameReader::fill() {
   }
   char chunk[kReadChunk];
   for (;;) {
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), flags);
     if (n > 0) {
       buf_.append(chunk, static_cast<std::size_t>(n));
       return true;
@@ -91,9 +102,19 @@ bool FrameReader::fill() {
       return false;
     }
     if (errno == EINTR) continue;
+    if ((flags & MSG_DONTWAIT) != 0 &&
+        (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return false;
+    }
     error_ = true;
     return false;
   }
+}
+
+bool FrameReader::pull() {
+  while (!ended() && fill(MSG_DONTWAIT)) {
+  }
+  return !ended();
 }
 
 FrameReader::Status FrameReader::next(std::string_view* payload) {
@@ -112,19 +133,21 @@ FrameReader::Status FrameReader::next(std::string_view* payload) {
         return Status::kFrame;
       }
     }
-    if (!fill()) {
+    if (ended() || !fill(0)) {
       if (error_) return Status::kError;
       return buf_.size() - pos_ == 0 ? Status::kClosed : Status::kTruncated;
     }
   }
 }
 
-int listen_tcp(int port, int backlog, int* bound_port) {
+int listen_tcp(int port, int backlog, int* bound_port,
+               std::size_t buffer_bytes) {
   ALGE_REQUIRE(port >= 0 && port <= 65535, "bad port %d", port);
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ALGE_REQUIRE(fd >= 0, "socket(): %s", std::strerror(errno));
   int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  set_buffers(fd, buffer_bytes);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -149,10 +172,12 @@ int listen_tcp(int port, int backlog, int* bound_port) {
   return fd;
 }
 
-int connect_tcp(const std::string& host, int port) {
+int connect_tcp(const std::string& host, int port,
+                std::size_t buffer_bytes) {
   ALGE_REQUIRE(port > 0 && port <= 65535, "bad port %d", port);
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ALGE_REQUIRE(fd >= 0, "socket(): %s", std::strerror(errno));
+  set_buffers(fd, buffer_bytes);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));

@@ -59,8 +59,19 @@ class FrameReader {
   /// without touching the socket. Used for response write-batching.
   bool frame_buffered() const;
 
+  /// Buffer whatever the socket holds right now, without blocking (the
+  /// transport drains every peer this way while it waits). Returns false
+  /// once the stream has ended or failed; next() reports which after the
+  /// frames still buffered.
+  bool pull();
+
+  /// True once EOF or a read error was seen; the socket is not read again.
+  bool ended() const { return eof_ || error_; }
+
  private:
-  bool fill();  ///< one read(); false on EOF/error (sets eof_/error_)
+  /// One recv() with `flags`; true if it buffered bytes, false on EOF/error
+  /// (sets eof_/error_) or, under MSG_DONTWAIT, when nothing is waiting.
+  bool fill(int flags);
 
   int fd_;
   std::size_t max_frame_bytes_;
@@ -73,11 +84,15 @@ class FrameReader {
 /// Bind and listen on 127.0.0.1:`port` (0 = ephemeral). Returns the listen
 /// fd and stores the actual port in *bound_port. Throws
 /// invalid_argument_error on failure. The service is loopback-only by
-/// design: it has no authentication.
-int listen_tcp(int port, int backlog, int* bound_port);
+/// design: it has no authentication. `buffer_bytes` > 0 sets SO_SNDBUF and
+/// SO_RCVBUF before listening, so every accepted socket inherits them.
+int listen_tcp(int port, int backlog, int* bound_port,
+               std::size_t buffer_bytes = 0);
 
 /// Connect to host:port; throws invalid_argument_error on failure. The
 /// returned fd has TCP_NODELAY set (the protocol is small-frame RPC).
-int connect_tcp(const std::string& host, int port);
+/// `buffer_bytes` > 0 sets SO_SNDBUF and SO_RCVBUF before connecting.
+int connect_tcp(const std::string& host, int port,
+                std::size_t buffer_bytes = 0);
 
 }  // namespace alge::serve

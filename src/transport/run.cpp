@@ -323,8 +323,8 @@ namespace {
 RankReport tcp_rank_body(int rank, const RunOptions& opts, int rendezvous_fd,
                          const std::string& host, int port,
                          const RankProgram& program) {
-  std::vector<int> fds =
-      tcp_mesh(rank, opts.p, rendezvous_fd, host, port, opts.timeout_s);
+  std::vector<int> fds = tcp_mesh(rank, opts.p, rendezvous_fd, host, port,
+                                  opts.timeout_s, opts.socket_buffer_bytes);
   TcpTransport t(rank, opts.p, std::move(fds), opts.max_frame_bytes,
                  opts.timeout_s);
   sim::Machine machine(machine_config(opts));
@@ -340,7 +340,8 @@ RunReport run_tcp_threads(const RunOptions& opts, const RankProgram& program) {
   validate(opts);
   const int p = opts.p;
   int bound_port = 0;
-  const int listen_fd = serve::listen_tcp(0, p, &bound_port);
+  const int listen_fd =
+      serve::listen_tcp(0, p, &bound_port, opts.socket_buffer_bytes);
   RunReport report;
   report.backend = Backend::kTcp;
   report.p = p;
@@ -385,7 +386,8 @@ RankReport run_tcp_rank(int rank, const RunOptions& opts,
   int listen_fd = -1;
   if (rank == 0) {
     int bound = 0;
-    listen_fd = serve::listen_tcp(port, opts.p, &bound);
+    listen_fd = serve::listen_tcp(port, opts.p, &bound,
+                                  opts.socket_buffer_bytes);
   }
   try {
     RankReport report =

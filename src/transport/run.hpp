@@ -53,6 +53,9 @@ struct RunOptions {
   std::size_t max_output_words = std::size_t{1} << 20;
   /// tcp: per-frame cap handed to serve::FrameReader.
   std::size_t max_frame_bytes = std::size_t{1} << 24;
+  /// tcp: SO_SNDBUF and SO_RCVBUF of every mesh socket, the counterpart of
+  /// ring_bytes; 0 keeps the OS default.
+  std::size_t socket_buffer_bytes = 0;
   /// Optional real-clock span sink: each rank's program execution is
   /// recorded as one span (lane = rank) for chrome://tracing next to the
   /// simulator's virtual-time traces.

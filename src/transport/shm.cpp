@@ -2,7 +2,9 @@
 
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstring>
 #include <new>
 #include <thread>
@@ -92,7 +94,46 @@ char* ShmArena::ring_data(int src, int dst) {
 
 ShmTransport::ShmTransport(ShmArena& arena, int rank, double timeout_s)
     : ChunkedTransport(rank, arena.p()), arena_(arena),
-      timeout_s_(timeout_s) {}
+      timeout_s_(timeout_s), spill_(static_cast<std::size_t>(arena.p())) {}
+
+std::size_t ShmTransport::ring_take(int src, char* out, std::size_t max) {
+  ShmRing& r = arena_.ring(src, rank_);
+  const std::uint64_t tail = r.tail.load(std::memory_order_relaxed);
+  const std::uint64_t head = r.head.load(std::memory_order_acquire);
+  const std::size_t n = std::min(static_cast<std::size_t>(head - tail), max);
+  if (n == 0) return 0;
+  const char* data = arena_.ring_data(src, rank_);
+  const std::size_t cap = arena_.ring_bytes();
+  const std::size_t pos = static_cast<std::size_t>(tail % cap);
+  const std::size_t first = std::min(n, cap - pos);
+  std::memcpy(out, data + pos, first);
+  std::memcpy(out + first, data, n - first);
+  r.tail.store(tail + n, std::memory_order_release);
+  return n;
+}
+
+void ShmTransport::drain_inbound() {
+  for (int s = 0; s < p_; ++s) {
+    if (s == rank_) continue;
+    ShmRing& r = arena_.ring(s, rank_);
+    const auto avail = static_cast<std::size_t>(
+        r.head.load(std::memory_order_acquire) -
+        r.tail.load(std::memory_order_relaxed));
+    if (avail == 0) continue;
+    Spill& spill = spill_[static_cast<std::size_t>(s)];
+    // Drop the read prefix once it is at least half the buffer, so copying
+    // the unread rest costs no more than the bytes already consumed.
+    if (spill.pos * 2 >= spill.bytes.size()) {
+      spill.bytes.erase(spill.bytes.begin(),
+                        spill.bytes.begin() +
+                            static_cast<std::ptrdiff_t>(spill.pos));
+      spill.pos = 0;
+    }
+    const std::size_t old = spill.bytes.size();
+    spill.bytes.resize(old + avail);
+    ring_take(s, spill.bytes.data() + old, avail);
+  }
+}
 
 void ShmTransport::ring_write(int dst, const char* bytes, std::size_t len) {
   ShmRing& r = arena_.ring(rank_, dst);
@@ -105,6 +146,9 @@ void ShmTransport::ring_write(int dst, const char* bytes, std::size_t len) {
     const std::uint64_t tail = r.tail.load(std::memory_order_acquire);
     const std::size_t free_bytes = cap - static_cast<std::size_t>(head - tail);
     if (free_bytes == 0) {
+      // The consumer may itself be blocked sending to us: keep our inbound
+      // rings moving while we wait, so it gets to drain this one.
+      drain_inbound();
       const ShmRankSlot& peer = arena_.slot(dst);
       // A full ring only drains if the consumer is still alive to drain it.
       if (peer.dead.load(std::memory_order_acquire) != 0) {
@@ -140,52 +184,55 @@ void ShmTransport::ring_write(int dst, const char* bytes, std::size_t len) {
 }
 
 void ShmTransport::ring_read(int src, char* out, std::size_t len) {
-  ShmRing& r = arena_.ring(src, rank_);
-  const char* data = arena_.ring_data(src, rank_);
-  const std::size_t cap = arena_.ring_bytes();
-  std::uint64_t tail = r.tail.load(std::memory_order_relaxed);
+  Spill& spill = spill_[static_cast<std::size_t>(src)];
   std::size_t done = 0;
   const Clock::time_point deadline = deadline_after(timeout_s_);
   while (done < len) {
-    const std::uint64_t head = r.head.load(std::memory_order_acquire);
-    const std::size_t avail = static_cast<std::size_t>(head - tail);
-    if (avail == 0) {
-      const ShmRankSlot& peer = arena_.slot(src);
-      if (peer.dead.load(std::memory_order_acquire) != 0) {
-        throw TransportError(strfmt(
-            "rank %d recv from rank %d: peer process died mid-stream (%zu "
-            "of %zu frame bytes arrived)",
-            rank_, src, done, len));
-      }
-      const std::uint32_t st = peer.state.load(std::memory_order_acquire);
-      if (st == ShmRankSlot::kFailed) {
-        throw TransportError(strfmt(
-            "rank %d recv from rank %d: peer failed before sending", rank_,
-            src));
-      }
-      if (st == ShmRankSlot::kDone) {
-        throw TransportError(strfmt(
-            "rank %d recv from rank %d: peer finished without sending the "
-            "expected message",
-            rank_, src));
-      }
-      if (Clock::now() >= deadline) {
-        throw TransportError(strfmt(
-            "rank %d recv from rank %d timed out after %.1fs (%zu of %zu "
-            "frame bytes arrived)",
-            rank_, src, timeout_s_, done, len));
-      }
-      std::this_thread::yield();
+    if (spill.pos < spill.bytes.size()) {
+      const std::size_t n =
+          std::min(spill.bytes.size() - spill.pos, len - done);
+      std::memcpy(out + done, spill.bytes.data() + spill.pos, n);
+      spill.pos += n;
+      done += n;
       continue;
     }
-    const std::size_t n = std::min(avail, len - done);
-    const std::size_t pos = static_cast<std::size_t>(tail % cap);
-    const std::size_t first = std::min(n, cap - pos);
-    std::memcpy(out + done, data + pos, first);
-    std::memcpy(out + done + first, data, n - first);
-    tail += n;
-    r.tail.store(tail, std::memory_order_release);
-    done += n;
+    const std::size_t n = ring_take(src, out + done, len - done);
+    if (n > 0) {
+      done += n;
+      continue;
+    }
+    // Read the peer's status before draining: it publishes its last bytes
+    // before it stops, so bytes written just before a stop are already in
+    // the drain below and are read, not reported missing.
+    const ShmRankSlot& peer = arena_.slot(src);
+    const bool dead = peer.dead.load(std::memory_order_acquire) != 0;
+    const std::uint32_t st = peer.state.load(std::memory_order_acquire);
+    drain_inbound();
+    if (spill.pos < spill.bytes.size()) continue;
+    if (dead) {
+      throw TransportError(strfmt(
+          "rank %d recv from rank %d: peer process died mid-stream (%zu "
+          "of %zu frame bytes arrived)",
+          rank_, src, done, len));
+    }
+    if (st == ShmRankSlot::kFailed) {
+      throw TransportError(strfmt(
+          "rank %d recv from rank %d: peer failed before sending", rank_,
+          src));
+    }
+    if (st == ShmRankSlot::kDone) {
+      throw TransportError(strfmt(
+          "rank %d recv from rank %d: peer finished without sending the "
+          "expected message",
+          rank_, src));
+    }
+    if (Clock::now() >= deadline) {
+      throw TransportError(strfmt(
+          "rank %d recv from rank %d timed out after %.1fs (%zu of %zu "
+          "frame bytes arrived)",
+          rank_, src, timeout_s_, done, len));
+    }
+    std::this_thread::yield();
   }
 }
 

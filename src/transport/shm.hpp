@@ -9,6 +9,15 @@
 // frame buffers: a frame larger than the ring flows through in pieces while
 // the consumer drains, so ring_bytes bounds memory, never message size.
 //
+// Progress rule (eager send): every blocking ring wait — a send facing a
+// full ring, a receive facing an empty one — first drains all of the rank's
+// inbound rings into per-source spill buffers, and a receive reads its
+// source's spill before the live ring. So no rank waits on a consumer that
+// is itself blocked: a sender waits only on a peer that is running (and
+// drains as soon as it waits) or on one that has finished, which is a
+// structured error. Two ranks that each send more than a ring holds before
+// receiving both complete, as they do on the simulator.
+//
 // Liveness contract: every blocking ring wait polls the peer's status and
 // the parent-maintained death flag under a deadline, so a peer that exits,
 // crashes, or is killed turns into a TransportError at every rank still
@@ -20,6 +29,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "sim/counters.hpp"
 #include "transport/wire.hpp"
@@ -91,8 +101,8 @@ class ShmArena {
 };
 
 /// One rank's shm endpoint. send_frame streams onto the (rank_, dst) ring;
-/// recv_frame drains the (src, rank_) ring. Chunking, reassembly and the
-/// wire stats live in ChunkedTransport.
+/// recv_frame reads the src spill, then the (src, rank_) ring. Chunking,
+/// reassembly and the wire stats live in ChunkedTransport.
 class ShmTransport final : public ChunkedTransport {
  public:
   ShmTransport(ShmArena& arena, int rank, double timeout_s);
@@ -105,15 +115,30 @@ class ShmTransport final : public ChunkedTransport {
                   std::vector<double>* payload) override;
 
  private:
-  /// Stream `len` bytes onto the (rank_, dst) ring, waiting for the
-  /// consumer when full; throws TransportError on peer death or timeout.
+  /// Bytes drained off a ring ahead of the receive that wants them;
+  /// `bytes[pos..]` are still unread.
+  struct Spill {
+    std::vector<char> bytes;
+    std::size_t pos = 0;
+  };
+
+  /// Stream `len` bytes onto the (rank_, dst) ring, draining the inbound
+  /// rings while it is full; throws TransportError on peer death or
+  /// timeout.
   void ring_write(int dst, const char* bytes, std::size_t len);
-  /// Read exactly `len` bytes from the (src, rank_) ring; throws
+  /// Read exactly `len` bytes from src (spill first, then the ring),
+  /// draining the inbound rings while both are empty; throws
   /// TransportError when the producer is gone or the deadline passes.
   void ring_read(int src, char* out, std::size_t len);
+  /// Copy up to `max` bytes off the (src, rank_) ring and hand the space
+  /// back to the producer; returns the count.
+  std::size_t ring_take(int src, char* out, std::size_t max);
+  /// Move every buffered byte of every (s, rank_) ring into spill_[s].
+  void drain_inbound();
 
   ShmArena& arena_;
   double timeout_s_;
+  std::vector<Spill> spill_;  ///< spill_[src]; never used at our own rank
 };
 
 }  // namespace alge::transport

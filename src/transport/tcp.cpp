@@ -1,10 +1,13 @@
 #include "transport/tcp.hpp"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -34,13 +37,18 @@ struct HelloPayload {
 };
 static_assert(sizeof(HelloPayload) == 16, "hello layout drifted");
 
-void set_socket_deadline(int fd, double timeout_s) {
+/// Every mesh socket: the control phase's blocking reads and writes get
+/// `timeout_s` deadlines (TcpTransport never blocks on a socket: it polls
+/// under its own deadline), and TCP_NODELAY sends each frame at once.
+void configure_socket(int fd, double timeout_s) {
   timeval tv;
   tv.tv_sec = static_cast<time_t>(timeout_s);
   tv.tv_usec = static_cast<suseconds_t>(
       (timeout_s - static_cast<double>(tv.tv_sec)) * 1e6);
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 /// Exact-count read for the control phase: never buffers past `len`, so
@@ -116,10 +124,11 @@ int accept_with_deadline(int listen_fd, Clock::time_point deadline) {
 }
 
 int connect_with_deadline(const std::string& host, int port,
+                          std::size_t buffer_bytes,
                           Clock::time_point deadline, int rank, int peer) {
   for (;;) {
     try {
-      return serve::connect_tcp(host, port);
+      return serve::connect_tcp(host, port, buffer_bytes);
     } catch (const std::exception& e) {
       if (Clock::now() >= deadline) {
         throw TransportError(strfmt(
@@ -148,7 +157,8 @@ HelloPayload read_hello(int fd, int p, const char* what) {
 
 std::vector<int> tcp_mesh(int rank, int p, int rendezvous_fd,
                           const std::string& host, int port,
-                          double timeout_s) {
+                          double timeout_s,
+                          std::size_t socket_buffer_bytes) {
   ALGE_REQUIRE(p >= 1 && rank >= 0 && rank < p,
                "tcp mesh rank %d out of p=%d", rank, p);
   std::vector<int> fds(static_cast<std::size_t>(p), -1);
@@ -169,7 +179,7 @@ std::vector<int> tcp_mesh(int rank, int p, int rendezvous_fd,
       std::vector<std::int32_t> ports(static_cast<std::size_t>(p), 0);
       for (int i = 0; i < p - 1; ++i) {
         const int c = accept_with_deadline(rendezvous_fd, deadline);
-        set_socket_deadline(c, timeout_s);
+        configure_socket(c, timeout_s);
         HelloPayload h;
         try {
           h = read_hello(c, p, "rendezvous hello");
@@ -199,9 +209,11 @@ std::vector<int> tcp_mesh(int rank, int p, int rendezvous_fd,
     } else {
       // The listener must exist before the hello advertises its port.
       int mesh_port = 0;
-      mesh_listen = serve::listen_tcp(0, p, &mesh_port);
-      const int c = connect_with_deadline(host, port, deadline, rank, 0);
-      set_socket_deadline(c, timeout_s);
+      mesh_listen =
+          serve::listen_tcp(0, p, &mesh_port, socket_buffer_bytes);
+      const int c = connect_with_deadline(host, port, socket_buffer_bytes,
+                                          deadline, rank, 0);
+      configure_socket(c, timeout_s);
       fds[0] = c;
       HelloPayload hello;
       hello.rank = rank;
@@ -221,8 +233,9 @@ std::vector<int> tcp_mesh(int rank, int p, int rendezvous_fd,
       }
       for (int j = 1; j < rank; ++j) {
         const int cj = connect_with_deadline(
-            host, table[static_cast<std::size_t>(j) + 2], deadline, rank, j);
-        set_socket_deadline(cj, timeout_s);
+            host, table[static_cast<std::size_t>(j) + 2],
+            socket_buffer_bytes, deadline, rank, j);
+        configure_socket(cj, timeout_s);
         fds[static_cast<std::size_t>(j)] = cj;
         HelloPayload hj;
         hj.rank = rank;
@@ -231,7 +244,7 @@ std::vector<int> tcp_mesh(int rank, int p, int rendezvous_fd,
       }
       for (int i = 0; i < p - 1 - rank; ++i) {
         const int c2 = accept_with_deadline(mesh_listen, deadline);
-        set_socket_deadline(c2, timeout_s);
+        configure_socket(c2, timeout_s);
         HelloPayload h;
         try {
           h = read_hello(c2, p, "mesh hello");
@@ -263,7 +276,7 @@ TcpTransport::TcpTransport(int rank, int p, std::vector<int> fds,
                            std::size_t max_frame_bytes, double timeout_s)
     : ChunkedTransport(rank, p), fds_(std::move(fds)),
       readers_(static_cast<std::size_t>(p)),
-      max_frame_bytes_(max_frame_bytes) {
+      max_frame_bytes_(max_frame_bytes), timeout_s_(timeout_s) {
   ALGE_REQUIRE(static_cast<int>(fds_.size()) == p,
                "tcp transport needs %d fds, got %zu", p, fds_.size());
   ALGE_REQUIRE(fds_[static_cast<std::size_t>(rank)] == -1,
@@ -272,7 +285,6 @@ TcpTransport::TcpTransport(int rank, int p, std::vector<int> fds,
   for (int peer = 0; peer < p; ++peer) {
     const int fd = fds_[static_cast<std::size_t>(peer)];
     if (fd < 0) continue;
-    set_socket_deadline(fd, timeout_s);
     readers_[static_cast<std::size_t>(peer)] =
         std::make_unique<serve::FrameReader>(fd, max_frame_bytes_);
   }
@@ -294,12 +306,60 @@ int TcpTransport::fd(int peer) const {
   return f;
 }
 
+bool TcpTransport::await_progress(int dst, Clock::time_point deadline) {
+  // Indexed by peer; poll() skips the negative fds (self, missing links,
+  // streams that already ended and would otherwise read as ready forever).
+  std::vector<pollfd> pfds(static_cast<std::size_t>(p_));
+  for (int peer = 0; peer < p_; ++peer) {
+    pollfd& pfd = pfds[static_cast<std::size_t>(peer)];
+    const serve::FrameReader* reader =
+        readers_[static_cast<std::size_t>(peer)].get();
+    if (reader != nullptr && !reader->ended()) pfd.events |= POLLIN;
+    if (peer == dst) pfd.events |= POLLOUT;
+    pfd.fd = pfd.events != 0 ? fds_[static_cast<std::size_t>(peer)] : -1;
+  }
+  const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+      deadline - Clock::now());
+  const int rv = ::poll(pfds.data(), pfds.size(),
+                        static_cast<int>(std::max<std::int64_t>(
+                            0, static_cast<std::int64_t>(left.count()))));
+  if (rv <= 0) return Clock::now() < deadline;  // timeout or EINTR
+  for (int peer = 0; peer < p_; ++peer) {
+    const pollfd& pfd = pfds[static_cast<std::size_t>(peer)];
+    if ((pfd.events & POLLIN) != 0 &&
+        (pfd.revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+      readers_[static_cast<std::size_t>(peer)]->pull();
+    }
+  }
+  return true;
+}
+
 void TcpTransport::send_frame(int dst, const void* bytes, std::size_t len) {
   const int f = fd(dst);
   frame_out_.clear();
   serve::append_frame(
       frame_out_, std::string_view(static_cast<const char*>(bytes), len));
-  if (!serve::write_all(f, frame_out_)) {
+  const Clock::time_point deadline = deadline_after(timeout_s_);
+  std::size_t off = 0;
+  while (off < frame_out_.size()) {
+    const ssize_t n = ::send(f, frame_out_.data() + off,
+                             frame_out_.size() - off,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      off += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      // The socket is full: drain every peer while waiting for room, so a
+      // peer blocked sending to us gets on to reading.
+      if (await_progress(dst, deadline)) continue;
+      throw TransportError(strfmt(
+          "rank %d send to rank %d timed out after %.1fs with the socket "
+          "full (%zu of %zu bytes unsent)",
+          rank_, dst, timeout_s_, frame_out_.size() - off,
+          frame_out_.size()));
+    }
     throw TransportError(strfmt(
         "rank %d send to rank %d: connection lost mid-write (%s)", rank_,
         dst, std::strerror(errno)));
@@ -310,6 +370,18 @@ void TcpTransport::recv_frame(int src, WireChunkHeader* header,
                               std::vector<double>* payload) {
   (void)fd(src);  // rejects a missing connection before touching readers_
   serve::FrameReader& reader = *readers_[static_cast<std::size_t>(src)];
+  const Clock::time_point deadline = deadline_after(timeout_s_);
+  // Wait until a whole frame is buffered or the stream has ended; next()
+  // then returns without touching the socket.
+  while (!reader.frame_buffered() && reader.pull() &&
+         !reader.frame_buffered()) {
+    if (!await_progress(-1, deadline)) {
+      throw TransportError(strfmt(
+          "rank %d recv from rank %d: socket read failed or timed out (no "
+          "frame within %.1fs)",
+          rank_, src, timeout_s_));
+    }
+  }
   std::string_view frame;
   switch (reader.next(&frame)) {
     case serve::FrameReader::Status::kFrame:

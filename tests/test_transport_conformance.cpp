@@ -173,5 +173,106 @@ TEST(ConformanceChunking, FramesLargerThanShmRingStreamThrough) {
   expect_conformant(sim_run, run_shm(opts, program), "bigframe/shm");
 }
 
+// --- bounded buffers ---
+//
+// The progress rule (every blocking wait drains all inbound channels) is
+// what lets the real backends keep the simulator's eager-send semantics
+// with bounded buffering. These cases shrink the buffers until nearly every
+// message outgrows them: every algorithm must still match the simulator
+// bitwise and the wire must still equal the ledger.
+
+/// Small real buffers: 1 KiB shm rings and 4 KiB socket buffers (the
+/// kernel doubles the request). 4 KiB is the smallest request loopback TCP
+/// runs well with: at the kernel's floor the receive buffer cannot hold one
+/// segment's accounting overhead, so the receiver advertises a zero window
+/// and the sender crawls on zero-window probes.
+RunOptions bounded(RunOptions opts) {
+  opts.ring_bytes = 1024;
+  opts.socket_buffer_bytes = 4096;
+  return opts;
+}
+
+class BoundedBuffer : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(BoundedBuffer, TinyShmRings) {
+  const AlgProgram ap = make_program(conformance_spec(GetParam()));
+  const RunOptions opts = bounded(options_for(ap.p));
+  expect_conformant(run_sim(opts, ap.program), run_shm(opts, ap.program),
+                    GetParam() + "/shm-1KiB");
+}
+
+TEST_P(BoundedBuffer, TinyTcpBuffers) {
+  const AlgProgram ap = make_program(conformance_spec(GetParam()));
+  const RunOptions opts = bounded(options_for(ap.p));
+  expect_conformant(run_sim(opts, ap.program),
+                    run_tcp_threads(opts, ap.program),
+                    GetParam() + "/tcp-minbuf");
+}
+
+INSTANTIATE_TEST_SUITE_P(AllAlgorithms, BoundedBuffer,
+                         ::testing::ValuesIn(program_names()),
+                         [](const auto& info) { return info.param; });
+
+/// Both ranks send `kWords` words to each other before either receives:
+/// far more than a 1 KiB ring or a minimum socket buffer holds, so each
+/// send can only finish while the other rank's blocked send drains it.
+void crossed_sends(sim::Comm& comm, std::vector<double>& out) {
+  constexpr std::size_t kWords = std::size_t{1} << 15;  // 256 KiB
+  std::vector<double> buf(kWords);
+  for (std::size_t i = 0; i < kWords; ++i) {
+    buf[i] = static_cast<double>(comm.rank()) * 1e6 + static_cast<double>(i);
+  }
+  const int peer = 1 - comm.rank();
+  comm.send(peer, sim::ConstPayload(buf));
+  out.resize(kWords);
+  comm.recv(peer, sim::Payload(out));
+}
+
+TEST(BoundedBufferCrossedSends, Shm) {
+  const RunOptions opts = bounded(options_for(2));
+  expect_conformant(run_sim(opts, crossed_sends),
+                    run_shm(opts, crossed_sends), "crossed/shm");
+}
+
+TEST(BoundedBufferCrossedSends, Tcp) {
+  const RunOptions opts = bounded(options_for(2));
+  expect_conformant(run_sim(opts, crossed_sends),
+                    run_tcp_threads(opts, crossed_sends), "crossed/tcp");
+}
+
+// --- benchmark sizes ---
+//
+// The two real_p4 benchmark programs whose messages outgrow the default
+// 1 MiB ring: Cannon's 512×512-block shifts (2 MiB) and the FFT transpose
+// (1 MiB blocks plus the chunk header). Default buffers, every backend.
+
+void expect_all_backends_conform(const ProgramSpec& spec,
+                                 const std::string& label) {
+  const AlgProgram ap = make_program(spec);
+  const RunOptions opts = options_for(ap.p);
+  const RunReport sim_run = run_sim(opts, ap.program);
+  expect_conformant(sim_run, run_shm(opts, ap.program), label + "/shm");
+  expect_conformant(sim_run, run_tcp_threads(opts, ap.program),
+                    label + "/tcp");
+}
+
+TEST(BenchmarkSizes, CannonN1024) {
+  ProgramSpec spec;
+  spec.alg = "mm25d";
+  spec.n = 1024;
+  spec.q = 2;
+  spec.c = 1;
+  expect_all_backends_conform(spec, "cannon-1024");
+}
+
+TEST(BenchmarkSizes, Fft1024x1024) {
+  ProgramSpec spec;
+  spec.alg = "fft";
+  spec.r_dim = 1024;
+  spec.c_dim = 1024;
+  spec.p = 4;
+  expect_all_backends_conform(spec, "fft-1024x1024");
+}
+
 }  // namespace
 }  // namespace alge::transport

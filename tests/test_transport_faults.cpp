@@ -210,6 +210,55 @@ TEST(ShmFaults, PeerFinishedWithoutSending) {
                        "finished without sending");
 }
 
+// A sender blocked on a full ring whose consumer returns without receiving
+// fails with the ring's own verdict: draining inbound rings while blocked
+// must not turn a finished consumer into a hang.
+TEST(ShmFaults, PeerFinishedWithoutDrainingTheRing) {
+  RunOptions opts = shm_options(2, 10.0);
+  opts.ring_bytes = 1024;
+  const RankProgram program = [](sim::Comm& comm, std::vector<double>& out) {
+    (void)out;
+    if (comm.rank() == 1) return;  // exits cleanly, receives nothing
+    std::vector<double> big(1024);  // 8 KiB: eight times the ring
+    comm.send(1, sim::ConstPayload(big));
+  };
+  expect_shm_run_fails(opts, program,
+                       "peer finished without draining the ring");
+}
+
+// A sender that writes its last message and returns at once publishes the
+// bytes before its finished state; a receiver that finds the ring empty
+// and then sees that state must read the bytes, not report them missing.
+// Rank 0 receives from every other rank in rank order while they all send
+// and exit: with p = 8 its waits drain the later senders' 64 KiB messages,
+// which widens the window between the empty ring and the state check.
+void expect_fan_in_delivered(int p, int rounds) {
+  constexpr std::size_t kWords = 8192;
+  const RankProgram program = [](sim::Comm& comm, std::vector<double>& out) {
+    if (comm.rank() != 0) {
+      std::vector<double> msg(kWords, static_cast<double>(comm.rank()));
+      comm.send(0, sim::ConstPayload(msg));
+      return;  // finished the moment the bytes are in the ring
+    }
+    std::vector<double> in(kWords);
+    for (int src = 1; src < comm.size(); ++src) {
+      comm.recv(src, sim::Payload(in));
+      out.push_back(in.front());
+    }
+  };
+  std::vector<double> expect;
+  for (int src = 1; src < p; ++src) expect.push_back(src);
+  for (int round = 0; round < rounds; ++round) {
+    const RunReport rep = run_shm(shm_options(p, 10.0), program);
+    ASSERT_EQ(rep.ranks[0].output, expect) << "p " << p << " round " << round;
+  }
+}
+
+TEST(ShmLiveness, LastMessageBeforeExitIsAlwaysDelivered) {
+  expect_fan_in_delivered(2, 200);
+  expect_fan_in_delivered(8, 200);
+}
+
 // Two ranks each waiting on the other (a program bug) must be cut off by
 // the per-wait deadline, with the timeout in the error text.
 TEST(ShmFaults, DeadlockIsTimeoutBounded) {
