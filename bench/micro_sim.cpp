@@ -17,6 +17,11 @@
 // or 2.5D (c = 4) schedule at q = 256, inline (threads = 1) and with the
 // default team (threads = 0), and reports ns_per_rank_op: wall time per
 // (rank, schedule op) pair, the unit of the array sweep's work.
+//
+// BM_SectionV/<question> times one cold §V answer from core::Optimizer on
+// the case-study machine: n-body V-A (the closed form), classical-mm V-B
+// and LU's V-A time (the structured 1-D solve). The zoomed (p, M) grid they
+// replaced cost ~100× more, which the committed baseline's 4× gate catches.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -29,7 +34,9 @@
 #include <vector>
 
 #include "algs/foldmaps.hpp"
+#include "core/opt.hpp"
 #include "fiber/fiber.hpp"
+#include "machines/db.hpp"
 #include "obs/chrome_trace.hpp"
 #include "sim/comm.hpp"
 #include "sim/fold.hpp"
@@ -206,6 +213,32 @@ BENCHMARK(BM_RotorSweep)
     ->ArgsProduct({{0, 1, 2}, {1, 0}})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+using SectionV = core::RunPoint (*)(const core::Optimizer&);
+
+void BM_SectionV(benchmark::State& state, const char* model_name, double n,
+                 SectionV ask) {
+  const auto model = core::make_model(model_name, 20.0);
+  core::MachineParams mp = machines::CaseStudyMachine{}.params();
+  mp.mem_words = 0.0;  // the optimizer chooses M, as the query service does
+  benchmark::DoNotOptimize(n);
+  const core::Optimizer solver(*model, n, mp);
+  for (auto _ : state) {
+    const core::RunPoint pt = ask(solver);
+    benchmark::DoNotOptimize(pt);
+  }
+}
+BENCHMARK_CAPTURE(BM_SectionV, nbody_min_energy, "nbody", 1e7,
+                  [](const core::Optimizer& s) { return s.minimize_energy(); })
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SectionV, mm_min_energy_given_time, "classical-mm", 5e4,
+                  [](const core::Optimizer& s) {
+                    return s.min_energy_given_time(75.0);
+                  })
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SectionV, lu_minimize_time, "lu-2.5d", 5e4,
+                  [](const core::Optimizer& s) { return s.minimize_time(); })
+    ->Unit(benchmark::kMicrosecond);
 
 // --trace-out=PATH: export a Chrome trace of a small representative run — a
 // p=4 machine doing phased compute, a ring exchange, and an allreduce —

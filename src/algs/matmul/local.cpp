@@ -7,8 +7,12 @@
 
 namespace alge::algs {
 
-void matmul_add(const double* a, const double* b, double* c, int m, int k,
-                int n) {
+// Both kernels start on a cache line, so where their inner loops fall
+// relative to line boundaries depends on this file alone. At the default
+// 16-byte alignment, code added elsewhere in the link moved the innermost
+// loop across a line boundary and slowed every local matmul by ~30%.
+[[gnu::aligned(64)]] void matmul_add(const double* a, const double* b,
+                                     double* c, int m, int k, int n) {
   ALGE_REQUIRE(m >= 0 && k >= 0 && n >= 0, "negative matrix dimension");
   for (int i = 0; i < m; ++i) {
     for (int l = 0; l < k; ++l) {
@@ -20,8 +24,9 @@ void matmul_add(const double* a, const double* b, double* c, int m, int k,
   }
 }
 
-void matmul_add_blocked(const double* a, const double* b, double* c, int m,
-                        int k, int n, int block) {
+[[gnu::aligned(64)]] void matmul_add_blocked(const double* a, const double* b,
+                                             double* c, int m, int k, int n,
+                                             int block) {
   ALGE_REQUIRE(block >= 1, "block size must be >= 1");
   for (int i0 = 0; i0 < m; i0 += block) {
     const int i1 = std::min(m, i0 + block);

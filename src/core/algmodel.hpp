@@ -46,6 +46,11 @@ class AlgModel {
   virtual double p_min(double n, double M) const = 0;
   virtual double p_max(double n, double M) const = 0;
 
+  /// At fixed M inside [p_min, p_max], F and W scale as 1/p. S does too
+  /// (S = W/m) unless this is true, in which case S ∝ p — LU's
+  /// critical-path latency. core::Optimizer relies on this shape.
+  virtual bool latency_grows_with_p() const { return false; }
+
   // --- Derived quantities (Eqs. 1 and 2) ---
   double time(double n, double p, double M, const MachineParams& mp) const;
   double energy(double n, double p, double M, const MachineParams& mp) const;
@@ -123,6 +128,7 @@ class LuModel final : public AlgModel {
   /// Bandwidth-only scaling range (the paper's point is that S breaks it).
   double p_min(double n, double M) const override;
   double p_max(double n, double M) const override;
+  bool latency_grows_with_p() const override { return true; }
 };
 
 /// Parallel FFT, cyclic layout. No perfect strong scaling range and no use

@@ -1,18 +1,31 @@
-// Generic numeric answers to the Section-V optimization questions, for ANY
-// AlgModel (the paper gives closed forms for the n-body problem and notes
-// that matmul/Strassen are "harder to obtain analytically" — this solver is
-// how we answer them anyway, and the closed forms in nbody_opt.hpp
-// cross-check it).
+// Numeric answers to the Section-V optimization questions for ANY AlgModel
+// (the paper gives closed forms for the n-body problem and notes that
+// matmul/Strassen are "harder to obtain analytically" — this solver is how
+// we answer them anyway).
 //
 // The feasible set is the paper's Figure-4 region:
 //   1 ≤ p ≤ limits.p_available,
 //   min_memory(n,p) ≤ M ≤ min(limits.M_cap, physically held memory),
-// optionally intersected with a time / energy / power budget. The search is
-// a logarithmic grid over (p, M) with iterative zoom; objectives are smooth
-// and unimodal in M, so a few rounds give ~1e-6 relative accuracy.
+// optionally intersected with a time / energy / power budget.
+//
+// The solve follows the paper's own structure (§V, Eqs. 10, 13, 16).
+// Memory beyond max_useful_memory(n,p) never helps (same T, more δe·M·T), so
+// only p in [max(1, p_min(M)), min(p_available, p_max(M))] is considered.
+// There, at fixed M, F and W scale as 1/p, so
+//   T = A/p + B·p   and   E = E0 + E2·p²,
+// with B = E2 = 0 for the perfectly scaling models (E flat in p, T = T1/p)
+// and B, E2 > 0 for LU, whose critical-path latency grows with p. Each
+// budget cuts that p interval in closed form (V-B: p ≥ T1/Tmax, V-C: a
+// condition on M alone, V-D: p ≤ Pmax·T1/E1, V-E: E1/T1 ≤ Pmax; LU's roots
+// are quadratic, or a cubic's found by bisection), and the objective takes
+// the smallest feasible p for energy, the one nearest √(A/B) for time. What
+// remains is 1-D in log M: a log-spaced scan, golden section around every
+// local minimum, and bisection at every edge of the feasible M set. FFT's p
+// interval is the single point p = n/M, so there the solve is 1-D in p.
+//
+// For n-body, whenever the energy-optimal M0 lies inside the limits, V-A,
+// V-B and V-C are answered from NBodyOptimum (nbody_opt.hpp), bit for bit.
 #pragma once
-
-#include <optional>
 
 #include "core/algmodel.hpp"
 
@@ -69,18 +82,25 @@ class Optimizer {
   /// Evaluate one candidate (p, M); infeasible if M is out of range.
   RunPoint evaluate(double p, double M) const;
 
- private:
   enum class Objective { kTime, kEnergy };
-  struct Constraint {
-    std::optional<double> t_max;
-    std::optional<double> e_max;
-    std::optional<double> total_power_max;
-    std::optional<double> proc_power_max;
+  enum class Budget { kNone, kTime, kEnergy, kTotalPower, kProcPower };
+  /// One §V question: minimize `objective` subject to `budget` ≤ `limit`.
+  struct Question {
+    Objective objective = Objective::kEnergy;
+    Budget budget = Budget::kNone;
+    double limit = 0.0;
   };
 
-  RunPoint search(Objective obj, const Constraint& con,
-                  const OptLimits& limits) const;
-  bool satisfies(const RunPoint& pt, const Constraint& con) const;
+  /// Whether `pt` meets q's budget, with the 1e-9 relative slack every
+  /// answer is held to.
+  static bool satisfies(const RunPoint& pt, const Question& q);
+
+ private:
+  RunPoint solve(const Question& q, const OptLimits& limits) const;
+  /// n-body V-A..V-C from NBodyOptimum, or infeasible when q is not one of
+  /// them or its closed-form point falls outside the limits.
+  RunPoint nbody_closed_form(const Question& q,
+                             const OptLimits& limits) const;
 
   const AlgModel& model_;
   double n_;

@@ -30,29 +30,6 @@ double optional_double(const json::Value& req, const char* key, double def) {
   return v == nullptr ? def : v->as_double();
 }
 
-std::unique_ptr<core::AlgModel> make_model(const json::Value& req) {
-  const std::string& name = req.at("model").as_string();
-  if (name == "nbody") {
-    return std::make_unique<core::NBodyModel>(optional_double(req, "f", 1.0));
-  }
-  if (name == "classical-mm") {
-    return std::make_unique<core::ClassicalMatmulModel>();
-  }
-  if (name == "strassen") {
-    return std::make_unique<core::StrassenModel>(optional_double(
-        req, "omega0", core::StrassenModel::kStrassenOmega));
-  }
-  if (name == "lu-2.5d") return std::make_unique<core::LuModel>();
-  if (name == "fft-naive") {
-    return std::make_unique<core::FftModel>(core::FftModel::AllToAll::kNaive);
-  }
-  if (name == "fft-tree") {
-    return std::make_unique<core::FftModel>(core::FftModel::AllToAll::kTree);
-  }
-  throw invalid_argument_error(
-      strfmt("unknown model \"%s\"", name.c_str()));
-}
-
 core::MachineParams resolve_machine(const json::Value& req) {
   if (const json::Value* params = req.find("params"); params != nullptr) {
     core::MachineParams mp = engine::machine_params_from_json(*params);
@@ -439,7 +416,9 @@ json::Value QueryService::dispatch(const json::Value& req,
   }
 
   // Closed-form fast path: the same core::Optimizer a direct caller uses.
-  const std::unique_ptr<core::AlgModel> model = make_model(req);
+  const std::unique_ptr<core::AlgModel> model = core::make_model(
+      req.at("model").as_string(), optional_double(req, "f", 1.0),
+      optional_double(req, "omega0", core::StrassenModel::kStrassenOmega));
   const double n = require_positive(req, "n");
   const core::MachineParams mp = resolve_machine(req);
   const core::OptLimits lim = resolve_limits(req);

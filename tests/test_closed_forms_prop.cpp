@@ -96,11 +96,11 @@ TEST_P(ClosedFormSeeds, OptimizerEnergyOptimumLandsInClosedFormPRange) {
   Optimizer solver(model, n_, mp_);
   const RunPoint best = solver.minimize_energy();
   ASSERT_TRUE(best.feasible);
-  EXPECT_LT(rel_diff(best.E, opt_->min_energy(n_)), 2e-3);
+  EXPECT_EQ(best.E, opt_->min_energy(n_));
   // The attainable-p interval n/M0 <= p <= (n/M0)^2 must contain the
-  // solver's choice (up to grid resolution).
-  EXPECT_GE(best.p, opt_->min_energy_p_lo(n_) * 0.9);
-  EXPECT_LE(best.p, opt_->min_energy_p_hi(n_) * 1.1);
+  // solver's choice: its left end, the fewest processors.
+  EXPECT_EQ(best.p, opt_->min_energy_p_lo(n_));
+  EXPECT_LE(best.p, opt_->min_energy_p_hi(n_));
 }
 
 // --- Eq. (15): minimum time uses the whole machine and the 2D limit ---
@@ -114,7 +114,7 @@ TEST_P(ClosedFormSeeds, MinTimeMatchesClosedFormAtFullMachine) {
   const RunPoint fastest = solver.minimize_time(limits);
   ASSERT_TRUE(fastest.feasible);
   const double closed_t = opt_->min_time(n_, p_avail);
-  EXPECT_LT(rel_diff(fastest.T, closed_t), 2e-3);
+  EXPECT_EQ(fastest.T, closed_t);
   // Eq. (15) evaluated at (p_avail, M = n/sqrt(p)) reproduces it exactly.
   EXPECT_LT(rel_diff(closed::nbody_time(n_, p_avail, n_ / std::sqrt(p_avail),
                                         f_, mp_),
@@ -202,7 +202,9 @@ TEST_P(ClosedFormSeeds, MatmulEnergyGridMinimumMatchesOptimizer) {
   Optimizer solver(model, n, mp_);
   const RunPoint best = solver.minimize_energy();
   ASSERT_TRUE(best.feasible);
-  EXPECT_LT(rel_diff(best.E, grid_min), 5e-3);
+  // At least as good as the brute force, and no better than rounding.
+  EXPECT_LE(best.E, grid_min * (1.0 + 1e-12));
+  EXPECT_LT(rel_diff(best.E, grid_min), 1e-5);
 }
 
 TEST_P(ClosedFormSeeds, LimitFormsAgreeAtTheirMemoryCaps) {

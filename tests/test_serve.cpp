@@ -180,6 +180,19 @@ TEST(QueryService, UnknownKindGetsStructuredError) {
             std::string::npos);
 }
 
+TEST(QueryService, UnknownModelErrorListsTheValidNames) {
+  serve::QueryService svc;
+  const json::Value v = json::parse(
+      handle(svc, R"({"kind":"min_energy","model":"abacus","n":1e6})"));
+  EXPECT_FALSE(v.at("ok").as_bool());
+  const std::string& err = v.at("error").as_string();
+  EXPECT_NE(err.find("abacus"), std::string::npos) << err;
+  for (const char* name : {"nbody", "classical-mm", "strassen", "lu-2.5d",
+                           "fft-naive", "fft-tree"}) {
+    EXPECT_NE(err.find(name), std::string::npos) << name << ": " << err;
+  }
+}
+
 TEST(QueryService, ClosedFormsBitIdenticalToOptimizerHitAndMiss) {
   serve::QueryService svc;
   const double n = 1e7;
