@@ -427,51 +427,186 @@ Problem grid_preset(const char* alg, int p) {
   return {.alg = alg, .n = 16, .q = 2, .c = 1};
 }
 
+// --- candidates: every executable configuration of one size ---
+
+/// A problem with 0 in every field not passed here, the value an engine
+/// spec leaves unused fields at (its canonical JSON is the result cache key).
+Problem shape(const char* alg, int n, int q, int c, int p = 0) {
+  return {.alg = alg, .n = n, .q = q, .c = c, .p = p, .k = 0, .nb = 0,
+          .r_dim = 0, .c_dim = 0};
+}
+
+/// Grids q×q×c with p = q²c <= p_avail: q = 2, 4, ... dividing `blocks`
+/// (q <= blocks keeps the doubling clear of overflow), c = 1, 2, ...
+/// dividing q, or c = 1 alone without replication.
+template <typename Body>
+void for_grids(int blocks, double p_avail, bool replicate, Body body) {
+  for (int q = 2; q <= blocks && static_cast<double>(q) * q <= p_avail;
+       q *= 2) {
+    if (blocks % q != 0) continue;
+    for (int c = 1; c <= (replicate ? q : 1); c *= 2) {
+      const double p = static_cast<double>(q) * q * c;
+      if (q % c == 0 && p <= p_avail) body(q, c, p);
+    }
+  }
+}
+
+std::vector<Candidate> mm25d_candidates(int n, double p_avail) {
+  std::vector<Candidate> out;
+  for_grids(n, p_avail, true, [&](int q, int c, double p) {
+    for (const bool ring : {false, true}) {
+      Problem pb = shape("mm25d", n, q, c);
+      pb.ring_replication = ring;
+      out.push_back({pb,
+                     strfmt("mm25d q=%d c=%d %s", q, c,
+                            ring ? "ring" : "tree"),
+                     strfmt("%dx%dx%d", q, q, c),
+                     ring ? "bcast-ring" : "bcast-tree",
+                     3.0 * n * n * c / p});  // A, B, C blocks
+    }
+  });
+  return out;
+}
+
+/// Cannon's 2D footprint, with a panel-broadcast pipeline instead of
+/// shifts.
+std::vector<Candidate> summa_candidates(int n, double p_avail) {
+  std::vector<Candidate> out;
+  for_grids(n, p_avail, false, [&](int q, int, double p) {
+    out.push_back({shape("summa", n, q, 0), strfmt("summa q=%d", q),
+                   strfmt("%dx%d", q, q), "summa-pipeline", 3.0 * n * n / p});
+  });
+  return out;
+}
+
+std::vector<Candidate> caps_candidates(int n, double p_avail) {
+  std::vector<Candidate> out;
+  for (int k = 1; k <= 10; ++k) {
+    double p = 1.0;
+    for (int i = 0; i < k; ++i) p *= 7.0;
+    if (p > p_avail) break;
+    if (!caps_schedule_valid(n, k, "")) continue;  // all-BFS alignment
+    Problem pb = shape("caps", n, 0, 0);
+    pb.k = k;
+    out.push_back({pb, strfmt("caps k=%d", k), strfmt("7^%d", k), "caps-bfs",
+                   7.0 * n * n / (4.0 * p) * 3.0});  // BFS working set
+  }
+  return out;
+}
+
+std::vector<Candidate> nbody_candidates(int n, double p_avail) {
+  std::vector<Candidate> out;
+  for (int p = 2; static_cast<double>(p) <= std::min(p_avail, 256.0);
+       p *= 2) {
+    for (int c = 1; c * c <= p; c *= 2) {
+      if (p % c != 0 || n % (p / c) != 0) continue;
+      const int blocks = p / c;
+      // The ring circulates blocks-1 of the blocks the bound charges for;
+      // fold that Ω-constant in so "measured >= bound" is exact.
+      const double ring_share =
+          static_cast<double>(blocks - 1) / static_cast<double>(blocks);
+      out.push_back({shape("nbody", n, 0, c, p),
+                     strfmt("nbody p=%d c=%d", p, c),
+                     strfmt("%d blocks x%d replicas", blocks, c), "team-ring",
+                     static_cast<double>(n) * c / p,  // particles per rank
+                     kParticleWords * ring_share});
+    }
+  }
+  return out;
+}
+
+std::vector<Candidate> lu_candidates(int n, double p_avail) {
+  std::vector<Candidate> out;
+  const int nb = n % 12 == 0 ? 12 : 4;
+  if (n % nb != 0) return out;
+  for_grids(n / nb, p_avail, true, [&](int q, int c, double p) {
+    Problem pb = shape("lu", n, q, c);
+    pb.nb = nb;
+    out.push_back({pb, strfmt("lu q=%d c=%d", q, c),
+                   strfmt("%dx%dx%d", q, q, c), "block-cyclic",
+                   static_cast<double>(n) * n * c / p});
+  });
+  return out;
+}
+
+std::vector<Candidate> fft_candidates(int n, double p_avail) {
+  ALGE_REQUIRE(n > 0 && (n & (n - 1)) == 0,
+               "fft candidates need a power-of-two n (got %d)", n);
+  // n = r_dim·c_dim with r_dim the smallest power of two whose square
+  // reaches n: shifts of n's exponent, so no product can overflow.
+  const int half = (std::countr_zero(static_cast<unsigned>(n)) + 1) / 2;
+  const int r_dim = 1 << half;
+  const int c_dim = n >> half;  // <= r_dim
+  std::vector<Candidate> out;
+  for (int p = 2; p <= c_dim && static_cast<double>(p) <= p_avail; p *= 2) {
+    for (const bool bruck : {false, true}) {
+      Problem pb = shape("fft", n, 0, 0, p);
+      pb.r_dim = r_dim;
+      pb.c_dim = c_dim;
+      pb.fft_bruck = bruck;
+      out.push_back({pb, strfmt("fft p=%d %s", p, bruck ? "bruck" : "direct"),
+                     strfmt("%dx%d", r_dim, c_dim),
+                     bruck ? "a2a-bruck" : "a2a-direct",
+                     static_cast<double>(n) / p});
+    }
+  }
+  return out;
+}
+
+std::vector<Candidate> no_candidates(int, double) { return {}; }
+
 const std::vector<Entry>& table() {
   static const std::vector<Entry> entries = {
-      {"mm25d", [](const Problem& pb) { return pb.q * pb.q * pb.c; },
-       make_mm25d,
+      {"mm25d", {"classical-mm"}, make_mm25d,
        [](const Problem& pb) {
          return foldmap_mm25d(pb.q, pb.c, pb.n / pb.q, pb.ring_replication);
        },
-       [](int p) { return grid_preset("mm25d", p); }},
-      {"summa", [](const Problem& pb) { return pb.q * pb.q; }, make_summa,
+       [](int p) { return grid_preset("mm25d", p); }, 192, mm25d_candidates},
+      {"summa", {"classical-mm"}, make_summa,
        [](const Problem& pb) { return foldmap_summa(pb.n, pb.q); },
        [](int p) {
          return Problem{.alg = "summa", .n = 8 * isqrt(p), .q = isqrt(p)};
-       }},
+       },
+       192, summa_candidates},
       // CAPS runs on 7^k ranks; k = 1 is the smallest nontrivial tree, and
-      // n = 14 the smallest even size with 7 | n² (share layout).
-      {"caps", [](const Problem& pb) { return caps_ranks(pb.k); }, make_caps,
+      // n = 14 the smallest even size with 7 | n² (share layout); the
+      // candidates' n = 392 is share-aligned for k <= 3.
+      {"caps", {"strassen"}, make_caps,
        [](const Problem& pb) { return foldmap_caps(caps_ranks(pb.k)); },
-       [](int) { return Problem{.alg = "caps", .n = 14, .k = 1}; }},
-      {"nbody", [](const Problem& pb) { return pb.p; }, make_nbody,
+       [](int) { return Problem{.alg = "caps", .n = 14, .k = 1}; }, 392,
+       caps_candidates},
+      {"nbody", {"nbody"}, make_nbody,
        [](const Problem& pb) { return foldmap_nbody(pb.p, pb.c); },
        [](int p) {
          const int c = p % 2 == 0 ? 2 : 1;
          return Problem{.alg = "nbody", .n = 4 * (p / c), .c = c, .p = p};
-       }},
-      {"lu", [](const Problem& pb) { return pb.q * pb.q * std::max(pb.c, 1); },
-       make_lu,
+       },
+       4096, nbody_candidates},
+      {"lu", {"lu-2.5d"}, make_lu,
        [](const Problem& pb) { return foldmap_lu(pb.n, pb.nb, pb.q, pb.c); },
        [](int p) {
          Problem pb = grid_preset("lu", p);
          pb.nb = 4;
          return pb;
-       }},
+       },
+       192, lu_candidates},
       // FFT needs a power-of-two rank count (R and C are powers of two and
       // p divides both); size classes round down.
-      {"fft", [](const Problem& pb) { return pb.p; }, make_fft,
+      {"fft", {"fft-naive", "fft-tree"}, make_fft,
        [](const Problem& pb) { return foldmap_fft(pb.p); },
        [](int p) {
          const int fp = static_cast<int>(std::bit_floor(
              static_cast<unsigned>(std::max(p, 1))));
          return Problem{.alg = "fft", .p = fp, .r_dim = 2 * fp,
                         .c_dim = 2 * fp};
-       }},
-      {"tsqr", [](const Problem& pb) { return pb.p; }, make_tsqr,
+       },
+       4096, fft_candidates},
+      // No cost model in core describes TSQR, so the navigator never
+      // enumerates it.
+      {"tsqr", {}, make_tsqr,
        [](const Problem& pb) { return foldmap_tsqr(pb.p); },
-       [](int p) { return Problem{.alg = "tsqr", .n = 8, .p = p, .nb = 4}; }},
+       [](int p) { return Problem{.alg = "tsqr", .n = 8, .p = p, .nb = 4}; },
+       0, no_candidates},
   };
   return entries;
 }

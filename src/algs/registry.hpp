@@ -4,10 +4,12 @@
 // An entry turns a Problem into a rank-local program — a closure of
 // (sim::Comm&, output) that the simulator, forked shm ranks and TCP ranks
 // all run unchanged — plus a verifier for the per-rank outputs, the fold
-// map for folded execution, and small named size presets for sweeps over
-// machine sizes. Inputs come from Rng(seed) and are generated lazily, at
-// most once per process, then shared by every rank in that process; a
-// forked or remote rank generates the identical inputs itself.
+// map for folded execution, small named size presets for sweeps over
+// machine sizes, and the candidates the navigator scores against the
+// core::make_model cost models the entry executes. Inputs come from
+// Rng(seed) and are generated lazily, at most once per process, then
+// shared by every rank in that process; a forked or remote rank generates
+// the identical inputs itself.
 //
 // On a ghost-mode machine (sim/payload.hpp) the program passes sizes-only
 // payload views and never touches the inputs, so frontier-scale runs cost
@@ -64,17 +66,35 @@ struct Instance {
   std::function<double(const std::vector<std::vector<double>>&)> verify;
 };
 
+/// One executable configuration of an entry, as the navigator scores it.
+struct Candidate {
+  Problem problem;       ///< 0 in every field the algorithm does not read
+  std::string label;     ///< unique among one model's candidates
+  std::string topology;  ///< grid shape / replication, e.g. "8x8x2"
+  std::string impl;      ///< collective implementation, e.g. "bcast-ring"
+  double model_M = 0.0;  ///< memory per rank the analytic model is fed
+  /// The model's W lower bound times this is the bound in the program's
+  /// words: particle words and the ring's share for n-body, else 1.
+  double words_scale = 1.0;
+};
+
 struct Entry {
   std::string_view name;
-  int (*ranks)(const Problem&);
-  /// Validates the problem (invalid_argument_error on bad dimensions);
-  /// generates no inputs.
+  /// The core::make_model names whose cost model this entry executes.
+  std::vector<std::string_view> models;
+  /// Validates the problem (invalid_argument_error on bad dimensions) and
+  /// fixes its rank count; generates no inputs.
   Instance (*make)(const Problem&);
   /// The fold map for folded execution; may be null (no exact fold).
   std::shared_ptr<const sim::FoldMap> (*fold)(const Problem&);
   /// A small valid problem for machine-size class `p` (the rank count the
   /// entry picks may differ: CAPS always runs on 7 ranks, say).
   Problem (*preset)(int p);
+  /// Problem size the navigator's sim stage enumerates at by default.
+  int sim_n;
+  /// Every configuration of size n that fits on p_available ranks, in a
+  /// fixed order; throws invalid_argument_error when n cannot run at all.
+  std::vector<Candidate> (*candidates)(int n, double p_available);
 };
 
 /// Every algorithm, in a fixed order.

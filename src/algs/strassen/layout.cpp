@@ -68,22 +68,4 @@ void place_share(std::span<double> z, int g, int r,
   }
 }
 
-bool caps_layout_valid(int n, int k) {
-  if (n <= 0 || k < 0) return false;
-  // At BFS depth d (0-based): matrix size s = n/2^d over g = 7^(k-d) ranks;
-  // the cyclic layout needs g | (s/2)² (quadrant alignment) — and the leaf
-  // size n/2^k must be a whole number of rows.
-  long long s = n;
-  long long g = 1;
-  for (int d = 0; d < k; ++d) g *= 7;
-  for (int d = 0; d < k; ++d) {
-    if (s % 2 != 0) return false;
-    const long long quad = (s / 2) * (s / 2);
-    if (quad % g != 0) return false;
-    s /= 2;
-    g /= 7;
-  }
-  return true;
-}
-
 }  // namespace alge::algs

@@ -40,9 +40,4 @@ std::vector<double> extract_share(std::span<const double> z, int g, int r);
 void place_share(std::span<double> z, int g, int r,
                  std::span<const double> share);
 
-/// Validity check for a CAPS run: n divisible into 2^k quadrant levels with
-/// 7^k dividing every quadrant size along the way. Returns true iff the
-/// cyclic layout stays aligned at every BFS level.
-bool caps_layout_valid(int n, int k);
-
 }  // namespace alge::algs

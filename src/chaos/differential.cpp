@@ -38,7 +38,7 @@ core::MachineParams tuned_params() {
 /// The rank count `alg` actually runs on for size class `p`.
 int effective_p(const std::string& alg, int p) {
   const algs::Entry& e = algs::find(alg);
-  return e.ranks(e.preset(p));
+  return e.make(e.preset(p)).p;
 }
 
 }  // namespace

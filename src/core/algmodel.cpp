@@ -235,10 +235,18 @@ std::unique_ptr<AlgModel> make_model(const std::string& name, double f,
   if (name == "fft-tree") {
     return std::make_unique<FftModel>(FftModel::AllToAll::kTree);
   }
-  throw invalid_argument_error(strfmt(
-      "unknown model \"%s\" (use \"nbody\", \"classical-mm\", \"strassen\", "
-      "\"lu-2.5d\", \"fft-naive\", or \"fft-tree\")",
-      name.c_str()));
+  std::string options;
+  for (const std::string& known : model_names()) {
+    options += (options.empty() ? "\"" : ", \"") + known + "\"";
+  }
+  throw invalid_argument_error(strfmt("unknown model \"%s\" (use %s)",
+                                      name.c_str(), options.c_str()));
+}
+
+const std::vector<std::string>& model_names() {
+  static const std::vector<std::string> names = {
+      "nbody", "classical-mm", "strassen", "lu-2.5d", "fft-naive", "fft-tree"};
+  return names;
 }
 
 }  // namespace alge::core

@@ -11,7 +11,9 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "core/bounds.hpp"
 #include "core/costs.hpp"
 #include "core/params.hpp"
 
@@ -51,6 +53,18 @@ class AlgModel {
   /// critical-path latency. core::Optimizer relies on this shape.
   virtual bool latency_grows_with_p() const { return false; }
 
+  /// Per-processor communication lower bound W at (n, p, M): the Section
+  /// III bound (Eqs. 3–5) with the memory-independent floor of Ballard et
+  /// al. [12], constants omitted like core/bounds. One processor is never
+  /// forced to communicate, so p < 2 gives 0.
+  double words_lower_bound(double n, double p, double M) const {
+    return p < 2.0 ? 0.0 : parallel_words_bound(n, p, M);
+  }
+  /// The bound for p >= 2; 0 when core/bounds has none (FFT).
+  virtual double parallel_words_bound(double, double, double) const {
+    return 0.0;
+  }
+
   // --- Derived quantities (Eqs. 1 and 2) ---
   double time(double n, double p, double M, const MachineParams& mp) const;
   double energy(double n, double p, double M, const MachineParams& mp) const;
@@ -76,6 +90,9 @@ class ClassicalMatmulModel final : public AlgModel {
   double max_useful_memory(double n, double p) const override;
   double p_min(double n, double M) const override;
   double p_max(double n, double M) const override;
+  double parallel_words_bound(double n, double p, double M) const override {
+    return bounds::matmul_words(n, p, M);
+  }
 };
 
 /// Fast (Strassen-like) matrix multiplication via CAPS [15]:
@@ -93,6 +110,9 @@ class StrassenModel final : public AlgModel {
   double max_useful_memory(double n, double p) const override;
   double p_min(double n, double M) const override;
   double p_max(double n, double M) const override;
+  double parallel_words_bound(double n, double p, double M) const override {
+    return bounds::strassen_words(n, p, M, omega0_);
+  }
 
  private:
   double omega0_;
@@ -112,6 +132,9 @@ class NBodyModel final : public AlgModel {
   double max_useful_memory(double n, double p) const override;
   double p_min(double n, double M) const override;
   double p_max(double n, double M) const override;
+  double parallel_words_bound(double n, double p, double M) const override {
+    return bounds::nbody_words(n, p, M);
+  }
 
  private:
   double f_;
@@ -129,6 +152,10 @@ class LuModel final : public AlgModel {
   double p_min(double n, double M) const override;
   double p_max(double n, double M) const override;
   bool latency_grows_with_p() const override { return true; }
+  /// LU does n³/3 useful flops: the matmul bound at a third.
+  double parallel_words_bound(double n, double p, double M) const override {
+    return bounds::matmul_words(n, p, M) / 3.0;
+  }
 };
 
 /// Parallel FFT, cyclic layout. No perfect strong scaling range and no use
@@ -150,12 +177,15 @@ class FftModel final : public AlgModel {
   AllToAll variant_;
 };
 
-/// Model factory over the request-level names ("nbody", "classical-mm",
-/// "strassen", "lu-2.5d", "fft-naive", "fft-tree") shared by src/serve and
-/// src/navigator; `f` feeds NBodyModel, `omega0` feeds StrassenModel.
-/// Throws invalid_argument_error on an unknown name, listing the options.
+/// Model factory over the request-level names (model_names()) shared by
+/// src/serve, src/navigator and the algs table; `f` feeds NBodyModel,
+/// `omega0` feeds StrassenModel. Throws invalid_argument_error on an
+/// unknown name, listing the options.
 std::unique_ptr<AlgModel> make_model(
     const std::string& name, double f = 1.0,
     double omega0 = StrassenModel::kStrassenOmega);
+
+/// Every name make_model accepts, in a fixed order.
+const std::vector<std::string>& model_names();
 
 }  // namespace alge::core

@@ -95,6 +95,16 @@ algs::Problem problem_of(const ExperimentSpec& spec) {
           .ring_replication = spec.ring_replication, .seed = spec.seed};
 }
 
+ExperimentSpec spec_of(const algs::Problem& pb) {
+  return {.alg = alg_from_string(pb.alg), .params = {}, .n = pb.n,
+          .q = pb.q, .c = pb.c, .p = pb.p, .k = pb.k, .nb = pb.nb,
+          .r_dim = pb.r_dim, .c_dim = pb.c_dim,
+          .ring_replication = pb.ring_replication,
+          .caps_schedule = pb.caps_schedule, .caps_cutoff = pb.caps_cutoff,
+          .fft_bruck = pb.fft_bruck, .seed = pb.seed, .fault_plan = {},
+          .transport = {}};
+}
+
 sim::MachineConfig machine_config(const ExperimentSpec& spec) {
   // Folded replay carries costs, not data, so a full-data folded run has
   // nothing to produce — reject it up front rather than deep inside the

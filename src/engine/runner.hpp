@@ -28,6 +28,10 @@ namespace alge::engine {
 /// table's algorithms, not a collective microbench).
 algs::Problem problem_of(const ExperimentSpec& spec);
 
+/// The inverse of problem_of: a spec running `pb`, with every engine axis
+/// (machine parameters, modes, chaos, transport) at its default.
+ExperimentSpec spec_of(const algs::Problem& pb);
+
 /// The simulated machine `spec` asks for: parameters, data and execution
 /// mode, and the chaos axes (wake-order permuter, fault injector). Throws
 /// invalid_argument_error for folded execution without ghost data or an

@@ -6,8 +6,7 @@
 #include <memory>
 #include <utility>
 
-#include "algs/nbody/nbody.hpp"
-#include "core/bounds.hpp"
+#include "algs/registry.hpp"
 #include "core/codesign.hpp"
 #include "engine/runner.hpp"
 #include "support/common.hpp"
@@ -128,172 +127,15 @@ double geom(double lo, double hi, int i, int count) {
 }
 
 ModelPoint make_model_point(const core::AlgModel& model, double n, double p,
-                            double M, double m, const std::string& omega_name,
-                            double omega0, std::string source) {
+                            double M, double m, std::string source) {
   ModelPoint pt;
   pt.p = p;
   pt.M = M;
   pt.m = m;
   pt.words = model.costs(n, p, M, m).W;
-  pt.words_bound = words_lower_bound(omega_name, omega0, n, p, M);
+  pt.words_bound = model.words_lower_bound(n, p, M);
   pt.source = std::move(source);
   return pt;
-}
-
-/// One executable configuration awaiting a closed-form score.
-struct ExecCand {
-  engine::ExperimentSpec spec;
-  std::string label;
-  std::string topology;
-  std::string impl;
-  double model_M = 0.0;  ///< memory fed to the analytic model (model units)
-  double bound_words = 0.0;
-  double model_T = 0.0;
-  double model_E = 0.0;
-};
-
-int default_sim_n(const std::string& model) {
-  if (model == "strassen") return 392;  // CAPS share-aligned for k <= 3
-  if (model == "nbody" || model.rfind("fft", 0) == 0) return 4096;
-  return 192;  // classical-mm, lu-2.5d
-}
-
-/// Enumerate every executable candidate the harness accepts for this
-/// model: topology (grid shape / replication), and collective
-/// implementation axes. Deterministic order.
-std::vector<ExecCand> enumerate_exec(const NavRequest& req, int n) {
-  std::vector<ExecCand> out;
-  const double p_avail = req.limits.p_available;
-  auto push = [&](engine::ExperimentSpec spec, std::string label,
-                  std::string topology, std::string impl, double model_M,
-                  double bound_words) {
-    spec.params = req.params;
-    spec.n = n;
-    spec.data_mode = sim::DataMode::kGhost;
-    spec.exec_mode = sim::ExecMode::kFolded;  // transparent fiber fallback
-    ExecCand c;
-    c.spec = std::move(spec);
-    c.label = std::move(label);
-    c.topology = std::move(topology);
-    c.impl = std::move(impl);
-    c.model_M = model_M;
-    c.bound_words = bound_words;
-    out.push_back(std::move(c));
-  };
-
-  if (req.model == "classical-mm") {
-    for (int q = 2; static_cast<double>(q) * q <= p_avail; q *= 2) {
-      if (n % q != 0) continue;
-      for (int c = 1; c <= q; c *= 2) {
-        const double p = static_cast<double>(q) * q * c;
-        if (q % c != 0 || p > p_avail) continue;
-        const double M = 3.0 * n * n * c / p;  // A, B, C blocks
-        for (const bool ring : {false, true}) {
-          engine::ExperimentSpec s;
-          s.alg = engine::Alg::kMm25d;
-          s.q = q;
-          s.c = c;
-          s.ring_replication = ring;
-          push(std::move(s), strfmt("mm25d q=%d c=%d %s", q, c,
-                                    ring ? "ring" : "tree"),
-               strfmt("%dx%dx%d", q, q, c), ring ? "bcast-ring" : "bcast-tree",
-               M, core::bounds::matmul_words(n, p, M));
-        }
-      }
-      // SUMMA: same 2D footprint, panel-broadcast pipeline instead of
-      // Cannon shifts.
-      const double p2 = static_cast<double>(q) * q;
-      const double M2 = 3.0 * n * n / p2;
-      engine::ExperimentSpec s;
-      s.alg = engine::Alg::kSumma;
-      s.q = q;
-      push(std::move(s), strfmt("summa q=%d", q), strfmt("%dx%d", q, q),
-           "summa-pipeline", M2, core::bounds::matmul_words(n, p2, M2));
-    }
-  } else if (req.model == "strassen") {
-    for (int k = 1; k <= 10; ++k) {
-      double p = 1.0;
-      for (int i = 0; i < k; ++i) p *= 7.0;
-      if (p > p_avail) break;
-      // All-BFS share alignment: n divisible by 2^k * 7^ceil(k/2).
-      long long align = 1LL << k;
-      for (int i = 0; i < (k + 1) / 2; ++i) align *= 7;
-      if (align == 0 || n % align != 0) continue;
-      const double M = 7.0 * n * n / (4.0 * p) * 3.0;  // BFS working set
-      engine::ExperimentSpec s;
-      s.alg = engine::Alg::kCaps;
-      s.k = k;
-      push(std::move(s), strfmt("caps k=%d", k), strfmt("7^%d", k),
-           "caps-bfs", M,
-           core::bounds::strassen_words(n, p, M, req.omega0));
-    }
-  } else if (req.model == "nbody") {
-    for (int p = 2; static_cast<double>(p) <= std::min(p_avail, 256.0);
-         p *= 2) {
-      for (int c = 1; c * c <= p; c *= 2) {
-        if (p % c != 0 || n % (p / c) != 0) continue;
-        const int blocks = p / c;
-        const double M = static_cast<double>(n) * c / p;  // particles/rank
-        // The ring circulates blocks-1 of the blocks the bound charges
-        // for; fold that Ω-constant in so "measured >= bound" is exact.
-        const double ring_factor =
-            static_cast<double>(blocks - 1) / static_cast<double>(blocks);
-        engine::ExperimentSpec s;
-        s.alg = engine::Alg::kNBody;
-        s.p = p;
-        s.c = c;
-        push(std::move(s), strfmt("nbody p=%d c=%d", p, c),
-             strfmt("%d blocks x%d replicas", blocks, c), "team-ring", M,
-             core::bounds::nbody_words(n, p, M) * algs::kParticleWords *
-                 ring_factor);
-      }
-    }
-  } else if (req.model == "lu-2.5d") {
-    const int nb = n % 12 == 0 ? 12 : 4;
-    for (int q = 2; static_cast<double>(q) * q <= p_avail; q *= 2) {
-      if (n % nb != 0 || (n / nb) % q != 0) continue;
-      for (int c = 1; c <= q; c *= 2) {
-        const double p = static_cast<double>(q) * q * c;
-        if (q % c != 0 || p > p_avail) continue;
-        const double M = static_cast<double>(n) * n * c / p;
-        engine::ExperimentSpec s;
-        s.alg = engine::Alg::kLu;
-        s.nb = nb;
-        s.q = q;
-        s.c = c;
-        push(std::move(s), strfmt("lu q=%d c=%d", q, c),
-             strfmt("%dx%dx%d", q, q, c), "block-cyclic", M,
-             core::bounds::matmul_words(n, p, M) / 3.0);  // n³/3 flops
-      }
-    }
-  } else if (req.model == "fft-naive" || req.model == "fft-tree") {
-    int r_dim = 1;
-    while (r_dim * r_dim < n) r_dim *= 2;
-    const int c_dim = n / r_dim;
-    ALGE_REQUIRE(r_dim * c_dim == n && (n & (n - 1)) == 0,
-                 "fft sim_n=%d must be a power of two", n);
-    const int dim_min = std::min(r_dim, c_dim);
-    for (int p = 2; p <= dim_min && static_cast<double>(p) <= p_avail;
-         p *= 2) {
-      const double M = static_cast<double>(n) / p;
-      for (const bool bruck : {false, true}) {
-        engine::ExperimentSpec s;
-        s.alg = engine::Alg::kFft;
-        s.r_dim = r_dim;
-        s.c_dim = c_dim;
-        s.p = p;
-        s.fft_bruck = bruck;
-        push(std::move(s), strfmt("fft p=%d %s", p, bruck ? "bruck" : "direct"),
-             strfmt("%dx%d", r_dim, c_dim),
-             bruck ? "a2a-bruck" : "a2a-direct", M, 0.0);
-      }
-    }
-  } else {
-    throw invalid_argument_error(
-        strfmt("model \"%s\" has no executable candidates",
-               req.model.c_str()));
-  }
-  return out;
 }
 
 json::Value run_point_json(const core::RunPoint& pt) {
@@ -307,21 +149,6 @@ json::Value run_point_json(const core::RunPoint& pt) {
 }
 
 }  // namespace
-
-double words_lower_bound(const std::string& model, double omega0, double n,
-                         double p, double M) {
-  // One processor is never forced to communicate: the per-processor
-  // parallel bounds of Section III assume p >= 2.
-  if (p < 2.0) return 0.0;
-  if (model == "classical-mm") return core::bounds::matmul_words(n, p, M);
-  if (model == "strassen") {
-    return core::bounds::strassen_words(n, p, M, omega0);
-  }
-  if (model == "nbody") return core::bounds::nbody_words(n, p, M);
-  // LU does n³/3 useful flops; its W bound is the matmul bound at a third.
-  if (model == "lu-2.5d") return core::bounds::matmul_words(n, p, M) / 3.0;
-  return 0.0;  // FFT: no parallel per-processor bound in core/bounds
-}
 
 NavReport navigate(const NavRequest& req) {
   ALGE_REQUIRE(req.n >= 1.0 && std::isfinite(req.n), "bad n=%g", req.n);
@@ -421,8 +248,8 @@ NavReport navigate(const NavRequest& req) {
         continue;
       }
       Cand c;
-      c.pt = make_model_point(*model, req.n, pt.p, pt.M, m, req.model,
-                              req.omega0, "optimizer:" + question);
+      c.pt = make_model_point(*model, req.n, pt.p, pt.M, m,
+                              "optimizer:" + question);
       // Carry the optimizer's doubles verbatim — bit-exact reproduction.
       c.pt.T = pt.T;
       c.pt.E = pt.E;
@@ -448,8 +275,7 @@ NavReport navigate(const NavRequest& req) {
       for (int j = 0; j < m_count; ++j) {
         const double M = geom(M_lo, M_hi, j, m_count);
         Cand c;
-        c.pt = make_model_point(*model, req.n, p, M, m, req.model,
-                                req.omega0, "grid");
+        c.pt = make_model_point(*model, req.n, p, M, m, "grid");
         c.pt.T = model->time(req.n, p, M, mp);
         c.pt.E = model->energy(req.n, p, M, mp);
         ++rep.grid_candidates;
@@ -482,25 +308,42 @@ NavReport navigate(const NavRequest& req) {
   // --- sim stage: score survivors with the ghost/folded engine ---
   double inflation = 1.0;
   if (req.simulate) {
-    const int n = req.sim_n > 0 ? req.sim_n : default_sim_n(req.model);
-    std::vector<ExecCand> cands = enumerate_exec(req, n);
-    rep.sim_candidates = static_cast<int>(cands.size());
-    for (ExecCand& c : cands) {
-      // Closed-form prune score at the candidate's replication memory.
-      const double pp = algs::find(engine::to_string(c.spec.alg))
-                            .ranks(engine::problem_of(c.spec));
-      const double model_M =
-          std::max(c.model_M, model->min_memory(n, pp));
-      c.model_T = model->time(n, pp, model_M, req.params);
-      c.model_E = model->energy(n, pp, model_M, req.params);
+    // Every candidate of every table entry that runs this model: a
+    // ghost/folded spec (folding falls back to fibers transparently) and
+    // its closed-form prune score at its replication memory.
+    std::vector<SimPoint> cands;
+    for (const algs::Entry& entry : algs::all()) {
+      if (std::find(entry.models.begin(), entry.models.end(), req.model) ==
+          entry.models.end()) {
+        continue;
+      }
+      const int n = req.sim_n > 0 ? req.sim_n : entry.sim_n;
+      for (algs::Candidate& c : entry.candidates(n, req.limits.p_available)) {
+        const double pp = entry.make(c.problem).p;
+        const double model_M = std::max(c.model_M, model->min_memory(n, pp));
+        SimPoint sp;
+        sp.spec = engine::spec_of(c.problem);
+        sp.spec.params = req.params;
+        sp.spec.data_mode = sim::DataMode::kGhost;
+        sp.spec.exec_mode = sim::ExecMode::kFolded;
+        sp.label = std::move(c.label);
+        sp.topology = std::move(c.topology);
+        sp.impl = std::move(c.impl);
+        sp.model_T = model->time(n, pp, model_M, req.params);
+        sp.model_E = model->energy(n, pp, model_M, req.params);
+        sp.words_bound =
+            model->words_lower_bound(n, pp, c.model_M) * c.words_scale;
+        cands.push_back(std::move(sp));
+      }
     }
+    rep.sim_candidates = static_cast<int>(cands.size());
 
     // Prune: drop candidates beaten by > kPruneMargin in both objectives,
     // then thin to sim_points spread across the surviving score range.
-    std::vector<ExecCand> kept;
-    for (const ExecCand& c : cands) {
+    std::vector<SimPoint> kept;
+    for (const SimPoint& c : cands) {
       bool beaten = false;
-      for (const ExecCand& o : cands) {
+      for (const SimPoint& o : cands) {
         if (&o == &c) continue;
         if (o.model_T * kPruneMargin < c.model_T &&
             o.model_E * kPruneMargin < c.model_E) {
@@ -510,14 +353,14 @@ NavReport navigate(const NavRequest& req) {
       }
       if (!beaten) kept.push_back(c);
     }
-    std::sort(kept.begin(), kept.end(), [](const ExecCand& a,
-                                           const ExecCand& b) {
+    std::sort(kept.begin(), kept.end(), [](const SimPoint& a,
+                                           const SimPoint& b) {
       if (a.model_T != b.model_T) return a.model_T < b.model_T;
       if (a.model_E != b.model_E) return a.model_E < b.model_E;
       return a.label < b.label;
     });
     if (static_cast<int>(kept.size()) > req.sim_points) {
-      std::vector<ExecCand> thinned;
+      std::vector<SimPoint> thinned;
       const int want = req.sim_points;
       for (int i = 0; i < want; ++i) {
         const std::size_t idx =
@@ -539,33 +382,25 @@ NavReport navigate(const NavRequest& req) {
 
     std::vector<engine::ExperimentSpec> specs;
     specs.reserve(kept.size());
-    for (const ExecCand& c : kept) specs.push_back(c.spec);
+    for (const SimPoint& c : kept) specs.push_back(c.spec);
     const std::vector<engine::ExperimentResult> results = runner.run(specs);
     rep.simulated += runner.stats().executed;
     rep.cache_hits += runner.stats().cache_hits;
 
-    std::vector<SimPoint> scored;
-    for (std::size_t i = 0; i < kept.size(); ++i) {
-      SimPoint sp;
-      sp.spec = kept[i].spec;
-      sp.label = kept[i].label;
-      sp.topology = kept[i].topology;
-      sp.impl = kept[i].impl;
+    std::vector<SimPoint> scored = std::move(kept);
+    for (std::size_t i = 0; i < scored.size(); ++i) {
+      SimPoint& sp = scored[i];
       sp.p = results[i].p;
       sp.M_words = static_cast<double>(results[i].totals.mem_highwater_max);
-      sp.model_T = kept[i].model_T;
-      sp.model_E = kept[i].model_E;
       sp.makespan = results[i].makespan;
       sp.energy = results[i].energy_total();
       sp.words_per_rank = results[i].words_per_proc();
-      sp.words_bound = kept[i].bound_words;
       sp.fold_slots = results[i].fold_slots;
       if (sp.fold_slots > 0) {
         ++rep.folded_scored;
       } else {
         ++rep.fiber_scored;
       }
-      scored.push_back(std::move(sp));
     }
 
     // Measured Pareto frontier over (makespan, energy).
@@ -847,8 +682,7 @@ ValidationResult validate(const NavReport& rep, const NavRequest& req) {
 
   // 3. No model point may beat the communication lower bound.
   for (const ModelPoint& pt : rep.model_frontier) {
-    const double bound =
-        words_lower_bound(req.model, req.omega0, rep.n, pt.p, pt.M);
+    const double bound = model->words_lower_bound(rep.n, pt.p, pt.M);
     if (pt.words < bound * (1.0 - kEps)) {
       fail(strfmt("frontier point (p=%g, M=%g) beats the lower bound: "
                   "W=%g < %g",

@@ -66,7 +66,7 @@ struct Budgets {
 
 struct NavRequest {
   // --- workload ---
-  std::string model = "nbody";  ///< core::make_model name
+  std::string model = core::NBodyModel().name();  ///< core::make_model name
   double f = 1.0;               ///< nbody flops per interaction
   double omega0 = core::StrassenModel::kStrassenOmega;
   double n = 1e7;               ///< analytic problem size
@@ -85,7 +85,7 @@ struct NavRequest {
 
   // --- sim stage (ghost/folded engine scoring of survivors) ---
   bool simulate = false;
-  int sim_n = 0;        ///< executable problem size (0 = per-model default)
+  int sim_n = 0;        ///< executable problem size (0 = algs::Entry::sim_n)
   int sim_points = 8;   ///< survivors kept after closed-form pruning
   /// Bundled chaos::FaultPlan names used for the robustness re-score.
   std::vector<std::string> fault_plans = {"drop1", "delay1", "reorder1"};
@@ -203,11 +203,5 @@ struct ValidationResult {
   std::vector<std::string> failures;
 };
 ValidationResult validate(const NavReport& report, const NavRequest& req);
-
-/// Communication lower bound (words per processor) for the named model at
-/// (n, p, M); 0 when core/bounds has no parallel bound for it (FFT, LU's
-/// latency term). Exposed for the property tests.
-double words_lower_bound(const std::string& model, double omega0, double n,
-                         double p, double M);
 
 }  // namespace alge::navigator

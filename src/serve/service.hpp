@@ -39,8 +39,8 @@
 //            batch frame itself is never cached
 //   admin (never cached): "ping", "stats"
 //
-// plus "model" ("nbody" [f] | "classical-mm" | "strassen" [omega0] |
-// "lu-2.5d" | "fft-naive" | "fft-tree"), "n", a machine ("machine":
+// plus "model" (a core::model_names() name; "nbody" reads an optional
+// f, "strassen" an optional omega0), "n", a machine ("machine":
 // "case-study" (default; mem_words zeroed so the optimizer chooses M, as in
 // bench/sec5_optimizer) | "unit", or explicit "params" in the engine's
 // canonical encoding), optional "limits" {p_available, M_cap}, and an

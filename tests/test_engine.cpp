@@ -5,6 +5,7 @@
 // produces bit-identical results whether it runs on 1 thread or 8.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -15,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "algs/registry.hpp"
 #include "engine/cache.hpp"
 #include "engine/job.hpp"
 #include "engine/pool.hpp"
@@ -170,8 +172,8 @@ TEST(Job, ResultJsonRoundTripIsBitExact) {
 TEST(Job, AlgNamesRoundTrip) {
   for (const Alg a :
        {Alg::kMm25d, Alg::kSumma, Alg::kCaps, Alg::kNBody, Alg::kLu,
-        Alg::kFft, Alg::kCollBcast, Alg::kCollReduce, Alg::kCollAllgather,
-        Alg::kCollA2aDirect, Alg::kCollA2aBruck}) {
+        Alg::kFft, Alg::kTsqr, Alg::kCollBcast, Alg::kCollReduce,
+        Alg::kCollAllgather, Alg::kCollA2aDirect, Alg::kCollA2aBruck}) {
     EXPECT_EQ(alg_from_string(to_string(a)), a);
   }
   EXPECT_THROW(alg_from_string("no_such_alg"), invalid_argument_error);
@@ -266,70 +268,27 @@ TEST(Cache, CorruptedDiskEntryRecoversAsMiss) {
 
 // -------------------------------------------------------------- runner ----
 
+/// Every table entry at size classes 4 and 8, verified, plus the variants
+/// the presets do not reach (ring replication, the CAPS local cutoff, the
+/// Bruck transpose) and three collectives.
 std::vector<ExperimentSpec> mixed_sweep() {
   const core::MachineParams mp = core::MachineParams::unit();
   std::vector<ExperimentSpec> specs;
-  {
-    ExperimentSpec s = small_mm_spec();
-    specs.push_back(s);
-    s.c = 1;
-    specs.push_back(s);
-    s.ring_replication = true;
-    s.c = 2;
-    specs.push_back(s);
-  }
-  {
-    ExperimentSpec s;
-    s.alg = Alg::kSumma;
+  auto push = [&](const algs::Problem& pb) {
+    ExperimentSpec s = spec_of(pb);
     s.params = mp;
-    s.n = 24;
-    s.q = 2;
     s.verify = true;
-    specs.push_back(s);
+    // Presets may repeat across size classes (CAPS always runs on 7).
+    if (std::find(specs.begin(), specs.end(), s) == specs.end()) {
+      specs.push_back(std::move(s));
+    }
+  };
+  for (const algs::Entry& e : algs::all()) {
+    for (const int p : {4, 8}) push(e.preset(p));
   }
-  {
-    ExperimentSpec s;
-    s.alg = Alg::kCaps;
-    s.params = mp;
-    s.n = 14;
-    s.k = 1;
-    s.caps_cutoff = 4;
-    s.verify = true;
-    specs.push_back(s);
-  }
-  {
-    ExperimentSpec s;
-    s.alg = Alg::kNBody;
-    s.params = mp;
-    s.n = 32;
-    s.p = 8;
-    s.c = 2;
-    s.verify = true;
-    specs.push_back(s);
-  }
-  {
-    ExperimentSpec s;
-    s.alg = Alg::kLu;
-    s.params = mp;
-    s.n = 16;
-    s.nb = 4;
-    s.q = 2;
-    s.c = 1;
-    s.verify = true;
-    specs.push_back(s);
-  }
-  {
-    ExperimentSpec s;
-    s.alg = Alg::kFft;
-    s.params = mp;
-    s.r_dim = 16;
-    s.c_dim = 16;
-    s.p = 4;
-    s.verify = true;
-    specs.push_back(s);
-    s.fft_bruck = true;
-    specs.push_back(s);
-  }
+  push({.alg = "mm25d", .n = 16, .q = 2, .c = 2, .ring_replication = true});
+  push({.alg = "caps", .n = 14, .k = 1, .caps_cutoff = 4});
+  push({.alg = "fft", .p = 4, .r_dim = 16, .c_dim = 16, .fft_bruck = true});
   for (const Alg a : {Alg::kCollBcast, Alg::kCollAllgather,
                       Alg::kCollA2aBruck}) {
     ExperimentSpec s;

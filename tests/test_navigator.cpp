@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/algmodel.hpp"
@@ -68,9 +71,10 @@ TEST(NavigatorProperties, NoPointBeatsTheCommunicationLowerBound) {
   for (const char* model : {"nbody", "classical-mm", "strassen", "lu-2.5d"}) {
     navigator::NavRequest req = analytic_request(model);
     const navigator::NavReport rep = navigator::navigate(req);
+    const std::unique_ptr<core::AlgModel> alg =
+        core::make_model(req.model, req.f, req.omega0);
     for (const navigator::ModelPoint& pt : rep.model_frontier) {
-      const double bound = navigator::words_lower_bound(
-          req.model, req.omega0, req.n, pt.p, pt.M);
+      const double bound = alg->words_lower_bound(req.n, pt.p, pt.M);
       EXPECT_GE(pt.words, bound * (1.0 - 1e-9))
           << model << " p=" << pt.p << " M=" << pt.M;
       // The report's own recorded bound must be the same recomputation.
@@ -225,6 +229,31 @@ TEST(NavigatorDeterminism, RepeatedNavigateIsByteStable) {
   EXPECT_EQ(a, b);
 }
 
+// Every model's sim stage, pinned byte for byte: the candidate each entry
+// enumerates, its bound and its spec (the engine cache key) all reach the
+// report. The goldens are `tools/navigator --model=<m> --n=1e5
+// --p-available=64 --simulate=true --sim-points=4 --p-samples=8
+// --m-samples=4 --out=<m>.json` on the case-study machine.
+TEST(NavigatorGolden, SimStageReportsAreByteIdentical) {
+  for (const char* model : {"nbody", "classical-mm", "strassen", "lu-2.5d",
+                            "fft-naive", "fft-tree"}) {
+    navigator::NavRequest req = analytic_request(model, 1e5);
+    req.simulate = true;
+    req.limits.p_available = 64.0;
+    req.sim_points = 4;
+    req.p_samples = 8;
+    req.m_samples = 4;
+    const std::string path =
+        std::string(ALGE_GOLDEN_DIR) + "/navigator/" + model + ".json";
+    std::ifstream f(path, std::ios::binary);
+    ASSERT_TRUE(f.good()) << path;
+    std::stringstream want;
+    want << f.rdbuf();
+    EXPECT_EQ(navigator::navigate(req).to_json().dump() + "\n", want.str())
+        << model;
+  }
+}
+
 // --- request validation ---------------------------------------------------
 
 TEST(NavigatorRequests, BadRequestsThrow) {
@@ -237,6 +266,38 @@ TEST(NavigatorRequests, BadRequestsThrow) {
   req.simulate = true;
   req.fault_plans = {"no-such-plan"};
   EXPECT_THROW(navigator::navigate(req), invalid_argument_error);
+}
+
+// The FFT candidates split n by its exponent: a doubling loop in int used
+// to overflow to 0 for sizes above 2^30 and never return.
+TEST(NavigatorRequests, OversizedFftSimSizeIsRefused) {
+  for (const char* model : {"fft-naive", "fft-tree"}) {
+    for (const int sim_n : {1073741825, 2000000000}) {
+      navigator::NavRequest req = analytic_request(model);
+      req.simulate = true;
+      req.sim_n = sim_n;
+      req.limits.p_available = 16.0;
+      EXPECT_THROW(navigator::navigate(req), invalid_argument_error)
+          << model << " sim_n=" << sim_n;
+    }
+  }
+}
+
+// Grid edges stop at n: doubling them up to sqrt(p_available) used to
+// overflow int and divide by zero once p_available passed ~4.6e18.
+TEST(NavigatorSim, HugeMachineEnumeratesWithoutOverflow) {
+  for (const auto& [model, sim_n] :
+       {std::pair{"classical-mm", 16}, std::pair{"lu-2.5d", 48}}) {
+    navigator::NavRequest req = analytic_request(model, 1e5);
+    req.simulate = true;
+    req.sim_n = sim_n;
+    req.limits.p_available = 1e30;
+    req.sim_points = 2;
+    req.fault_plans.clear();
+    const navigator::NavReport rep = navigator::navigate(req);
+    EXPECT_GT(rep.sim_candidates, 0) << model;
+    EXPECT_TRUE(navigator::validate(rep, req).ok) << model;
+  }
 }
 
 }  // namespace

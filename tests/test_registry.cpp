@@ -5,11 +5,17 @@
 // names and dimensions are refused up front.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <ostream>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "algs/registry.hpp"
+#include "core/algmodel.hpp"
+#include "core/opt.hpp"
 #include "engine/runner.hpp"
 #include "support/common.hpp"
 #include "transport/programs.hpp"
@@ -50,16 +56,6 @@ std::vector<Case> cases() {
   return out;
 }
 
-engine::ExperimentSpec spec_of(const Problem& pb) {
-  return {.alg = engine::alg_from_string(pb.alg), .params = test_params(),
-          .n = pb.n, .q = pb.q, .c = pb.c, .p = pb.p, .k = pb.k, .nb = pb.nb,
-          .r_dim = pb.r_dim, .c_dim = pb.c_dim,
-          .ring_replication = pb.ring_replication,
-          .caps_schedule = pb.caps_schedule, .caps_cutoff = pb.caps_cutoff,
-          .fft_bruck = pb.fft_bruck, .seed = pb.seed, .fault_plan = {},
-          .transport = {}};
-}
-
 class AlgTable : public ::testing::TestWithParam<Case> {
  protected:
   const Problem& problem() const { return GetParam().problem; }
@@ -67,7 +63,7 @@ class AlgTable : public ::testing::TestWithParam<Case> {
 
 TEST_P(AlgTable, VerifiedRunIsSane) {
   const RunResult r = run(problem(), test_params(), /*verify=*/true);
-  EXPECT_EQ(r.p, find(problem().alg).ranks(problem()));
+  EXPECT_EQ(r.p, find(problem().alg).make(problem()).p);
   EXPECT_TRUE(r.verified);
   EXPECT_LT(r.max_abs_error, 1e-8);
   EXPECT_GT(r.makespan, 0.0);
@@ -85,8 +81,9 @@ TEST_P(AlgTable, VerifiedRunIsSane) {
 // transport layer's simulator backend run the same program to the same
 // costs, bit for bit.
 TEST_P(AlgTable, EngineAndTransportSimAgreeBitForBit) {
-  const engine::ExperimentResult via_engine =
-      engine::execute(spec_of(problem()));
+  engine::ExperimentSpec spec = engine::spec_of(problem());
+  spec.params = test_params();
+  const engine::ExperimentResult via_engine = engine::execute(spec);
   const transport::AlgProgram ap = transport::make_program(problem());
   transport::RunOptions opts;
   opts.p = ap.p;
@@ -121,6 +118,54 @@ TEST(AlgTable, RejectsUnknownNamesAndNonDividingDimensions) {
   for (const Problem& pb : bad) {
     EXPECT_THROW(find(pb.alg).make(pb), invalid_argument_error)
         << pb.alg << " n=" << pb.n;
+  }
+}
+
+// --- the table is consistent: models, candidates and programs meet ------
+
+TEST(AlgTable, ModelNamesResolveBothWays) {
+  for (const Entry& e : all()) {
+    for (const std::string_view model : e.models) {
+      EXPECT_NO_THROW(core::make_model(std::string(model)))
+          << e.name << " names " << model;
+    }
+  }
+  for (const std::string& name : core::model_names()) {
+    EXPECT_NO_THROW(core::make_model(name)) << name;
+    // Served by at least one entry; entries that share a model enumerate
+    // at one default size, since the navigator compares their candidates.
+    std::set<int> sim_ns;
+    for (const Entry& e : all()) {
+      if (std::find(e.models.begin(), e.models.end(), name) !=
+          e.models.end()) {
+        sim_ns.insert(e.sim_n);
+      }
+    }
+    EXPECT_EQ(sim_ns.size(), 1u) << name;
+  }
+}
+
+TEST(AlgTable, EveryCandidateIsAValidProblem) {
+  const double p_available = core::OptLimits{}.p_available;
+  std::map<std::string_view, std::set<std::string>> labels;  // per model
+  for (const Entry& e : all()) {
+    const std::vector<Candidate> cands = e.candidates(e.sim_n, p_available);
+    EXPECT_EQ(cands.empty(), e.models.empty()) << e.name;
+    for (const Candidate& c : cands) {
+      EXPECT_EQ(c.problem.alg, e.name) << c.label;
+      EXPECT_GE(e.make(c.problem).p, 2) << c.label;
+      EXPECT_GT(c.model_M, 0.0) << c.label;
+      EXPECT_GT(c.words_scale, 0.0) << c.label;
+      for (const std::string_view model : e.models) {
+        EXPECT_TRUE(labels[model].insert(c.label).second)
+            << "duplicate label " << c.label;
+      }
+      // spec_of inverts problem_of: the spec (the engine cache key)
+      // survives the round trip unchanged.
+      const engine::ExperimentSpec spec = engine::spec_of(c.problem);
+      EXPECT_EQ(engine::spec_of(engine::problem_of(spec)).canonical_json(),
+                spec.canonical_json());
+    }
   }
 }
 

@@ -427,6 +427,20 @@ TEST(QueryService, NestedBatchRejected) {
 
 // --- navigate queries ----------------------------------------------------
 
+// An FFT size above 2^30 used to pin a worker forever in the candidate
+// enumeration; it is refused like any other bad size.
+TEST(QueryService, OversizedFftSimSizeGetsStructuredError) {
+  serve::QueryService svc;
+  const json::Value v = json::parse(handle(
+      svc, R"({"kind":"navigate","model":"fft-naive","n":1e6,)"
+           R"("simulate":true,"sim_n":2e9,"limits":{"p_available":16},)"
+           R"("p_samples":4,"m_samples":2})"));
+  EXPECT_FALSE(v.at("ok").as_bool());
+  EXPECT_NE(v.at("error").as_string().find("power-of-two"),
+            std::string::npos)
+      << v.at("error").as_string();
+}
+
 TEST(QueryService, NavigateMatchesDirectNavigatorHitAndMiss) {
   serve::QueryService svc;
   const std::string req =

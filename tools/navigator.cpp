@@ -46,9 +46,11 @@ std::vector<std::string> split_csv(const std::string& s) {
 int main(int argc, char** argv) {
   using namespace alge;
   CliArgs cli;
-  cli.add_flag("model", "nbody",
-               "workload: nbody, classical-mm, strassen, lu-2.5d, "
-               "fft-naive, fft-tree");
+  std::string models;
+  for (const std::string& name : core::model_names()) {
+    models += (models.empty() ? "" : ", ") + name;
+  }
+  cli.add_flag("model", "nbody", "workload: " + models);
   cli.add_flag("n", "1e7", "analytic problem size");
   cli.add_flag("f", "1", "nbody flops per interaction");
   cli.add_flag("omega0", "2.8073549220576042", "Strassen exponent");
