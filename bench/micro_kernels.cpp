@@ -18,7 +18,7 @@ namespace {
 
 using namespace alge;
 
-void BM_MatmulNaive(benchmark::State& state) {
+void BM_Matmul(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(1);
   const auto a = algs::random_matrix(n, n, rng);
@@ -30,21 +30,7 @@ void BM_MatmulNaive(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * int64_t{n} * n * n);
 }
-BENCHMARK(BM_MatmulNaive)->Arg(64)->Arg(128);
-
-void BM_MatmulBlocked(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  Rng rng(1);
-  const auto a = algs::random_matrix(n, n, rng);
-  const auto b = algs::random_matrix(n, n, rng);
-  std::vector<double> c(a.size(), 0.0);
-  for (auto _ : state) {
-    algs::matmul_add_blocked(a.data(), b.data(), c.data(), n, n, n);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * int64_t{n} * n * n);
-}
-BENCHMARK(BM_MatmulBlocked)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_Matmul)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_StrassenLocal(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -22,6 +22,12 @@
 // the case-study machine: n-body V-A (the closed form), classical-mm V-B
 // and LU's V-A time (the structured 1-D solve). The zoomed (p, M) grid they
 // replaced cost ~100× more, which the committed baseline's 4× gate catches.
+//
+// BM_LocalKernels/<kernel> times one local kernel call at real_p4's sizes:
+// the 512³ block product of Cannon and SUMMA at n = 1024, q = 2
+// (items = flops), and one 4096-particle same-block force sweep (items =
+// interactions). Each runs the widest kernel variant the CPU supports
+// (algs/kernels.hpp).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -34,6 +40,8 @@
 #include <vector>
 
 #include "algs/foldmaps.hpp"
+#include "algs/matmul/local.hpp"
+#include "algs/nbody/nbody.hpp"
 #include "core/opt.hpp"
 #include "fiber/fiber.hpp"
 #include "machines/db.hpp"
@@ -43,6 +51,7 @@
 #include "sim/fold_rotor.hpp"
 #include "sim/group.hpp"
 #include "sim/machine.hpp"
+#include "support/rng.hpp"
 
 namespace {
 
@@ -239,6 +248,40 @@ BENCHMARK_CAPTURE(BM_SectionV, mm_min_energy_given_time, "classical-mm", 5e4,
 BENCHMARK_CAPTURE(BM_SectionV, lu_minimize_time, "lu-2.5d", 5e4,
                   [](const core::Optimizer& s) { return s.minimize_time(); })
     ->Unit(benchmark::kMicrosecond);
+
+void BM_LocalKernels_matmul_512(benchmark::State& state) {
+  const int n = 512;
+  Rng rng(1);
+  const std::vector<double> a = algs::random_matrix(n, n, rng);
+  const std::vector<double> b = algs::random_matrix(n, n, rng);
+  std::vector<double> c(a.size(), 0.0);
+  for (auto _ : state) {
+    algs::matmul_add(a.data(), b.data(), c.data(), n, n, n);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * int64_t{n} * n * n);
+}
+BENCHMARK(BM_LocalKernels_matmul_512)
+    ->Name("BM_LocalKernels/matmul_512")
+    ->Unit(benchmark::kMillisecond);
+
+void BM_LocalKernels_nbody_4096(benchmark::State& state) {
+  const int n = 4096;
+  Rng rng(2);
+  const std::vector<double> x = algs::random_particles(n, rng);
+  std::vector<double> f(static_cast<std::size_t>(n) * algs::kForceWords);
+  double pairs = 0.0;
+  for (auto _ : state) {
+    pairs += algs::accumulate_forces(x, x, f, /*same_block=*/true);
+    benchmark::DoNotOptimize(f.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(pairs));
+}
+BENCHMARK(BM_LocalKernels_nbody_4096)
+    ->Name("BM_LocalKernels/nbody_4096")
+    ->Unit(benchmark::kMillisecond);
 
 // --trace-out=PATH: export a Chrome trace of a small representative run — a
 // p=4 machine doing phased compute, a ring exchange, and an allreduce —

@@ -11,18 +11,6 @@ namespace alge::algs {
 
 namespace {
 constexpr int kTagGather = 401;
-
-/// C -= A·B for nb×nb row-major blocks.
-void gemm_minus(const double* a, const double* b, double* c, int nb) {
-  for (int i = 0; i < nb; ++i) {
-    for (int l = 0; l < nb; ++l) {
-      const double ail = a[static_cast<std::size_t>(i) * nb + l];
-      const double* brow = b + static_cast<std::size_t>(l) * nb;
-      double* crow = c + static_cast<std::size_t>(i) * nb;
-      for (int j = 0; j < nb; ++j) crow[j] -= ail * brow[j];
-    }
-  }
-}
 }  // namespace
 
 void BlockCyclic::validate() const {
@@ -116,8 +104,8 @@ void lu_2d(sim::Comm& comm, const topo::Grid2D& grid, const BlockCyclic& bc,
       for (int j = k + 1; j < nt; ++j) {
         if (j % q != mycol) continue;
         if (!gm) {
-          gemm_minus(l_slot(i).data(), u_slot(j).data(), block(i, j).data(),
-                     nb);
+          matmul_sub(l_slot(i).data(), u_slot(j).data(), block(i, j).data(),
+                     nb, nb, nb);
         }
         comm.compute(gemm_update_flops(nb));
       }
@@ -242,8 +230,8 @@ void lu_25d(sim::Comm& comm, const topo::Grid3D& grid, const BlockCyclic& bc,
       for (int j = k + 1; j < nt; ++j) {
         if (j % q != mycol || slice_of(j) != l) continue;
         if (!gm) {
-          gemm_minus(l_slot(i).data(), u_slot(j).data(), block(i, j).data(),
-                     nb);
+          matmul_sub(l_slot(i).data(), u_slot(j).data(), block(i, j).data(),
+                     nb, nb, nb);
         }
         comm.compute(gemm_update_flops(nb));
       }

@@ -27,7 +27,7 @@ void cannon_steps(sim::Comm& comm, int q, int i, int j, int nb, int steps,
   const bool gm = comm.ghost();
   for (int s = 0; s < steps; ++s) {
     if (!gm) {
-      matmul_add_blocked(a_cur.data(), b_cur.data(), c.data(), nb, nb, nb);
+      matmul_add(a_cur.data(), b_cur.data(), c.data(), nb, nb, nb);
     }
     comm.compute(matmul_flops(nb, nb, nb));
     if (s + 1 < steps) {
@@ -128,8 +128,8 @@ void summa_2d(sim::Comm& comm, const topo::Grid2D& grid, int n,
     }
     comm.bcast(b_panel.view(), /*root=*/k, col);
     if (!gm) {
-      matmul_add_blocked(a_panel.data(), b_panel.data(),
-                         c_block.data(), nb, nb, nb);
+      matmul_add(a_panel.data(), b_panel.data(), c_block.data(), nb, nb,
+                 nb);
     }
     comm.compute(matmul_flops(nb, nb, nb));
   }

@@ -1,6 +1,5 @@
 // Local (single-rank) dense kernels shared by the distributed algorithms:
-// row-major matmul with a cache-blocked variant, plus small helpers used by
-// tests and benches.
+// row-major matmul, plus small helpers used by tests and benches.
 #pragma once
 
 #include <cstddef>
@@ -11,14 +10,22 @@
 
 namespace alge::algs {
 
-/// C += A·B with A m×k, B k×n, C m×n, all row-major. Naive ikj loop order
-/// (streaming-friendly); correct for any aliasing-free inputs.
+/// C += A·B with A m×k, B k×n, C m×n, all row-major and aliasing-free.
+/// Each C element adds its products in ascending l, each rounded before the
+/// add, so the result is bit-identical to the naive ikj loop on every CPU
+/// (algs/kernels.hpp).
 void matmul_add(const double* a, const double* b, double* c, int m, int k,
                 int n);
 
-/// Same contract, blocked for cache reuse. `block` is the tile edge.
-void matmul_add_blocked(const double* a, const double* b, double* c, int m,
-                        int k, int n, int block = 64);
+/// C -= A·B, the same contract with each product subtracted.
+void matmul_sub(const double* a, const double* b, double* c, int m, int k,
+                int n);
+
+/// Former name of matmul_add, kept for callers outside the library.
+inline void matmul_add_blocked(const double* a, const double* b, double* c,
+                               int m, int k, int n) {
+  matmul_add(a, b, c, m, k, n);
+}
 
 /// Flop count charged for an m×k by k×n multiply-accumulate (2 flops per
 /// multiply-add, the convention used throughout the benches).

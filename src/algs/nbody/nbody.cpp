@@ -1,16 +1,11 @@
 #include "algs/nbody/nbody.hpp"
 
-#include <cmath>
 #include <vector>
 
+#include "algs/kernels.hpp"
 #include "support/common.hpp"
 
 namespace alge::algs {
-
-namespace {
-constexpr double kSoftening2 = 1e-4;  // Plummer softening ε²
-constexpr double kG = 1.0;            // gravitational constant (model units)
-}  // namespace
 
 std::vector<double> random_particles(int n, Rng& rng) {
   ALGE_REQUIRE(n >= 0, "negative particle count");
@@ -39,31 +34,10 @@ double accumulate_forces(std::span<const double> targets,
   if (same_block) {
     ALGE_REQUIRE(nt == ns, "same_block requires equal sizes");
   }
-  double interactions = 0.0;
-  for (std::size_t i = 0; i < nt; ++i) {
-    const double* ti = targets.data() + i * kParticleWords;
-    double fx = 0.0;
-    double fy = 0.0;
-    double fz = 0.0;
-    for (std::size_t j = 0; j < ns; ++j) {
-      if (same_block && i == j) continue;
-      const double* sj = sources.data() + j * kParticleWords;
-      const double dx = sj[0] - ti[0];
-      const double dy = sj[1] - ti[1];
-      const double dz = sj[2] - ti[2];
-      const double r2 = dx * dx + dy * dy + dz * dz + kSoftening2;
-      const double inv_r = 1.0 / std::sqrt(r2);
-      const double w = kG * ti[3] * sj[3] * inv_r * inv_r * inv_r;
-      fx += w * dx;
-      fy += w * dy;
-      fz += w * dz;
-      interactions += 1.0;
-    }
-    forces[i * kForceWords + 0] += fx;
-    forces[i * kForceWords + 1] += fy;
-    forces[i * kForceWords + 2] += fz;
-  }
-  return interactions;
+  kernels::active().forces(targets.data(), nt, sources.data(), ns,
+                           forces.data(), same_block);
+  const double pairs = static_cast<double>(nt) * static_cast<double>(ns);
+  return same_block ? pairs - static_cast<double>(nt) : pairs;
 }
 
 std::vector<double> direct_forces(std::span<const double> particles) {

@@ -113,7 +113,7 @@ void caps_rec(Ctx& ctx, int base, int g, int s, sim::ConstPayload a,
       if (!gm) strassen_multiply(a.span(), b.span(), prod.span(), s, cutoff);
       comm.compute(strassen_flops(s, cutoff));
     } else {
-      if (!gm) matmul_add_blocked(a.data(), b.data(), prod.data(), s, s, s);
+      if (!gm) matmul_add(a.data(), b.data(), prod.data(), s, s, s);
       comm.compute(matmul_flops(s, s, s));
     }
     if (!gm) std::copy(prod.data(), prod.data() + share, c.span().begin());

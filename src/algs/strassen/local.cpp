@@ -41,7 +41,7 @@ void strassen_rec(const double* a, const double* b, double* c, int n,
     // Base case: at or below the cutoff, or an odd size (recursion stops
     // rather than padding).
     std::fill(c, c + static_cast<std::size_t>(n) * n, 0.0);
-    matmul_add_blocked(a, b, c, n, n, n);
+    matmul_add(a, b, c, n, n, n);
     return;
   }
   const int h = n / 2;

@@ -28,6 +28,20 @@
 #define ALGE_FIBER_SANITIZED 1
 #endif
 #endif
+// AddressSanitizer is also told about each switch (start/finish_switch_fiber):
+// without that, an exception thrown on a fiber stack makes
+// __asan_handle_no_return unpoison the wrong stack and report a false
+// stack-use-after-scope.
+#if defined(__SANITIZE_ADDRESS__)
+#define ALGE_FIBER_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define ALGE_FIBER_ASAN 1
+#endif
+#endif
+#if defined(ALGE_FIBER_ASAN)
+#include <sanitizer/common_interface_defs.h>
+#endif
 #if defined(__x86_64__) && !defined(ALGE_FIBER_SANITIZED) && \
     !defined(ALGE_FIBER_FORCE_UCONTEXT)
 #define ALGE_FIBER_FAST_SWITCH 1
@@ -67,6 +81,28 @@ namespace alge::fiber {
 namespace {
 thread_local Scheduler* g_active = nullptr;
 
+#if !defined(ALGE_FIBER_FAST_SWITCH)
+/// Before a ucontext switch: the stack about to be entered. `fake_save`
+/// keeps the leaving stack's fake frames; null when that stack is done.
+void asan_leave(void** fake_save, const void* bottom, std::size_t size) {
+#if defined(ALGE_FIBER_ASAN)
+  __sanitizer_start_switch_fiber(fake_save, bottom, size);
+#else
+  (void)fake_save, (void)bottom, (void)size;
+#endif
+}
+
+/// After a ucontext switch: completes it, and reports the stack just left.
+void asan_arrive(void* fake, const void** left_bottom,
+                 std::size_t* left_size) {
+#if defined(ALGE_FIBER_ASAN)
+  __sanitizer_finish_switch_fiber(fake, left_bottom, left_size);
+#else
+  (void)fake, (void)left_bottom, (void)left_size;
+#endif
+}
+#endif
+
 #if defined(ALGE_FIBER_FAST_SWITCH)
 /// Lay out a fresh fiber stack so that the first alge_fiber_switch into it
 /// pops six zeroed registers and `ret`s into `entry`. The entry slot sits
@@ -91,6 +127,11 @@ struct Scheduler::Impl {
   ucontext_t main_ctx{};
 #if defined(ALGE_FIBER_FAST_SWITCH)
   void* main_sp = nullptr;
+#else
+  // The scheduler's own stack and fake-frame handle, for asan_leave/arrive.
+  const void* main_bottom = nullptr;
+  std::size_t main_size = 0;
+  void* main_fake = nullptr;
 #endif
   ReadySet ready;
 };
@@ -116,8 +157,12 @@ struct Scheduler::Fiber {
   std::unique_ptr<char[]> stack;
   std::size_t stack_bytes;
   ucontext_t ctx{};
+  // One word either way: a larger Fiber moves the heap layout of
+  // 4096-fiber runs, and with it their peak RSS.
 #if defined(ALGE_FIBER_FAST_SWITCH)
   void* sp = nullptr;  ///< suspended stack pointer (fast-switch mode)
+#else
+  void* asan_fake = nullptr;  ///< ASan fake-frame handle while suspended
 #endif
   State state = State::Ready;
   bool started = false;
@@ -159,6 +204,9 @@ Scheduler::FiberId Scheduler::spawn(std::function<void()> fn,
 void Scheduler::trampoline() {
   Scheduler* sched = g_active;
   Fiber& self = *sched->fibers_[static_cast<std::size_t>(sched->current_)];
+#if !defined(ALGE_FIBER_FAST_SWITCH)
+  asan_arrive(nullptr, &sched->impl_->main_bottom, &sched->impl_->main_size);
+#endif
   try {
     self.fn();
   } catch (const FiberCancelled&) {
@@ -172,6 +220,7 @@ void Scheduler::trampoline() {
 #if defined(ALGE_FIBER_FAST_SWITCH)
   alge_fiber_switch(&self.sp, sched->impl_->main_sp);
 #else
+  asan_leave(nullptr, sched->impl_->main_bottom, sched->impl_->main_size);
   swapcontext(&self.ctx, &sched->impl_->main_ctx);
 #endif
   ALGE_CHECK(false, "resumed a finished fiber");
@@ -232,7 +281,9 @@ void Scheduler::run() {
 #if defined(ALGE_FIBER_FAST_SWITCH)
     alge_fiber_switch(&impl_->main_sp, f.sp);
 #else
+    asan_leave(&impl_->main_fake, f.stack.get(), f.stack_bytes);
     swapcontext(&impl_->main_ctx, &f.ctx);
+    asan_arrive(impl_->main_fake, nullptr, nullptr);
 #endif
     current_ = -1;
     if (f.state == Fiber::State::Done) impl_->ready.erase(idx);
@@ -276,7 +327,9 @@ void Scheduler::cancel_all_live() {
 #if defined(ALGE_FIBER_FAST_SWITCH)
     alge_fiber_switch(&impl_->main_sp, f.sp);
 #else
+    asan_leave(&impl_->main_fake, f.stack.get(), f.stack_bytes);
     swapcontext(&impl_->main_ctx, &f.ctx);
+    asan_arrive(impl_->main_fake, nullptr, nullptr);
 #endif
     current_ = -1;
     g_active = prev_active;
@@ -296,7 +349,9 @@ void Scheduler::switch_to_scheduler() {
 #if defined(ALGE_FIBER_FAST_SWITCH)
   alge_fiber_switch(&f.sp, impl_->main_sp);
 #else
+  asan_leave(&f.asan_fake, impl_->main_bottom, impl_->main_size);
   swapcontext(&f.ctx, &impl_->main_ctx);
+  asan_arrive(f.asan_fake, &impl_->main_bottom, &impl_->main_size);
 #endif
   // Resumed: if the scheduler wants us dead, unwind now.
   check_cancel();

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <condition_variable>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -28,6 +29,17 @@ double require_positive(const json::Value& req, const char* key) {
 double optional_double(const json::Value& req, const char* key, double def) {
   const json::Value* v = req.find(key);
   return v == nullptr ? def : v->as_double();
+}
+
+/// An optional field the caller narrows to an integer, refused unless it is
+/// finite and in [lo, hi]: converting any other double is undefined.
+double optional_in_range(const json::Value& req, const char* key, double def,
+                         double lo, double hi) {
+  const double x = optional_double(req, key, def);
+  ALGE_REQUIRE(std::isfinite(x) && x >= lo && x <= hi,
+               "\"%s\" must be a finite number in [%.0f, %.0f] (got %g)", key,
+               lo, hi, x);
+  return x;
 }
 
 core::MachineParams resolve_machine(const json::Value& req) {
@@ -186,10 +198,11 @@ json::Value run_navigate(const json::Value& req,
       nr.budgets.proc_power_max = v->as_double();
     }
   }
+  constexpr double kIntMax = std::numeric_limits<int>::max();
   nr.p_samples = static_cast<int>(
-      optional_double(req, "p_samples", nr.p_samples));
+      optional_in_range(req, "p_samples", nr.p_samples, 2.0, kIntMax));
   nr.m_samples = static_cast<int>(
-      optional_double(req, "m_samples", nr.m_samples));
+      optional_in_range(req, "m_samples", nr.m_samples, 1.0, kIntMax));
   if (const json::Value* caps = req.find("msg_caps"); caps != nullptr) {
     for (const json::Value& c : caps->as_array()) {
       nr.msg_caps.push_back(c.as_double());
@@ -198,17 +211,19 @@ json::Value run_navigate(const json::Value& req,
   if (const json::Value* s = req.find("simulate"); s != nullptr) {
     nr.simulate = s->as_bool();
   }
-  nr.sim_n = static_cast<int>(optional_double(req, "sim_n", nr.sim_n));
-  nr.sim_points =
-      static_cast<int>(optional_double(req, "sim_points", nr.sim_points));
+  nr.sim_n = static_cast<int>(
+      optional_in_range(req, "sim_n", nr.sim_n, 0.0, kIntMax));
+  nr.sim_points = static_cast<int>(
+      optional_in_range(req, "sim_points", nr.sim_points, 1.0, kIntMax));
   if (const json::Value* plans = req.find("fault_plans"); plans != nullptr) {
     nr.fault_plans.clear();
     for (const json::Value& p : plans->as_array()) {
       nr.fault_plans.push_back(p.as_string());
     }
   }
-  nr.chaos_seed = static_cast<std::uint64_t>(
-      optional_double(req, "chaos_seed", static_cast<double>(nr.chaos_seed)));
+  nr.chaos_seed = static_cast<std::uint64_t>(optional_in_range(
+      req, "chaos_seed", static_cast<double>(nr.chaos_seed), 0.0,
+      std::nextafter(0x1p64, 0.0)));
   nr.crossover_target_gflops_per_watt =
       optional_double(req, "target_gflops_per_watt",
                       nr.crossover_target_gflops_per_watt);

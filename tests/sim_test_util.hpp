@@ -1,7 +1,10 @@
 // Shared helpers for the distributed-algorithm tests: block scatter/gather
-// around Machine::run and a serial matmul reference.
+// around Machine::run, a serial matmul reference and bitwise comparison.
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "algs/matmul/local.hpp"
@@ -45,6 +48,16 @@ inline std::vector<double> reference_matmul(const std::vector<double>& a,
   std::vector<double> c(static_cast<std::size_t>(n) * n, 0.0);
   algs::matmul_add(a.data(), b.data(), c.data(), n, n, n);
   return c;
+}
+
+/// Bitwise equality: distinguishes -0.0 from 0.0, and a NaN equals itself.
+inline bool same_bits(const std::vector<double>& x,
+                      const std::vector<double>& y) {
+  return std::equal(x.begin(), x.end(), y.begin(), y.end(),
+                    [](double u, double v) {
+                      return std::bit_cast<std::uint64_t>(u) ==
+                             std::bit_cast<std::uint64_t>(v);
+                    });
 }
 
 }  // namespace alge::testutil

@@ -4,6 +4,7 @@
 #include <tuple>
 #include <vector>
 
+#include "algs/kernels.hpp"
 #include "algs/matmul/distributed.hpp"
 #include "algs/matmul/local.hpp"
 #include "sim/comm.hpp"
@@ -17,6 +18,7 @@ namespace {
 
 using testutil::block_of;
 using testutil::reference_matmul;
+using testutil::same_bits;
 using testutil::set_block;
 
 sim::MachineConfig unit_config(int p) {
@@ -24,6 +26,28 @@ sim::MachineConfig unit_config(int p) {
   cfg.p = p;
   cfg.params = core::MachineParams::unit();
   return cfg;
+}
+
+// The scalar ikj loop the kernels replaced: every variant must match it bit
+// for bit. Contraction is off so the reference stays unfused even in a
+// build that targets an FMA machine.
+[[gnu::optimize("fp-contract=off")]] void naive_matmul(
+    const double* a, const double* b, double* c, int m, int k, int n,
+    bool subtract) {
+  for (int i = 0; i < m; ++i) {
+    for (int l = 0; l < k; ++l) {
+      const double ail = a[static_cast<std::size_t>(i) * k + l];
+      const double* brow = b + static_cast<std::size_t>(l) * n;
+      double* crow = c + static_cast<std::size_t>(i) * n;
+      for (int j = 0; j < n; ++j) {
+        if (subtract) {
+          crow[j] -= ail * brow[j];
+        } else {
+          crow[j] += ail * brow[j];
+        }
+      }
+    }
+  }
 }
 
 TEST(LocalMatmul, MatchesNaiveOnRectangles) {
@@ -35,8 +59,41 @@ TEST(LocalMatmul, MatchesNaiveOnRectangles) {
     std::vector<double> c1(static_cast<std::size_t>(m) * n, 0.0);
     std::vector<double> c2(static_cast<std::size_t>(m) * n, 0.0);
     matmul_add(a.data(), b.data(), c1.data(), m, k, n);
-    matmul_add_blocked(a.data(), b.data(), c2.data(), m, k, n, 8);
-    EXPECT_LT(max_abs_diff(c1, c2), 1e-12);
+    naive_matmul(a.data(), b.data(), c2.data(), m, k, n, false);
+    EXPECT_TRUE(same_bits(c1, c2)) << m << "x" << k << "x" << n;
+  }
+}
+
+TEST(LocalMatmul, EveryIsaVariantBitIdenticalToNaive) {
+  // Fixed shapes hit the edges (empty, 1, one full 4×24 tile and k-block,
+  // one past each); seeded random ones in [0, 300] hit every mix of row,
+  // vector, scalar-column and k-block remainders.
+  std::vector<std::tuple<int, int, int>> shapes = {
+      {0, 0, 0},   {0, 7, 5},    {5, 0, 7},    {5, 7, 0},    {1, 1, 1},
+      {1, 300, 1}, {4, 128, 24}, {5, 129, 25}, {3, 257, 23}, {300, 1, 300}};
+  Rng rng(2024);
+  const auto dim = [&rng] { return static_cast<int>(rng.next_below(301)); };
+  for (int t = 0; t < 40; ++t) {
+    const int m = dim();
+    const int k = dim();
+    shapes.emplace_back(m, k, dim());
+  }
+  for (const auto& [m, k, n] : shapes) {
+    const auto a = random_matrix(m, k, rng);
+    const auto b = random_matrix(k, n, rng);
+    const auto c0 = random_matrix(m, n, rng);
+    for (const bool subtract : {false, true}) {
+      std::vector<double> want = c0;
+      naive_matmul(a.data(), b.data(), want.data(), m, k, n, subtract);
+      for (const kernels::Isa& isa : kernels::isas()) {
+        if (!isa.supported()) continue;
+        std::vector<double> got = c0;
+        isa.matmul(a.data(), b.data(), got.data(), m, k, n, subtract);
+        EXPECT_TRUE(same_bits(got, want))
+            << isa.name << " " << m << "x" << k << "x" << n
+            << (subtract ? " subtract" : " add");
+      }
+    }
   }
 }
 

@@ -4,10 +4,12 @@
 #include <tuple>
 #include <vector>
 
+#include "algs/kernels.hpp"
 #include "algs/matmul/local.hpp"  // max_abs_diff
 #include "algs/nbody/nbody.hpp"
 #include "sim/comm.hpp"
 #include "sim/machine.hpp"
+#include "sim_test_util.hpp"
 #include "support/common.hpp"
 #include "support/rng.hpp"
 #include "topo/grid.hpp"
@@ -83,6 +85,68 @@ TEST(NBodyKernel, BlockDecompositionMatchesDirect) {
     }
   }
   EXPECT_LT(max_abs_diff(forces, ref), 1e-11);
+}
+
+// The scalar loop the lane kernels replaced: every variant must match it
+// bit for bit. Returns the interaction count it evaluates.
+[[gnu::optimize("fp-contract=off")]] double scalar_forces(
+    const std::vector<double>& t, const std::vector<double>& s,
+    std::vector<double>& f, bool same_block) {
+  const std::size_t nt = t.size() / kParticleWords;
+  const std::size_t ns = s.size() / kParticleWords;
+  double interactions = 0.0;
+  for (std::size_t i = 0; i < nt; ++i) {
+    const double* ti = t.data() + i * kParticleWords;
+    double fx = 0.0;
+    double fy = 0.0;
+    double fz = 0.0;
+    for (std::size_t j = 0; j < ns; ++j) {
+      if (same_block && i == j) continue;
+      const double* sj = s.data() + j * kParticleWords;
+      const double dx = sj[0] - ti[0];
+      const double dy = sj[1] - ti[1];
+      const double dz = sj[2] - ti[2];
+      const double r2 = dx * dx + dy * dy + dz * dz + 1e-4;
+      const double inv_r = 1.0 / std::sqrt(r2);
+      const double w = 1.0 * ti[3] * sj[3] * inv_r * inv_r * inv_r;
+      fx += w * dx;
+      fy += w * dy;
+      fz += w * dz;
+      interactions += 1.0;
+    }
+    f[i * kForceWords + 0] += fx;
+    f[i * kForceWords + 1] += fy;
+    f[i * kForceWords + 2] += fz;
+  }
+  return interactions;
+}
+
+TEST(NBodyKernel, EveryIsaVariantBitIdenticalToScalar) {
+  // Target counts below, at and past one vector of every width, and a
+  // production-sized block; forces start non-zero to check accumulation.
+  Rng rng(77);
+  for (const int nt : {0, 1, 7, 9, 4096}) {
+    for (const bool same_block : {true, false}) {
+      const auto t = random_particles(nt, rng);
+      const auto s = same_block ? t : random_particles(nt + 3, rng);
+      std::vector<double> f0(static_cast<std::size_t>(nt) * kForceWords);
+      rng.fill_uniform(f0, -1.0, 1.0);
+      std::vector<double> want = f0;
+      const double pairs = scalar_forces(t, s, want, same_block);
+      std::vector<double> got = f0;
+      EXPECT_EQ(accumulate_forces(t, s, got, same_block), pairs);
+      EXPECT_TRUE(testutil::same_bits(got, want))
+          << "active " << kernels::active().name << " nt=" << nt;
+      for (const kernels::Isa& isa : kernels::isas()) {
+        if (!isa.supported()) continue;
+        got = f0;
+        isa.forces(t.data(), t.size() / kParticleWords, s.data(),
+                   s.size() / kParticleWords, got.data(), same_block);
+        EXPECT_TRUE(testutil::same_bits(got, want))
+            << isa.name << " nt=" << nt << " same_block=" << same_block;
+      }
+    }
+  }
 }
 
 // --- Parallel algorithm, parameterized over (p, c, n) ---

@@ -441,6 +441,32 @@ TEST(QueryService, OversizedFftSimSizeGetsStructuredError) {
       << v.at("error").as_string();
 }
 
+// Each navigate field narrowed to an integer refuses a value past the
+// type's range, or a non-finite one (1e999 parses as infinity), with a
+// structured error naming the field, before any cast; in range it is taken.
+class QueryServiceNavigateCount : public ::testing::TestWithParam<const char*> {
+};
+
+TEST_P(QueryServiceNavigateCount, OutOfRangeGetsStructuredError) {
+  serve::QueryService svc;
+  const std::string field = GetParam();
+  const std::string base =
+      R"({"kind":"navigate","model":"nbody","n":1e6,"simulate":false,")" +
+      field + "\":";
+  for (const char* value : {"1e999", "-1e999", "-1", "1e20"}) {
+    const json::Value v = json::parse(handle(svc, base + value + "}"));
+    EXPECT_FALSE(v.at("ok").as_bool()) << field << "=" << value;
+    EXPECT_NE(v.at("error").as_string().find(field), std::string::npos)
+        << field << "=" << value << " -> " << v.at("error").as_string();
+  }
+  const json::Value ok = json::parse(handle(svc, base + "2}"));
+  EXPECT_TRUE(ok.at("ok").as_bool()) << ok.dump();
+}
+
+INSTANTIATE_TEST_SUITE_P(Fields, QueryServiceNavigateCount,
+                         ::testing::Values("p_samples", "m_samples", "sim_n",
+                                           "sim_points", "chaos_seed"));
+
 TEST(QueryService, NavigateMatchesDirectNavigatorHitAndMiss) {
   serve::QueryService svc;
   const std::string req =
