@@ -13,10 +13,13 @@
 //                          the blocking exchange cycle, the shape of real
 //                          collective traffic)
 //
-// BM_RotorSweep/alg/threads times one sim::rotor_run of a folded SUMMA, LU
-// or 2.5D (c = 4) schedule at q = 256, inline (threads = 1) and with the
-// default team (threads = 0), and reports ns_per_rank_op: wall time per
-// (rank, schedule op) pair, the unit of the array sweep's work.
+// BM_RotorSweep/<schedule>/threads times one sim::rotor_run of a folded
+// SUMMA, LU or 2.5D (c = 4) schedule at q = 256, inline (threads = 1) and
+// with the default team (threads = 0), and reports ns_per_rank_op: wall
+// time per (rank, schedule op) pair, the unit of the array sweep's work.
+// The summa_compute, summa_bcast_row and summa_bcast_col schedules keep
+// only the SUMMA ops of one kind, so each op kind's cost and team scaling
+// is measured on its own.
 //
 // BM_SectionV/<question> times one cold §V answer from core::Optimizer on
 // the case-study machine: n-body V-A (the closed form), classical-mm V-B
@@ -178,31 +181,13 @@ void BM_SendRecvThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SendRecvThroughput)->Arg(32)->Arg(256);
 
-void BM_RotorSweep(benchmark::State& state) {
-  // Folded ghost schedules at q = 256 (n = 4096): SUMMA and LU at
-  // p = 65,536, 2.5D at c = 4, p = 262,144.
-  const int q = 256;
-  const int n = 4096;
-  std::shared_ptr<const sim::FoldMap> map;
-  switch (state.range(0)) {
-    case 0:
-      map = algs::foldmap_summa(n, q);
-      state.SetLabel("summa");
-      break;
-    case 1:
-      map = algs::foldmap_lu(n, 8, q, 1);
-      state.SetLabel("lu");
-      break;
-    default:
-      map = algs::foldmap_mm25d(q, 4, n / q, false);
-      state.SetLabel("mm25d c=4");
-      break;
-  }
-  const sim::RotorSchedule& rs = *map->rotor();
+/// Times rotor_run of `rs` with state.range(0) threads (0 = the default
+/// team) and reports ns_per_rank_op.
+void time_rotor(benchmark::State& state, const sim::RotorSchedule& rs) {
   sim::MachineConfig cfg = unit_config(rs.p());
   cfg.data_mode = sim::DataMode::kGhost;
   std::vector<sim::RankCounters> out(static_cast<std::size_t>(rs.p()));
-  const int threads = static_cast<int>(state.range(1));
+  const int threads = static_cast<int>(state.range(0));
   const auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state) {
     sim::rotor_run(rs, cfg, out, threads);
@@ -217,11 +202,54 @@ void BM_RotorSweep(benchmark::State& state) {
   state.counters["ns_per_rank_op"] =
       elapsed_ns / (rank_ops * static_cast<double>(state.iterations()));
 }
-BENCHMARK(BM_RotorSweep)
-    ->ArgNames({"alg", "threads"})
-    ->ArgsProduct({{0, 1, 2}, {1, 0}})
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
+
+// Folded ghost schedules at q = 256 (n = 4096): SUMMA and LU at
+// p = 65,536, 2.5D at c = 4, p = 262,144.
+constexpr int kRotorQ = 256;
+constexpr int kRotorN = 4096;
+
+void BM_RotorSweep(benchmark::State& state, int alg) {
+  std::shared_ptr<const sim::FoldMap> map;
+  switch (alg) {
+    case 0:
+      map = algs::foldmap_summa(kRotorN, kRotorQ);
+      break;
+    case 1:
+      map = algs::foldmap_lu(kRotorN, 8, kRotorQ, 1);
+      break;
+    default:
+      map = algs::foldmap_mm25d(kRotorQ, 4, kRotorN / kRotorQ, false);
+      break;
+  }
+  time_rotor(state, *map->rotor());
+}
+
+/// The SUMMA schedule of BM_RotorSweep cut down to its ops of one kind.
+void BM_RotorSweepKind(benchmark::State& state, sim::RotorOp::Kind kind) {
+  sim::RotorSchedule rs = *algs::foldmap_summa(kRotorN, kRotorQ)->rotor();
+  std::erase_if(rs.ops,
+                [kind](const sim::RotorOp& op) { return op.kind != kind; });
+  time_rotor(state, rs);
+}
+
+#define ALGE_ROTOR_BENCH(fn, label, arg)   \
+  BENCHMARK_CAPTURE(fn, label, arg)        \
+      ->Name("BM_RotorSweep/" #label)      \
+      ->ArgName("threads")                 \
+      ->Arg(1)                             \
+      ->Arg(0)                             \
+      ->UseRealTime()                      \
+      ->Unit(benchmark::kMillisecond)
+
+ALGE_ROTOR_BENCH(BM_RotorSweep, summa, 0);
+ALGE_ROTOR_BENCH(BM_RotorSweep, lu, 1);
+ALGE_ROTOR_BENCH(BM_RotorSweep, mm25d_c4, 2);
+ALGE_ROTOR_BENCH(BM_RotorSweepKind, summa_compute,
+                 sim::RotorOp::Kind::kCompute);
+ALGE_ROTOR_BENCH(BM_RotorSweepKind, summa_bcast_row,
+                 sim::RotorOp::Kind::kBcastRow);
+ALGE_ROTOR_BENCH(BM_RotorSweepKind, summa_bcast_col,
+                 sim::RotorOp::Kind::kBcastCol);
 
 using SectionV = core::RunPoint (*)(const core::Optimizer&);
 

@@ -22,16 +22,21 @@
 //
 //   4. Every op's per-rank work splits into a fixed number of
 //      rank-disjoint chunks: compute by grid rows, row collectives by row
-//      groups, column collectives by column slices (cut at multiples of 8
-//      of the op's active column list, so no two chunks write one cache
-//      line of a row), depth collectives by (i, j) instances, skew/shift
-//      by (layer, row) blocks in two phases, sends then receives. Each
-//      chunk runs in the serial order, so every rank sees the serial
-//      floating-point sequence whichever member runs it and whatever the
-//      team size. Members of the call's thread team claim chunks first
-//      come, first served, and a phase ends when all its chunks are done:
-//      a member that the OS has descheduled holds up only the chunk it is
-//      running, never the chunks it has not claimed yet.
+//      groups, depth collectives by (i, j) instances, skew/shift by
+//      (layer, row) blocks in two phases, sends then receives. Column
+//      collectives cut the tree's virtual ranks into aligned power-of-two
+//      blocks, each a binomial subtree, and run two phases per layer and
+//      replay: the arrivals at the block roots by column slices, then
+//      whole grid rows by blocks. Each chunk runs in the serial order, so
+//      every rank sees the serial floating-point sequence whichever member
+//      runs it and whatever the team size. Chunks that split a grid row
+//      (column slices, (i, j) instances) may share a cache line at their
+//      edges, since a std::vector<double> need not start on one: that
+//      costs some false sharing at the cuts, never a wrong value. Members
+//      of the call's thread team claim chunks first come, first served,
+//      and a phase ends when all its chunks are done: a member that the
+//      OS has descheduled holds up only the chunk it is running, never the
+//      chunks it has not claimed yet.
 //
 // A serial pre-pass runs before the team starts and does everything that
 // can fail or is not per rank: the mask, root and shape checks, the memory
@@ -44,14 +49,20 @@
 // per-group replay runs in raw-pointer loops with the rank index stepped
 // incrementally, and masked compute ops iterate only the coordinates with
 // nonzero participation (a one-hot panel mask costs O(q), not O(q²)).
+// Column collectives walk whole grid rows: each chunk streams through a
+// run of consecutive rows (one block, wrapping at most once at the root)
+// instead of a slice of every row, and keeps its arrivals in a buffer of
+// log2(block) rows per member, not a q × q array.
 #include "sim/fold_rotor.hpp"
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <exception>
 #include <memory>
 #include <thread>
+#include <type_traits>
 
 #include "sim/machine.hpp"
 #include "support/common.hpp"
@@ -128,6 +139,11 @@ struct PointCost {
 
 int rep_at(const std::vector<std::int32_t>& mask, int i) {
   return mask.empty() ? 1 : mask[static_cast<std::size_t>(i)];
+}
+
+/// Largest participation count of a mask (1 when it is empty).
+int max_rep(const std::vector<std::int32_t>& mask) {
+  return mask.empty() ? 1 : *std::max_element(mask.begin(), mask.end());
 }
 
 /// Indices with a nonzero participation count (all of them when the mask
@@ -323,9 +339,11 @@ struct Scratch {
   std::vector<double> arr;  // one group's arrivals, by virtual rank
   std::vector<int> row_act, col_act, lay_act;
   std::vector<int> col_reps;  // per-column replay counts, one layer
-  Scratch(int q, int c)
+  std::vector<double> lev;    // column-collective arrivals, by tree level
+  Scratch(int q, int c, int levels)
       : arr(static_cast<std::size_t>(std::max(q, c))),
-        col_reps(static_cast<std::size_t>(q)) {
+        col_reps(static_cast<std::size_t>(q)),
+        lev(static_cast<std::size_t>(levels) * static_cast<std::size_t>(q)) {
     row_act.reserve(static_cast<std::size_t>(q));
     col_act.reserve(static_cast<std::size_t>(q));
     lay_act.reserve(static_cast<std::size_t>(c));
@@ -339,10 +357,12 @@ class Sweep {
  public:
   /// The serial pre-pass, in op order: every check, the rank-uniform
   /// memory replay over the pre-run baseline `mem_base` (throws its
-  /// SimError), the send costs and the mask-free collectives' axis
-  /// profiles. The per-rank arrays are allocated only once it has passed.
+  /// SimError), the send costs, the mask-free collectives' axis profiles
+  /// and the phase count. The per-rank arrays are allocated only once it
+  /// has passed. `chunks` is the team's chunk count per phase; it sizes
+  /// the column collectives' vr blocks.
   Sweep(const RotorSchedule& rs, const core::MachineParams& mp,
-        std::size_t mem_base)
+        std::size_t mem_base, int chunks)
       : rs_(rs),
         q_(rs.q),
         c_(rs.c),
@@ -354,6 +374,11 @@ class Sweep {
         prof_i_(rs.q),
         prof_j_(rs.q),
         prof_l_(rs.c) {
+    // The largest power of two that still leaves at least `chunks` blocks
+    // (one block when the team has one chunk, one row each when q is
+    // smaller than the chunk count).
+    while (blk_ < q_ && (q_ - 1) / (2 * blk_) + 1 >= chunks) blk_ *= 2;
+    nblk_ = (q_ - 1) / blk_ + 1;
     auto send_cost = [&](std::size_t words) {
       PointCost pc;
       const double k = static_cast<double>(words);
@@ -401,6 +426,7 @@ class Sweep {
           mem_cur -= static_cast<std::int64_t>(op.words);
           break;
         case RotorOp::Kind::kCompute:
+          phases_ += 1.0;
           break;
         case RotorOp::Kind::kBcastRow:
         case RotorOp::Kind::kBcastCol:
@@ -425,6 +451,14 @@ class Sweep {
                        "column collective with a masked row axis");
           }
           cost_[o] = send_cost(op.words);
+          if (op.kind == RotorOp::Kind::kBcastCol) {
+            // Phases A and B per layer and replay.
+            for (int l = 0; l < c_; ++l) {
+              phases_ += 2.0 * rep_at(op.layer_rep, l) * max_rep(op.col_rep);
+            }
+          } else {
+            phases_ += 1.0;
+          }
           if (uniform) {
             tree_profile(depth ? prof_l_ : (row_groups ? prof_j_ : prof_i_),
                          depth ? kids_c_ : kids_q_, n, op.root, cost_[o],
@@ -441,6 +475,7 @@ class Sweep {
           ALGE_CHECK(uniform, "skew/shift ops are unmasked");
           ALGE_CHECK(q_ % c_ == 0, "skew needs c | q");
           cost_[o] = send_cost(op.words);
+          phases_ += 2.0;
           rank_profile = skews = true;
           break;
       }
@@ -452,13 +487,23 @@ class Sweep {
     flops_.resize(p);
     if (rank_profile) prof_r_ = std::make_unique<Profile>(rs.p());
     if (skews) arr_rank_.resize(p);
-    if (col_groups) arr_cols_.resize(qq_);
+    if (col_groups) {
+      arr_roots_.resize(static_cast<std::size_t>(nblk_) * q_);
+    }
   }
 
-  /// Member k's walk through every phase in schedule order, one phase per
-  /// op (two per skew/shift): the rows of `out` are read in a phase before
-  /// the first op and written in one after the last. Each member uses its
-  /// own `sc`.
+  /// Phases of one run: one per compute, row or depth collective, two
+  /// per skew/shift and per column-collective layer and replay, plus load
+  /// and store.
+  double phases() const { return phases_; }
+
+  /// Rows of a member's column-collective level buffer: log2 of the vr
+  /// block size.
+  int levels() const { return std::countr_zero(static_cast<unsigned>(blk_)); }
+
+  /// Member k's walk through every phase in schedule order, as phases()
+  /// counts them: the rows of `out` are read in a phase before the first
+  /// op and written in one after the last. Each member uses its own `sc`.
   void run(Team& team, int member, Scratch& sc,
            std::vector<RankCounters>& out) {
     const int n = team.chunks();
@@ -488,7 +533,14 @@ class Sweep {
           run_phase([&](int k) { groups(op, pc, k, n, sc); });
           break;
         case RotorOp::Kind::kBcastCol:
-          run_phase([&](int k) { columns(op, pc, k, n, sc); });
+          active(op.layer_rep, c_, sc.lay_act);
+          for (const int l : sc.lay_act) {
+            const int rounds = rep_at(op.layer_rep, l) * max_rep(op.col_rep);
+            for (int t = 0; t < rounds; ++t) {
+              run_phase([&](int k) { col_roots(op, pc, l, k, n, sc); });
+              run_phase([&](int k) { col_rows(op, pc, l, t, k, n, sc); });
+            }
+          }
           break;
         case RotorOp::Kind::kSkewA:
         case RotorOp::Kind::kSkewB:
@@ -632,97 +684,154 @@ class Sweep {
     }
   }
 
-  /// Column collectives, vr-major: the inner loop walks one member row of
-  /// the grid contiguously across the member's column slice. The
-  /// group-major order would touch a fresh page per member (stride q
-  /// doubles) and run ~7x slower TLB-bound. Groups are rank-disjoint, so
-  /// evaluating them in lockstep is the same per-rank op sequence the
-  /// fiber path runs. arr_cols_ is [virtual rank][column]. Sweep t runs
-  /// replay t of every column whose count exceeds t, so replays of one
-  /// column stay sequential while columns advance in lockstep. Chunk k
-  /// takes slice k of `parts`.
-  void columns(const RotorOp& op, const PointCost& pc, int k, int parts,
-               Scratch& sc) {
+  /// End of virtual rank vr's leading sends to other blocks' roots in its
+  /// CSR send list. A parent sends in descending subtree order, so these
+  /// (a child is a block root iff its subtree spans whole blocks) come
+  /// first, and only a block root has any.
+  int cross_sends_end(int vr) const {
+    int s = kids_q_.off[static_cast<std::size_t>(vr)];
+    const int end = kids_q_.off[static_cast<std::size_t>(vr) + 1];
+    while (s < end && kids_q_.val[static_cast<std::size_t>(s)] % blk_ == 0) {
+      ++s;
+    }
+    return s;
+  }
+
+  /// Column collectives, phase A: for chunk k's slice of the active
+  /// columns of layer l, the arrival of every vr block root (virtual rank
+  /// b·blk_) into arr_roots_[b][column]. A block root's parent is a block
+  /// root too, so walking the block roots in ascending order replays the
+  /// tree's cross-block sends: each arrival is the parent's clock after
+  /// that specific sequential send charge, as in bcast_group. Only
+  /// arrivals are written, for every active column: phase B replays the
+  /// clocks, and reads only the columns that take part in the replay.
+  void col_roots(const RotorOp& op, const PointCost& pc, int l, int k,
+                 int parts, Scratch& sc) {
     active(op.col_rep, q_, sc.col_act);
-    const std::size_t n_act = sc.col_act.size();
-    const auto cut = [&](int m) {
-      return m == parts ? n_act : part(n_act, m, parts) & ~std::size_t{7};
-    };
-    const std::size_t a0 = cut(k);
-    const std::size_t a1 = cut(k + 1);
-    if (a0 >= a1) return;
-    const int j0 = sc.col_act[a0];
-    const int j1 = sc.col_act[a1 - 1] + 1;
-    const int* const koff = kids_q_.off.data();
+    const std::size_t a0 = part(sc.col_act.size(), k, parts);
+    const std::size_t a1 = part(sc.col_act.size(), k + 1, parts);
     const int* const kval = kids_q_.val.data();
+    double* const aroot = arr_roots_.data();
+    for (int b = 0; b < nblk_; ++b) {
+      const int vr = b * blk_;
+      int coord = vr + op.root;
+      if (coord >= q_) coord -= q_;
+      const double* const crow = clock_.data() +
+                                 static_cast<std::size_t>(l) * qq_ +
+                                 static_cast<std::size_t>(coord) * q_;
+      const double* const av = aroot + static_cast<std::size_t>(b) * q_;
+      const int beg = kids_q_.off[static_cast<std::size_t>(vr)];
+      const int end = cross_sends_end(vr);
+      for (std::size_t a = a0; a < a1; ++a) {
+        const int j = sc.col_act[a];
+        double cl = crow[j];
+        if (vr != 0 && av[j] > cl) cl = av[j];
+        for (int s = beg; s < end; ++s) {
+          cl += pc.cost;
+          aroot[static_cast<std::size_t>(kval[s] / blk_) * q_ + j] = cl;
+        }
+      }
+    }
+  }
+
+  /// Column collectives, phase B: chunk k replays its part of the vr
+  /// blocks, each block's rows whole and in ascending virtual rank, so a
+  /// parent runs before its children. A block root's arrival comes from
+  /// phase A. Any other member x has its parent in its block, which left
+  /// the arrival in the running member's level buffer at level
+  /// log2(lowbit(x)); no rank between them overwrites it (they send only
+  /// to lower levels). The inner loop walks one grid row contiguously;
+  /// columns are disjoint groups, so evaluating them in lockstep is the
+  /// per-rank op sequence the fiber path runs.
+  void col_rows(const RotorOp& op, const PointCost& pc, int l, int t, int k,
+                int parts, Scratch& sc) {
+    active(op.col_rep, q_, sc.col_act);
+    if (sc.col_act.empty()) return;
+    const int j0 = sc.col_act.front();
+    const int j1 = sc.col_act.back() + 1;
     const bool uniform =
         op.row_rep.empty() && op.col_rep.empty() && op.layer_rep.empty();
-    Profile* const pr = uniform ? nullptr : prof_r_.get();
-    double* const arrc = arr_cols_.data();
     int* const reps = sc.col_reps.data();
-    active(op.layer_rep, c_, sc.lay_act);
-    for (const int l : sc.lay_act) {
+    if (!uniform) {
       const int lr = rep_at(op.layer_rep, l);
-      int rmax = 0;
-      for (int j = j0; j < j1; ++j) {
-        reps[j] = lr * rep_at(op.col_rep, j);
-        rmax = std::max(rmax, reps[j]);
-      }
-      const std::size_t lbase = static_cast<std::size_t>(l) * qq_;
-      for (int t = 0; t < rmax; ++t) {
-        for (int vr = 0; vr < q_; ++vr) {
-          int coord = vr + op.root;
-          if (coord >= q_) coord -= q_;
-          const std::size_t row = lbase + static_cast<std::size_t>(coord) * q_;
+      for (int j = j0; j < j1; ++j) reps[j] = lr * rep_at(op.col_rep, j);
+    }
+    double* const lev = sc.lev.data();
+    auto level = [lev, this](int x) {
+      return lev +
+             static_cast<std::size_t>(std::countr_zero(
+                 static_cast<unsigned>(x))) * q_;
+    };
+    const int b1 = static_cast<int>(part(static_cast<std::size_t>(nblk_),
+                                         k + 1, parts));
+    for (int b = static_cast<int>(part(static_cast<std::size_t>(nblk_), k,
+                                       parts));
+         b < b1; ++b) {
+      const int vr1 = std::min(q_, (b + 1) * blk_);
+      for (int vr = b * blk_; vr < vr1; ++vr) {
+        int coord = vr + op.root;
+        if (coord >= q_) coord -= q_;
+        const std::size_t row = static_cast<std::size_t>(l) * qq_ +
+                                static_cast<std::size_t>(coord) * q_;
+        const double* const av =
+            vr % blk_ == 0
+                ? arr_roots_.data() + static_cast<std::size_t>(b) * q_
+                : level(vr);
+        // Sends to other blocks' roots (phase A has their arrivals) only
+        // advance the clock; the rest land in the level buffer.
+        const int beg = kids_q_.off[static_cast<std::size_t>(vr)];
+        const int end = kids_q_.off[static_cast<std::size_t>(vr) + 1];
+        const int mid = cross_sends_end(vr);
+        double* dst[32];
+        for (int s = mid; s < end; ++s) {
+          dst[s - mid] = level(kids_q_.val[static_cast<std::size_t>(s)]);
+        }
+        const int n_dst = end - mid;
+        auto replay = [&](auto masked) {
           double* const crow = clock_.data() + row;
           double* const irow = idle_.data() + row;
-          const double* const av = arrc + static_cast<std::size_t>(vr) * q_;
-          const int beg = koff[vr];
-          const int end = koff[vr + 1];
-          if (pr == nullptr) {
-            for (int j = j0; j < j1; ++j) {
-              double cl = crow[j];
-              if (vr != 0) {
-                const double a = av[j];
-                if (a > cl) {
-                  irow[j] += a - cl;
-                  cl = a;
-                }
-              }
-              for (int t2 = beg; t2 < end; ++t2) {
-                cl += pc.cost;
-                arrc[static_cast<std::size_t>(kval[t2]) * q_ + j] = cl;
-              }
-              crow[j] = cl;
-            }
-          } else {
-            std::int64_t* const wsr = pr->ws.data() + row;
-            std::int64_t* const msr = pr->ms.data() + row;
-            std::int64_t* const wrr = pr->wr.data() + row;
-            std::int64_t* const mrr = pr->mr.data() + row;
-            const std::int64_t dws = (end - beg) * pc.k;
-            const std::int64_t dms = (end - beg) * pc.m;
-            for (int j = j0; j < j1; ++j) {
+          std::int64_t *wsr = nullptr, *msr = nullptr, *wrr = nullptr,
+                       *mrr = nullptr;
+          if constexpr (masked) {
+            wsr = prof_r_->ws.data() + row;
+            msr = prof_r_->ms.data() + row;
+            wrr = prof_r_->wr.data() + row;
+            mrr = prof_r_->mr.data() + row;
+          }
+          const std::int64_t dws = (end - beg) * pc.k;
+          const std::int64_t dms = (end - beg) * pc.m;
+          for (int j = j0; j < j1; ++j) {
+            if constexpr (masked) {
               if (reps[j] <= t) continue;
-              double cl = crow[j];
+            }
+            double cl = crow[j];
+            if (vr != 0) {
+              const double a = av[j];
+              if (a > cl) {
+                irow[j] += a - cl;
+                cl = a;
+              }
+            }
+            for (int s = beg; s < mid; ++s) cl += pc.cost;
+            for (int s = 0; s < n_dst; ++s) {
+              cl += pc.cost;
+              dst[s][j] = cl;
+            }
+            crow[j] = cl;
+            if constexpr (masked) {
               if (vr != 0) {
-                const double a = av[j];
-                if (a > cl) {
-                  irow[j] += a - cl;
-                  cl = a;
-                }
                 wrr[j] += pc.k;
                 mrr[j] += pc.m;
               }
-              for (int t2 = beg; t2 < end; ++t2) {
-                cl += pc.cost;
-                arrc[static_cast<std::size_t>(kval[t2]) * q_ + j] = cl;
-              }
               wsr[j] += dws;
               msr[j] += dms;
-              crow[j] = cl;
             }
           }
+        };
+        if (uniform) {
+          replay(std::false_type{});
+        } else {
+          replay(std::true_type{});
         }
       }
     }
@@ -859,13 +968,18 @@ class Sweep {
   Profile prof_l_;  ///< by layer (depth collectives)
   std::int64_t mem_end_ = 0;   ///< live words at the end, over the baseline
   std::int64_t mem_peak_ = 0;  ///< high-water mark, over the baseline
+  double phases_ = 2.0;        ///< load and store, plus the ops'
+  /// Column collectives cut the virtual-rank axis into nblk_ aligned
+  /// blocks of blk_ (a power of two), each a binomial subtree.
+  int blk_ = 1;
+  int nblk_ = 1;
   // Hot per-rank state, SoA so sweeps stream through memory.
   std::vector<double> clock_, idle_, flops_;
   /// Per-rank integer deltas, materialized only when a masked or skew op
   /// needs them (mask-free collectives use the axis profiles).
   std::unique_ptr<Profile> prof_r_;
   std::vector<double> arr_rank_;  ///< skew/shift arrivals, all ranks
-  std::vector<double> arr_cols_;  ///< column-collective arrivals
+  std::vector<double> arr_roots_;  ///< vr block-root arrivals [block][col]
 };
 
 /// Runs body(k) for k = 1..team-1 on threads started for the call and
@@ -910,18 +1024,16 @@ void rotor_run(const RotorSchedule& rs, const MachineConfig& cfg,
                : std::max(1, static_cast<int>(
                                  std::thread::hardware_concurrency()));
   }
-  Sweep sweep(rs, cfg.params, out[0].mem_words);
   Team claims(team, team == 1 ? 1 : kChunksPerMember);
-  // Chunk counts over all phases (at most two per op, plus load and
-  // store) must fit the int counters.
-  ALGE_CHECK(static_cast<double>(claims.chunks()) *
-                     (2.0 * static_cast<double>(rs.ops.size()) + 2.0) <
+  Sweep sweep(rs, cfg.params, out[0].mem_words, claims.chunks());
+  // Chunk counts over all phases must fit the int counters.
+  ALGE_CHECK(static_cast<double>(claims.chunks()) * sweep.phases() <
                  2147483647.0,
              "rotor schedule of %zu ops too long for a team of %d",
              rs.ops.size(), team);
   std::vector<Scratch> scratch;
   scratch.reserve(static_cast<std::size_t>(team));
-  for (int k = 0; k < team; ++k) scratch.emplace_back(q, c);
+  for (int k = 0; k < team; ++k) scratch.emplace_back(q, c, sweep.levels());
   run_team(team, [&](int k) {
     sweep.run(claims, k, scratch[static_cast<std::size_t>(k)], out);
   });

@@ -28,12 +28,14 @@
 //   * memory registration is uniform across ranks in these schedules, so
 //     the high-water mark and the M-capacity check replay from a scalar;
 //   * each op's work splits into rank-disjoint chunks (rows, row groups,
-//     column slices, depth instances, skew blocks) that the members of a
-//     thread team created for the call claim first come, first served, so
-//     each rank's floating-point sequence is the serial one whichever
-//     member runs it and at any team size. All checks, the memory replay
-//     and the mask-free ops' integer profiles run in a serial pre-pass
-//     first; the team itself never throws.
+//     depth instances, skew blocks; for column collectives, blocks of
+//     whole rows that are binomial subtrees, after a small phase that
+//     computes the arrivals at their roots) that the members of a thread
+//     team created for the call claim first come, first served, so each
+//     rank's floating-point sequence is the serial one whichever member
+//     runs it and at any team size. All checks, the memory replay and the
+//     mask-free ops' integer profiles run in a serial pre-pass first; the
+//     team itself never throws.
 //
 // Participation masks (row_rep/col_rep/layer_rep) make one op vector
 // describe LU's shrinking active grid: member (i, j, l) participates

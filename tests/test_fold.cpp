@@ -27,12 +27,15 @@
 #include "chaos/fault_plan.hpp"
 #include "engine/job.hpp"
 #include "engine/runner.hpp"
+#include "sim/comm.hpp"
 #include "sim/fold.hpp"
 #include "sim/fold_rotor.hpp"
+#include "sim/group.hpp"
 #include "sim/machine.hpp"
 #include "sim/trace.hpp"
 #include "support/common.hpp"
 #include "support/json.hpp"
+#include "support/rng.hpp"
 
 namespace alge {
 namespace {
@@ -379,6 +382,27 @@ TEST(FoldProperty, Mm25dReplicatedRotorMatchesFibersPerRank) {
   expect_rotor_parity({.alg = "mm25d", .n = 32, .q = 4, .c = 2});
 }
 
+// Seeded per-rank parity at larger grids (up to p = 129² = 16,641): a
+// power of two, 2^k + 1 and a random q per seed, so the column
+// broadcasts' virtual-rank blocks are full, end in a one-row block, or end
+// part-filled. Slow tier: the fiber runs take seconds.
+TEST(FoldDifferentialSlow, SummaAndLuMatchFibersAtSeededGrids) {
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    Rng rng(seed);
+    const int k = 2 + static_cast<int>(rng.next_below(6));  // 4 .. 128
+    for (const int q : {1 << k, (1 << k) + 1,
+                        2 + static_cast<int>(rng.next_below(128))}) {
+      const int nb = 1 + static_cast<int>(rng.next_below(4));
+      const int ld = 1 + static_cast<int>(rng.next_below(2));
+      SCOPED_TRACE(testing::Message() << "seed " << seed << ", q " << q
+                                      << ", LU nb " << nb << " x " << ld);
+      expect_rotor_parity({.alg = "summa", .n = 2 * q, .q = q});
+      expect_rotor_parity(
+          {.alg = "lu", .n = nb * ld * q, .q = q, .c = 1, .nb = nb});
+    }
+  }
+}
+
 // An off-by-one root rotation in the rotor schedule must be caught by the
 // per-rank parity check above — this is the mutation a wrong
 // position-to-root mapping would produce. Guards the guard.
@@ -481,14 +505,100 @@ void expect_team_invariant(const std::shared_ptr<const sim::FoldMap>& map) {
 }
 
 TEST(RotorTeam, SummaOddGridIsBitIdentical) {
-  // q = 37: column slices are cut at multiples of 8, so at 7 threads (56
-  // chunks per op) most chunks get no columns at all.
+  // q = 37: column broadcasts cut the virtual ranks into power-of-two
+  // blocks. Inline and at 2 threads the last block is partial (37 rows
+  // of 64; 19 blocks of two, the last with one row); from 3 threads on
+  // (24 or more chunks per phase) every row is a block of its own.
   expect_team_invariant(algs::foldmap_summa(74, 37));
+  // q = 5 at 7 threads: five one-row blocks for 56 chunks, so most
+  // chunks of every column-broadcast phase have no rows.
+  expect_team_invariant(algs::foldmap_summa(10, 5));
+}
+
+TEST(RotorTeam, SummaSeveralFullBlocksAreBitIdentical) {
+  // q = 64: 64 blocks of one row at 7 threads, 32 of two at 3 and 4
+  // threads, 16 of four at 2, one of 64 inline.
+  expect_team_invariant(algs::foldmap_summa(128, 64));
 }
 
 TEST(RotorTeam, LuShrinkingMasksAreBitIdentical) {
   // nt = 36 > q = 12: masked ops with repetition counts up to 3.
   expect_team_invariant(algs::foldmap_lu(144, 4, 12, 1));
+}
+
+/// Per-rank counters of the fiber program that `rs` describes, for a
+/// schedule of compute ops and column broadcasts only: member (i, j, l)
+/// takes part row_rep[i]·col_rep[j]·layer_rep[l] times in a row.
+std::vector<sim::RankCounters> fiber_counters(const sim::RotorSchedule& rs) {
+  const int q = rs.q;
+  sim::MachineConfig cfg = rotor_cfg(rotor_mp(), rs.p());
+  cfg.exec_mode = sim::ExecMode::kFibers;
+  sim::Machine m(cfg);
+  m.run([&rs, q](sim::Comm& comm) {
+    const int r = comm.rank();
+    const int l = r / (q * q);
+    const int i = r / q % q;
+    const int j = r % q;
+    auto rep = [](const std::vector<std::int32_t>& mask, int x) {
+      return mask.empty() ? 1 : mask[static_cast<std::size_t>(x)];
+    };
+    for (const sim::RotorOp& op : rs.ops) {
+      const int reps =
+          rep(op.row_rep, i) * rep(op.col_rep, j) * rep(op.layer_rep, l);
+      std::vector<double> buf(op.words);
+      for (int t = 0; t < reps; ++t) {
+        if (op.kind == sim::RotorOp::Kind::kCompute) {
+          comm.compute(op.flops);
+        } else {
+          comm.bcast(buf, op.root,
+                     sim::Group::strided(l * q * q + j, q, q));
+        }
+      }
+    }
+  });
+  std::vector<sim::RankCounters> out;
+  for (int r = 0; r < m.p(); ++r) out.push_back(m.rank_counters(r));
+  return out;
+}
+
+TEST(RotorTeam, LayeredMaskedColumnBroadcastsMatchFibers) {
+  // No builder emits column broadcasts with c > 1 or a layer mask: this
+  // schedule runs the layer loop, replays up to 6 deep (layer count 2 ×
+  // column count 3) and skipped columns and layers, against fibers.
+  sim::RotorSchedule rs;
+  rs.q = 11;
+  rs.c = 3;
+  using K = sim::RotorOp::Kind;
+  auto add = [&rs](K kind, int root, std::vector<std::int32_t> col_rep,
+                   std::vector<std::int32_t> layer_rep) {
+    sim::RotorOp op;
+    op.kind = kind;
+    op.root = root;
+    op.words = 100;
+    op.flops = 7.0 + root;
+    op.col_rep = std::move(col_rep);
+    op.layer_rep = std::move(layer_rep);
+    rs.ops.push_back(std::move(op));
+  };
+  const std::vector<std::int32_t> cols = {3, 0, 1, 2, 0, 1, 1, 3, 0, 2, 1};
+  add(K::kCompute, 3, cols, {1, 2, 0});
+  add(K::kBcastCol, 4, {}, {});
+  add(K::kBcastCol, 10, cols, {2, 0, 1});
+  add(K::kCompute, 1, {}, {0, 1, 3});
+  add(K::kBcastCol, 0, {0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}, {});
+  add(K::kBcastCol, 7, {}, {1, 0, 2});
+  const auto fib = fiber_counters(rs);
+  const sim::MachineConfig cfg = rotor_cfg(rotor_mp(), rs.p());
+  for (const int threads : kTeamSizes) {
+    std::vector<sim::RankCounters> rot(fib.size());
+    sim::rotor_run(rs, cfg, rot, threads);
+    for (std::size_t r = 0; r < fib.size(); ++r) {
+      ASSERT_EQ(std::memcmp(&fib[r], &rot[r], sizeof(sim::RankCounters)), 0)
+          << threads << " threads, rank " << r << ": clock " << fib[r].clock
+          << " vs " << rot[r].clock << ", words_sent " << fib[r].words_sent
+          << " vs " << rot[r].words_sent;
+    }
+  }
 }
 
 TEST(RotorTeam, Mm25dSkewShiftAndDepthAreBitIdentical) {
