@@ -76,6 +76,13 @@ namespace {
 /// inline on the caller's thread.
 constexpr double kTeamRankOps = 16777216.0;  // 2^24
 
+/// Hardware threads an automatic team leaves to the rest of the system.
+/// A member preempted by another runnable thread holds up every phase
+/// until it runs again. With a CPU to spare the OS runs that thread there;
+/// with every CPU in the team it cannot, and the run's time follows
+/// whatever else the machine is running.
+constexpr int kSpareCpus = 1;
+
 /// Chunks per phase, per team member. More than one lets the members that
 /// are running take over the unclaimed chunks of one that is not (another
 /// process or virtual CPU has its core), so a phase is not held up for a
@@ -1022,7 +1029,8 @@ void rotor_run(const RotorSchedule& rs, const MachineConfig& cfg,
     team = rank_ops < kTeamRankOps
                ? 1
                : std::max(1, static_cast<int>(
-                                 std::thread::hardware_concurrency()));
+                                 std::thread::hardware_concurrency()) -
+                                 kSpareCpus);
   }
   Team claims(team, team == 1 ? 1 : kChunksPerMember);
   Sweep sweep(rs, cfg.params, out[0].mem_words, claims.chunks());

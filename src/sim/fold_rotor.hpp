@@ -111,9 +111,10 @@ struct RotorSchedule {
 ///
 /// `threads` sizes the team that evaluates each op: the calling thread
 /// plus threads - 1 threads started for this call and joined before it
-/// returns. 0 picks std::thread::hardware_concurrency() when the run holds
-/// at least 2^24 rank-ops (p × ops.size()) and runs inline on the caller
-/// otherwise. Every op's work splits into rank-disjoint chunks, each
+/// returns. 0 picks std::thread::hardware_concurrency() - 1 members (one
+/// CPU left to the rest of the system, at least one member) when the run
+/// holds at least 2^24 rank-ops (p × ops.size()) and runs inline on the
+/// caller otherwise. Every op's work splits into rank-disjoint chunks, each
 /// rank's floating-point updates keep the serial order, so `out` is
 /// bit-identical for every team size and every assignment of chunks to
 /// members.
