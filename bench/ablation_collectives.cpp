@@ -16,7 +16,7 @@
 int main(int argc, char** argv) {
   using namespace alge;
   CliArgs cli;
-  engine::add_engine_flags(cli);
+  bench::add_engine_flags(cli);
   cli.parse(argc, argv);
   if (cli.help_requested()) {
     std::cout << cli.usage("ablation_collectives");
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
       specs.push_back(s);
     }
   }
-  engine::SweepRunner runner(engine::sweep_options_from_cli(cli));
+  engine::SweepRunner runner(bench::sweep_options_from_cli(cli));
   const auto results = runner.run(specs);
 
   Table t({"p", "bcast S/rank", "bcast T", "reduce T", "allgather W/rank",
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   std::cout << "\nExpected: bcast S/rank = log2 p; allgather W = (p-1)k; "
                "bruck S = ceil(log2 p) at ~(k p/2) log2 p words.\n";
-  engine::append_bench_record("ablation_collectives", runner,
+  bench::write_engine_record("ablation_collectives", runner,
                               cli.get("bench-json"));
   return 0;
 }

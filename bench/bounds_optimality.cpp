@@ -23,7 +23,7 @@
 int main(int argc, char** argv) {
   using namespace alge;
   CliArgs cli;
-  engine::add_engine_flags(cli);
+  bench::add_engine_flags(cli);
   cli.parse(argc, argv);
   if (cli.help_requested()) {
     std::cout << cli.usage("bounds_optimality");
@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
         s);
   }
 
-  engine::SweepRunner runner(engine::sweep_options_from_cli(cli));
+  engine::SweepRunner runner(bench::sweep_options_from_cli(cli));
   const auto results = runner.run(specs);
   for (std::size_t i = 0; i < results.size(); ++i) rows[i](results[i]);
 
@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
                "of cache: "
             << core::bounds::fft_sequential_words(1 << 20, 1 << 15)
             << " words.\n";
-  engine::append_bench_record("bounds_optimality", runner,
+  bench::write_engine_record("bounds_optimality", runner,
                               cli.get("bench-json"));
   return 0;
 }

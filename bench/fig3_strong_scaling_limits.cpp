@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   cli.add_flag("n", "65536", "matrix dimension for the model series");
   cli.add_flag("pmin", "64", "p at the left edge (M = n^2/pmin)");
   cli.add_flag("samples", "17", "model sample count");
-  engine::add_engine_flags(cli);
+  bench::add_engine_flags(cli);
   cli.parse(argc, argv);
   if (cli.help_requested()) {
     std::cout << cli.usage("fig3_strong_scaling_limits");
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
     s.k = k;
     specs.push_back(s);
   }
-  engine::SweepRunner runner(engine::sweep_options_from_cli(cli));
+  engine::SweepRunner runner(bench::sweep_options_from_cli(cli));
   const auto results = runner.run(specs);
 
   std::cout << "Simulator (2.5D matmul, n=48, fixed block memory until the "
@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
         .cell(cnorm > 0.0 ? wxp / cnorm : 0.0, "%.3f");
   }
   cs.print(std::cout);
-  engine::append_bench_record("fig3_strong_scaling_limits", runner,
+  bench::write_engine_record("fig3_strong_scaling_limits", runner,
                               cli.get("bench-json"));
   return 0;
 }

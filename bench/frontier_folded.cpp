@@ -8,7 +8,7 @@
 // producing the same makespan / energy / per-rank counters a
 // million-fiber run would.
 //
-//   frontier_folded [--deep=true] [--json=PATH]
+//   frontier_folded [--deep=true] [--bench-json=PATH]
 //
 // Two kinds of rows:
 //   - parity anchors (small p): the SAME spec is run fiber-ghost and
@@ -25,7 +25,6 @@
 // largest q=8192 / k=9 points). Machine: the scaling_mm_energy parameter
 // set with uncapped messages, as in ghost_speedup's frontier row.
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <string>
 
@@ -35,7 +34,6 @@
 #include "sim/fold.hpp"
 #include "support/cli.hpp"
 #include "support/common.hpp"
-#include "support/json.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -94,9 +92,7 @@ int main(int argc, char** argv) {
                "add the largest frontier points (mm25d q=8192: p = 6.7e7; "
                "CAPS k=9: p = 4.0e7); the committed BENCH_frontier.json is "
                "generated with this set");
-  cli.add_flag("json", "",
-               "write the BENCH_frontier.json record to this path (empty = "
-               "table only)");
+  bench::add_bench_json_flag(cli);
   cli.parse(argc, argv);
   if (cli.help_requested()) {
     std::cout << cli.usage("frontier_folded");
@@ -125,13 +121,12 @@ int main(int argc, char** argv) {
   mp.eps_e = 1e-2;
   mp.max_msg_words = 1e18;
 
-  json::Value results = json::Value::array();
+  bench::BenchJson records("frontier");
   Table t({"point", "p", "slots", "fold x", "wall s", "makespan", "energy"});
   bool ok = true;
 
   auto record = [&](const std::string& name, const RunResult& r,
-                    const Observed& seen, double wall, bool folded_row,
-                    bool anchor_identical) {
+                    const Observed& seen, double wall) {
     const double foldx =
         seen.slots > 0 ? static_cast<double>(r.p) / seen.slots : 0.0;
     t.row()
@@ -142,19 +137,14 @@ int main(int argc, char** argv) {
         .cell(wall, "%.3f")
         .cell(r.makespan, "%.3e")
         .cell(r.energy.total(), "%.3e");
-    json::Value e = json::Value::object();
-    e.set("name", name);
-    e.set("p", r.p);
-    e.set("slots", seen.slots);
-    e.set("folded", folded_row);
-    e.set("seconds", wall);
-    e.set("makespan", r.makespan);
-    e.set("energy", r.energy.total());
-    e.set("flops_per_rank", r.totals.flops_max);
-    e.set("words_per_rank", r.totals.words_sent_max);
-    e.set("msgs_per_rank", r.totals.msgs_sent_max);
-    if (!folded_row) e.set("anchor_identical", anchor_identical);
-    results.push_back(std::move(e));
+    records.exact(name, "p", r.p, "ranks", obs::Better::kNone);
+    records.exact(name, "slots", seen.slots, "fibers");
+    records.wall(name, "seconds", wall, "s");
+    records.exact(name, "makespan", r.makespan, "s");
+    records.exact(name, "energy", r.energy.total(), "J");
+    records.exact(name, "flops_per_rank", r.totals.flops_max, "flops");
+    records.exact(name, "words_per_rank", r.totals.words_sent_max, "words");
+    records.exact(name, "msgs_per_rank", r.totals.msgs_sent_max, "msgs");
   };
 
   // Parity anchor: fiber-ghost vs folded-ghost on one spec, bit-identical
@@ -170,7 +160,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "[frontier] ANCHOR MISMATCH: %s\n", name.c_str());
       ok = false;
     }
-    record("anchor " + name, rd, fold, wall, false, identical);
+    record("anchor " + name, rd, fold, wall);
   };
 
   // Frontier point: folded-only; must actually fold.
@@ -184,7 +174,7 @@ int main(int argc, char** argv) {
                    name.c_str());
       ok = false;
     }
-    record(name, r, seen, wall, true, true);
+    record(name, r, seen, wall);
   };
 
   // ---- Parity anchors (small p, both modes run) ----------------------
@@ -237,15 +227,6 @@ int main(int argc, char** argv) {
                "rows at p >= 10^6 correspond to the Fig. 3 model-scale "
                "regime; see EXPERIMENTS.md \"Folded execution\".\n";
 
-  const std::string json_path = cli.get("json");
-  if (!json_path.empty()) {
-    json::Value doc = json::Value::object();
-    doc.set("bench", "frontier");
-    doc.set("results", std::move(results));
-    std::ofstream out(json_path);
-    ALGE_REQUIRE(out.good(), "cannot write %s", json_path.c_str());
-    out << doc.dump() << "\n";
-    std::fprintf(stderr, "[frontier] wrote %s\n", json_path.c_str());
-  }
+  records.write(cli.get("bench-json"));
   return ok ? 0 : 1;
 }

@@ -4,15 +4,14 @@
 // ExperimentResults (the cost schedule is the contract; ghost merely skips
 // the data), so the table doubles as a coarse differential check.
 //
-//   ghost_speedup [--full=true] [--json=PATH]
+//   ghost_speedup [--full=true] [--bench-json=PATH]
 //
 // The default subset finishes in seconds and is what CI re-runs for the
-// warn-only regression diff against the committed BENCH_ghost.json.
+// regression gate against the committed BENCH_ghost.json.
 // --full=true adds the n=4096 scaling_mm_energy headline (minutes of
 // full-data dgemm) and the p=4096 ghost-only frontier point that full mode
 // cannot complete in CI time; the committed file is generated that way.
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -21,7 +20,6 @@
 #include "engine/runner.hpp"
 #include "support/cli.hpp"
 #include "support/common.hpp"
-#include "support/json.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -60,9 +58,7 @@ int main(int argc, char** argv) {
                "include the n=4096 headline pair (minutes of full-data "
                "local dgemm) and the p=4096 ghost-only frontier point; the "
                "committed BENCH_ghost.json is generated with this set");
-  cli.add_flag("json", "",
-               "write the BENCH_ghost.json record to this path (empty = "
-               "table only)");
+  bench::add_bench_json_flag(cli);
   cli.parse(argc, argv);
   if (cli.help_requested()) {
     std::cout << cli.usage("ghost_speedup");
@@ -76,7 +72,7 @@ int main(int argc, char** argv) {
       "data movement and local kernels. 'identical' asserts the two runs' "
       "counters, makespan and energy match bit-for-bit.");
 
-  json::Value results = json::Value::array();
+  bench::BenchJson records("ghost");
   Table t({"sweep", "p", "full s", "ghost s", "speedup", "identical"});
   bool all_identical = true;
 
@@ -84,13 +80,14 @@ int main(int argc, char** argv) {
   // carries the same simulated-cost fields, so bench_diff can track each
   // sweep's p, makespan, energy and per-rank critical-path costs uniformly
   // instead of only the wall-clock columns that happen to exist per shape.
-  auto set_costs = [](json::Value& e, const engine::ExperimentResult& r) {
-    e.set("p", r.p);
-    e.set("makespan", r.makespan);
-    e.set("energy", r.energy_total());
-    e.set("flops_per_rank", r.totals.flops_max);
-    e.set("words_per_rank", r.totals.words_sent_max);
-    e.set("msgs_per_rank", r.totals.msgs_sent_max);
+  auto set_costs = [&](const std::string& name,
+                       const engine::ExperimentResult& r) {
+    records.exact(name, "p", r.p, "ranks", obs::Better::kNone);
+    records.exact(name, "makespan", r.makespan, "s");
+    records.exact(name, "energy", r.energy_total(), "J");
+    records.exact(name, "flops_per_rank", r.totals.flops_max, "flops");
+    records.exact(name, "words_per_rank", r.totals.words_sent_max, "words");
+    records.exact(name, "msgs_per_rank", r.totals.msgs_sent_max, "msgs");
   };
 
   auto compare = [&](const std::string& name, engine::ExperimentSpec spec) {
@@ -109,14 +106,10 @@ int main(int argc, char** argv) {
         .cell(sg, "%.3f")
         .cell(speedup, "%.1f")
         .cell(identical ? "yes" : "NO");
-    json::Value e = json::Value::object();
-    e.set("name", name);
-    set_costs(e, rf);
-    e.set("full_seconds", sf);
-    e.set("ghost_seconds", sg);
-    e.set("speedup", speedup);
-    e.set("cost_identical", identical);
-    results.push_back(std::move(e));
+    set_costs(name, rf);
+    records.wall(name, "full_seconds", sf, "s");
+    records.wall(name, "ghost_seconds", sg, "s");
+    records.wall(name, "speedup", speedup, "ratio", obs::Better::kHigher);
   };
 
   auto ghost_only = [&](const std::string& name,
@@ -131,11 +124,8 @@ int main(int argc, char** argv) {
         .cell(sg, "%.3f")
         .cell("--")
         .cell("--");
-    json::Value e = json::Value::object();
-    e.set("name", name);
-    set_costs(e, rg);
-    e.set("ghost_seconds", sg);
-    results.push_back(std::move(e));
+    set_costs(name, rg);
+    records.wall(name, "ghost_seconds", sg, "s");
   };
 
   // micro_sim territory: collectives moving real buffers vs size-only
@@ -206,15 +196,6 @@ int main(int argc, char** argv) {
                "simulated makespan and energy are identical by construction "
                "(and checked above). See EXPERIMENTS.md \"Data modes\".\n";
 
-  const std::string json_path = cli.get("json");
-  if (!json_path.empty()) {
-    json::Value doc = json::Value::object();
-    doc.set("bench", "ghost");
-    doc.set("results", std::move(results));
-    std::ofstream out(json_path);
-    ALGE_REQUIRE(out.good(), "cannot write %s", json_path.c_str());
-    out << doc.dump() << "\n";
-    std::fprintf(stderr, "[ghost] wrote %s\n", json_path.c_str());
-  }
+  records.write(cli.get("bench-json"));
   return all_identical ? 0 : 1;
 }

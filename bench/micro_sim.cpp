@@ -31,7 +31,16 @@
 // (items = flops), and one 4096-particle same-block force sweep (items =
 // interactions). Each runs the widest kernel variant the CPU supports
 // (algs/kernels.hpp).
+//
+// --bench-json=PATH writes the BENCH_sim.json records: per benchmark the
+// minimum real time and the maximum items_per_second over the
+// --benchmark_repetitions runs (CI and the committed file use 3), so one
+// preempted repetition does not read as a regression.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <limits>
+#include <map>
 
 #include <chrono>
 #include <cstdint>
@@ -45,6 +54,7 @@
 #include "algs/foldmaps.hpp"
 #include "algs/matmul/local.hpp"
 #include "algs/nbody/nbody.hpp"
+#include "bench_common.hpp"
 #include "core/opt.hpp"
 #include "fiber/fiber.hpp"
 #include "machines/db.hpp"
@@ -347,33 +357,89 @@ void write_demo_trace(const std::string& path) {
                path.c_str(), m.p());
 }
 
+/// The default console display, plus the best repetition of every
+/// benchmark for --bench-json: min real time, max items_per_second.
+class BestRunReporter : public benchmark::BenchmarkReporter {
+ public:
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) {
+      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
+      Best& b = best_[run.benchmark_name()];
+      b.real_time_ns = std::min(b.real_time_ns,
+                                run.real_accumulated_time * 1e9 /
+                                    static_cast<double>(run.iterations));
+      const auto items = run.counters.find("items_per_second");
+      if (items != run.counters.end()) {
+        b.items_per_second = std::max(b.items_per_second, items->second.value);
+      }
+    }
+    display_->ReportRuns(runs);
+  }
+  void Finalize() override { display_->Finalize(); }
+
+  void write(const std::string& path) const {
+    bench::BenchJson records("sim");
+    for (const auto& [name, b] : best_) {
+      records.wall(name, "real_time_ns", b.real_time_ns, "ns");
+      if (b.items_per_second > 0.0) {
+        records.wall(name, "items_per_second", b.items_per_second, "1/s",
+                     obs::Better::kHigher);
+      }
+    }
+    records.write(path);
+  }
+
+ private:
+  struct Best {
+    double real_time_ns = std::numeric_limits<double>::infinity();
+    double items_per_second = 0.0;
+  };
+  // Owned by google-benchmark (a static of the library).
+  benchmark::BenchmarkReporter* display_ =
+      benchmark::CreateDefaultDisplayReporter();
+  std::map<std::string, Best> best_;
+};
+
+/// Remove `--flag=VALUE` / `--flag VALUE` from args, returning VALUE.
+std::string take_flag(std::vector<char*>& args, const std::string& flag) {
+  const std::string bare = "--" + flag;
+  std::string value;
+  for (auto it = args.begin(); it != args.end();) {
+    const std::string_view arg = *it;
+    if (arg.rfind(bare + "=", 0) == 0) {
+      value = arg.substr(bare.size() + 1);
+      it = args.erase(it);
+    } else if (arg == bare && it + 1 != args.end()) {
+      value = *(it + 1);
+      it = args.erase(it, it + 2);
+    } else {
+      ++it;
+    }
+  }
+  return value;
+}
+
 }  // namespace
 
-// BENCHMARK_MAIN, plus the --trace-out flag google-benchmark would reject:
-// strip it from argv before Initialize, act on it after the benchmarks run.
+// BENCHMARK_MAIN, plus the --trace-out and --bench-json flags
+// google-benchmark would reject: strip them from argv before Initialize,
+// act on them after the benchmarks run.
 int main(int argc, char** argv) {
-  std::string trace_out;
-  std::vector<char*> args;
-  args.reserve(static_cast<std::size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.rfind("--trace-out=", 0) == 0) {
-      trace_out = arg.substr(12);
-      continue;
-    }
-    if (arg == "--trace-out" && i + 1 < argc) {
-      trace_out = argv[++i];
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
+  std::vector<char*> args(argv, argv + argc);
+  const std::string trace_out = take_flag(args, "trace-out");
+  const std::string bench_json = take_flag(args, "bench-json");
   int bench_argc = static_cast<int>(args.size());
   benchmark::Initialize(&bench_argc, args.data());
   if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data())) {
     return 1;
   }
-  benchmark::RunSpecifiedBenchmarks();
+  BestRunReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
+  reporter.write(bench_json);
   if (!trace_out.empty()) write_demo_trace(trace_out);
   return 0;
 }

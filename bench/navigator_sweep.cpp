@@ -3,7 +3,7 @@
 // the Section-VI case-study machine) and, at generation 0, across the
 // ghost/folded engine's measured frontier with its chaos re-score.
 //
-//   navigator_sweep [--generations=0,2,4] [--simulate=true] [--json=PATH]
+//   navigator_sweep [--generations=0,2,4] [--simulate=true] [--bench-json=PATH]
 //
 // Every metric except navigate_seconds is deterministic (the navigator has
 // no wall clocks or RNG beyond the chaos seed), so BENCH_navigator.json
@@ -12,11 +12,11 @@
 // fault_energy_inflation means faults cost more energy at the optimum, and
 // crossover_generations moving means the 75 GFLOPS/W machine-generation
 // crossover (Figs. 6/7) shifted. CI re-runs this and diffs against the
-// committed BENCH_navigator.json via obs/bench_metrics' "navigator"
-// normalizer.
+// committed BENCH_navigator.json, every deterministic metric an exact
+// gate. A crossover the sweep never reaches (-1) is left out of the file
+// rather than recorded as a small count.
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -27,7 +27,6 @@
 #include "navigator/navigator.hpp"
 #include "support/cli.hpp"
 #include "support/common.hpp"
-#include "support/json.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -51,9 +50,7 @@ int main(int argc, char** argv) {
                "add the generation-0 measured-frontier rows (ghost/folded "
                "engine runs + chaos re-score)");
   cli.add_flag("threads", "2", "engine worker threads for the sim rows");
-  cli.add_flag("json", "",
-               "write the BENCH_navigator.json record to this path (empty "
-               "= table only)");
+  bench::add_bench_json_flag(cli);
   cli.parse(argc, argv);
   if (cli.help_requested()) {
     std::cout << cli.usage("navigator_sweep");
@@ -82,7 +79,7 @@ int main(int argc, char** argv) {
     return mp;
   }();
 
-  json::Value results = json::Value::array();
+  bench::BenchJson records("navigator");
   Table t({"model", "gen", "pts", "area", "E_opt (J)", "GF/W", "xover",
            "robust", "inflate", "seconds"});
 
@@ -144,31 +141,46 @@ int main(int argc, char** argv) {
                         : std::string("--"))
           .cell(seconds, "%.3f");
 
-      json::Value e = json::Value::object();
-      e.set("name", strfmt("%s gen=%d", sc.model, gen));
-      e.set("model", std::string(sc.model));
-      e.set("generation", gen);
-      e.set("frontier_points", static_cast<int>(rep.model_frontier.size()));
-      e.set("frontier_area", rep.frontier_area);
-      e.set("min_energy_joules", rep.min_energy.E);
-      e.set("min_time_seconds", rep.min_time.T);
-      e.set("gflops_per_watt_at_opt", rep.gflops_per_watt_at_opt);
-      e.set("crossover_generations", rep.crossover_generations);
+      // Losing frontier points or folded scoring is the regression; a
+      // frontier that gains dominated points fails validate() above.
+      using obs::Better;
+      const std::string name = strfmt("%s gen=%d", sc.model, gen);
+      auto crossover = [&](const char* metric, int generations) {
+        if (generations >= 0) {
+          records.exact(name, metric, generations, "generations");
+        }
+      };
+      records.exact(name, "generation", gen, "generations", Better::kNone);
+      records.exact(name, "frontier_points",
+                    static_cast<double>(rep.model_frontier.size()), "points",
+                    Better::kHigher);
+      records.exact(name, "frontier_area", rep.frontier_area, "ratio");
+      records.exact(name, "min_energy_joules", rep.min_energy.E, "J");
+      records.exact(name, "min_time_seconds", rep.min_time.T, "s");
+      records.exact(name, "gflops_per_watt_at_opt",
+                    rep.gflops_per_watt_at_opt, "GFLOPS/W", Better::kHigher);
+      crossover("crossover_generations", rep.crossover_generations);
       if (sim_row) {
-        e.set("measured_frontier_points",
-              static_cast<int>(rep.measured_frontier.size()));
-        e.set("measured_frontier_area", rep.measured_frontier_area);
-        e.set("robust_fraction", rep.robust_fraction);
-        e.set("fault_energy_inflation", rep.fault_energy_inflation);
-        e.set("crossover_generations_faulted",
-              rep.crossover_generations_faulted);
-        e.set("engine_runs", rep.simulated + rep.rescore_runs);
-        e.set("cache_hits", rep.cache_hits);
-        e.set("folded_scored", rep.folded_scored);
-        e.set("fiber_scored", rep.fiber_scored);
+        records.exact(name, "measured_frontier_points",
+                      static_cast<double>(rep.measured_frontier.size()),
+                      "points", Better::kHigher);
+        records.exact(name, "measured_frontier_area",
+                      rep.measured_frontier_area, "ratio");
+        records.exact(name, "robust_fraction", rep.robust_fraction, "ratio",
+                      Better::kHigher);
+        records.exact(name, "fault_energy_inflation",
+                      rep.fault_energy_inflation, "ratio");
+        crossover("crossover_generations_faulted",
+                  rep.crossover_generations_faulted);
+        records.exact(name, "engine_runs",
+                      rep.simulated + rep.rescore_runs, "runs");
+        records.exact(name, "cache_hits", rep.cache_hits, "runs",
+                      Better::kHigher);
+        records.exact(name, "folded_scored", rep.folded_scored, "points",
+                      Better::kHigher);
+        records.exact(name, "fiber_scored", rep.fiber_scored, "points");
       }
-      e.set("navigate_seconds", seconds);
-      results.push_back(std::move(e));
+      records.wall(name, "navigate_seconds", seconds, "s");
     }
   }
 
@@ -178,15 +190,6 @@ int main(int argc, char** argv) {
                "the energy columns are deterministic; only the seconds "
                "column is wall-clock. See EXPERIMENTS.md \"Navigator\".\n";
 
-  const std::string json_path = cli.get("json");
-  if (!json_path.empty()) {
-    json::Value doc = json::Value::object();
-    doc.set("bench", "navigator");
-    doc.set("results", std::move(results));
-    std::ofstream out(json_path);
-    ALGE_REQUIRE(out.good(), "cannot write %s", json_path.c_str());
-    out << doc.dump() << "\n";
-    std::fprintf(stderr, "[navigator] wrote %s\n", json_path.c_str());
-  }
+  records.write(cli.get("bench-json"));
   return 0;
 }

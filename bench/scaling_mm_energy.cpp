@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   cli.add_flag("n", "48", "matrix dimension (simulated)");
   cli.add_flag("q", "8", "grid edge (p = q^2 c)");
   cli.add_flag("verify", "true", "check results against a serial product");
-  engine::add_engine_flags(cli);
+  bench::add_engine_flags(cli);
   bench::add_trace_flags(cli);
   bench::add_chaos_flags(cli);
   bench::add_data_mode_flag(cli);
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   bench::apply_chaos_flags(cli, specs);
   bench::apply_data_mode_flag(cli, specs);
   bench::apply_exec_mode_flag(cli, specs);
-  engine::SweepRunner runner(engine::sweep_options_from_cli(cli));
+  engine::SweepRunner runner(bench::sweep_options_from_cli(cli));
   const auto results = runner.run(specs);
 
   Table t({"c", "p", "T (sim)", "T x p / (T x p)_2D", "E (sim)", "E/E_2D",
@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
         em / em0, "%.3f");
   }
   mt.print(std::cout);
-  engine::append_bench_record("scaling_mm_energy", runner,
+  bench::write_engine_record("scaling_mm_energy", runner,
                               cli.get("bench-json"));
   // --trace-out: export the largest replicated point's timeline.
   bench::maybe_write_trace(cli, specs[cs.size() - 1]);

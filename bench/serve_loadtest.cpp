@@ -5,9 +5,11 @@
 //
 //   serve_loadtest [--server-threads=2] [--clients=2] [--batch=64]
 //                  [--duration=1.0] [--distinct=2048] [--min-qps=100000]
-//                  [--json=PATH]
+//                  [--bench-json=PATH]
 //
-// Phases (one result row each, written to --json as {"bench": "serve"}):
+// Phases (one row each in the --bench-json file; rates and latency
+// quantiles only, since query counts and elapsed seconds scale with
+// --duration):
 //   closed_form_cold       distinct min_energy queries; every one misses the
 //                          answer store and runs the §V closed forms
 //   closed_form_hot_rtt    one repeated query, batch=1 closed loop — the
@@ -32,12 +34,12 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/opt.hpp"
 #include "engine/runner.hpp"
 #include "machines/db.hpp"
@@ -160,18 +162,6 @@ struct PhaseResult {
   }
 };
 
-json::Value result_json(PhaseResult& r) {
-  json::Value o = json::Value::object();
-  o.set("name", r.name)
-      .set("queries", static_cast<double>(r.queries))
-      .set("seconds", r.seconds)
-      .set("queries_per_sec", r.qps())
-      .set("p50_us", r.quantile(0.50))
-      .set("p99_us", r.quantile(0.99))
-      .set("max_us", r.latency_us.empty() ? 0.0 : r.latency_us.back());
-  return o;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -186,7 +176,7 @@ int main(int argc, char** argv) {
   cli.add_flag("min-qps", "100000",
                "fail unless closed_form_pipelined sustains this many "
                "queries/s (0 = report only)");
-  cli.add_flag("json", "", "write {\"bench\": \"serve\"} results here");
+  bench::add_bench_json_flag(cli);
   try {
     cli.parse(argc, argv);
   } catch (const std::exception& e) {
@@ -373,31 +363,28 @@ int main(int argc, char** argv) {
   server.stop();
 
   Table t({"phase", "queries", "q/s", "p50_us", "p99_us", "max_us"});
-  json::Value results = json::Value::array();
+  bench::BenchJson records("serve");
   for (PhaseResult& r : phases) {
-    json::Value row = result_json(r);
+    const double p50 = r.quantile(0.50);
+    const double p99 = r.quantile(0.99);
+    const double max = r.latency_us.empty() ? 0.0 : r.latency_us.back();
     t.row()
         .cell(r.name)
         .cell(r.queries)
         .cell(r.qps(), "%.0f")
-        .cell(row.at("p50_us").as_double(), "%.1f")
-        .cell(row.at("p99_us").as_double(), "%.1f")
-        .cell(row.at("max_us").as_double(), "%.1f");
-    results.push_back(std::move(row));
+        .cell(p50, "%.1f")
+        .cell(p99, "%.1f")
+        .cell(max, "%.1f");
+    records.wall(r.name, "queries_per_sec", r.qps(), "1/s",
+                 obs::Better::kHigher);
+    records.wall(r.name, "p50_us", p50, "us");
+    records.wall(r.name, "p99_us", p99, "us");
+    records.wall(r.name, "max_us", max, "us");
   }
   t.print(std::cout);
   std::cout << "\nservice ledger: " << service.stats_json().dump() << "\n";
 
-  const std::string json_path = cli.get("json");
-  if (!json_path.empty()) {
-    json::Value doc = json::Value::object();
-    doc.set("bench", "serve");
-    doc.set("results", std::move(results));
-    std::ofstream out(json_path);
-    ALGE_REQUIRE(out.good(), "cannot write %s", json_path.c_str());
-    out << doc.dump() << "\n";
-    std::fprintf(stderr, "[serve] wrote %s\n", json_path.c_str());
-  }
+  records.write(cli.get("bench-json"));
 
   if (!identical) {
     std::cerr << "\nFAIL: served answers differ from direct evaluation\n";

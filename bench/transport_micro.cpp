@@ -4,7 +4,7 @@
 // the simulator inline — outputs bitwise equal, per-rank model counters
 // equal, measured wire traffic equal to the W/S ledger.
 //
-//   transport_micro [--json=PATH] [--backends=sim,shm,tcp]
+//   transport_micro [--bench-json=PATH] [--backends=sim,shm,tcp]
 //
 // The committed BENCH_transport.json is generated with the default flags.
 // Everything in the record except wall_seconds is a deterministic model
@@ -12,7 +12,6 @@
 // those fields tightly; wall_seconds is this machine's clock and is
 // skipped by the normalizer. A conformance failure exits nonzero.
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -20,7 +19,6 @@
 #include "bench_common.hpp"
 #include "support/cli.hpp"
 #include "support/common.hpp"
-#include "support/json.hpp"
 #include "support/table.hpp"
 #include "transport/programs.hpp"
 #include "transport/run.hpp"
@@ -69,9 +67,7 @@ bool conformant(const transport::RunReport& ref,
 int main(int argc, char** argv) {
   using namespace alge;
   CliArgs cli;
-  cli.add_flag("json", "",
-               "write the BENCH_transport.json record to this path (empty "
-               "= table only)");
+  bench::add_bench_json_flag(cli);
   cli.add_flag("backends", "sim,shm,tcp",
                "comma-separated backends to run (sim is always run as the "
                "conformance reference)");
@@ -92,7 +88,7 @@ int main(int argc, char** argv) {
       "asserts bitwise-equal outputs, bit-identical model counters, and "
       "measured wire traffic equal to the W/S ledger.");
 
-  json::Value results = json::Value::array();
+  bench::BenchJson records("transport");
   Table t({"alg", "backend", "p", "makespan", "ledger msgs", "ledger words",
            "wall s", "conforms"});
   bool all_ok = true;
@@ -131,14 +127,12 @@ int main(int argc, char** argv) {
           .cell(ledger.words, "%.0f")
           .cell(wall, "%.4f")
           .cell(ok ? "yes" : "NO");
-      json::Value e = json::Value::object();
-      e.set("name", alg + "." + bname);
-      e.set("p", report.p);
-      e.set("makespan", report.makespan());
-      e.set("ledger_messages_total", ledger.msgs);
-      e.set("ledger_words_total", ledger.words);
-      e.set("wall_seconds", wall);
-      results.push_back(std::move(e));
+      const std::string name = alg + "." + bname;
+      records.exact(name, "p", report.p, "ranks", obs::Better::kNone);
+      records.exact(name, "makespan", report.makespan(), "s");
+      records.exact(name, "ledger_messages_total", ledger.msgs, "msgs");
+      records.exact(name, "ledger_words_total", ledger.words, "words");
+      records.wall(name, "wall_seconds", wall, "s");
     }
   }
 
@@ -148,16 +142,7 @@ int main(int argc, char** argv) {
                "seconds is the only machine-dependent column. See "
                "EXPERIMENTS.md \"Transports\".\n";
 
-  const std::string json_path = cli.get("json");
-  if (!json_path.empty()) {
-    json::Value doc = json::Value::object();
-    doc.set("bench", "transport");
-    doc.set("results", std::move(results));
-    std::ofstream out(json_path);
-    ALGE_REQUIRE(out.good(), "cannot write %s", json_path.c_str());
-    out << doc.dump() << "\n";
-    std::fprintf(stderr, "[transport] wrote %s\n", json_path.c_str());
-  }
+  records.write(cli.get("bench-json"));
   if (!all_ok) {
     std::fprintf(stderr,
                  "[transport] CONFORMANCE FAILURE: at least one real "

@@ -24,7 +24,7 @@
 int main(int argc, char** argv) {
   using namespace alge;
   CliArgs cli;
-  engine::add_engine_flags(cli);
+  bench::add_engine_flags(cli);
   bench::add_trace_flags(cli);
   bench::add_chaos_flags(cli);
   bench::add_data_mode_flag(cli);
@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
   bench::apply_chaos_flags(cli, specs);
   bench::apply_data_mode_flag(cli, specs);
   bench::apply_exec_mode_flag(cli, specs);
-  engine::SweepRunner runner(engine::sweep_options_from_cli(cli));
+  engine::SweepRunner runner(bench::sweep_options_from_cli(cli));
   const auto results = runner.run(specs);
   for (std::size_t i = 0; i < results.size(); ++i) rows[i](results[i]);
 
@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
                "ratios carry the 4-words-per-particle packing and, at "
                "c > 1, the team broadcast/reduce floor that dominates at "
                "these tiny scales.\n";
-  engine::append_bench_record("validation_model_vs_sim", runner,
+  bench::write_engine_record("validation_model_vs_sim", runner,
                               cli.get("bench-json"));
   // --trace-out: export the first configuration's timeline (2.5D matmul).
   bench::maybe_write_trace(cli, specs.front());

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <future>
-#include <sstream>
 #include <utility>
 
 #include "chaos/fault_plan.hpp"
@@ -15,7 +12,6 @@
 #include "sim/comm.hpp"
 #include "sim/machine.hpp"
 #include "support/common.hpp"
-#include "support/json.hpp"
 
 namespace alge::engine {
 
@@ -274,76 +270,6 @@ std::vector<ExperimentResult> SweepRunner::run(
   }
   stats_.profile = prof;
   return out;
-}
-
-void add_engine_flags(CliArgs& cli) {
-  cli.add_flag("threads", "1",
-               "worker threads for the experiment sweep (1 = serial)");
-  cli.add_flag("cache-dir", "",
-               "directory for the persistent result cache (empty = off)");
-  cli.add_flag("progress", "false", "print sweep progress to stderr");
-  cli.add_flag("bench-json", "BENCH_engine.json",
-               "append a machine-readable perf record here (empty = off)");
-}
-
-SweepOptions sweep_options_from_cli(const CliArgs& cli) {
-  SweepOptions opts;
-  opts.threads = static_cast<int>(cli.get_int("threads"));
-  ALGE_REQUIRE(opts.threads >= 1, "--threads must be >= 1");
-  opts.cache_dir = cli.get("cache-dir");
-  if (cli.get_bool("progress")) {
-    opts.progress = [](int done, int total) {
-      std::fprintf(stderr, "[engine] %d/%d jobs done\n", done, total);
-    };
-  }
-  return opts;
-}
-
-void append_bench_record(const std::string& bench_name,
-                         const SweepRunner& runner, const std::string& path) {
-  if (path.empty()) return;
-  json::Value records = json::Value::array();
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      try {
-        json::Value existing = json::parse(buf.str());
-        if (existing.is_array()) records = std::move(existing);
-      } catch (const json::json_error&) {
-        // Malformed history: start a fresh array rather than failing the
-        // bench run.
-      }
-    }
-  }
-  const SweepStats& s = runner.stats();
-  json::Value prof = json::Value::object();
-  prof.set("cache_lookup_seconds", s.profile.cache_lookup_seconds)
-      .set("serialize_seconds", s.profile.serialize_seconds)
-      .set("run_seconds", s.profile.run_seconds)
-      .set("run_max_seconds", s.profile.run_max_seconds)
-      .set("queue_wait_seconds", s.profile.queue_wait_seconds)
-      .set("queue_wait_max_seconds", s.profile.queue_wait_max_seconds)
-      .set("pool_busy_seconds", s.profile.pool_busy_seconds)
-      .set("pool_occupancy", s.profile.pool_occupancy);
-  json::Value rec = json::Value::object();
-  rec.set("bench", bench_name)
-      .set("jobs", s.jobs)
-      .set("cache_hits", s.cache_hits)
-      .set("executed", s.executed)
-      .set("threads", runner.options().threads)
-      .set("wall_seconds", s.wall_seconds)
-      .set("jobs_per_sec", s.jobs_per_sec)
-      .set("profile", std::move(prof))
-      .set("unix_time",
-           static_cast<double>(std::chrono::duration_cast<std::chrono::seconds>(
-                                   std::chrono::system_clock::now()
-                                       .time_since_epoch())
-                                   .count()));
-  records.push_back(std::move(rec));
-  std::ofstream out(path, std::ios::trunc);
-  if (out) out << records.dump() << '\n';
 }
 
 }  // namespace alge::engine

@@ -20,7 +20,6 @@
 #include "engine/cache.hpp"
 #include "engine/job.hpp"
 #include "sim/trace.hpp"
-#include "support/cli.hpp"
 
 namespace alge::engine {
 
@@ -60,10 +59,9 @@ struct SweepOptions {
   std::function<void(int done, int total)> progress;
 };
 
-/// Where a sweep's wall-clock time went (seconds, summed over jobs). Emitted
-/// as the "profile" block of the --bench-json record so perf regressions can
-/// be localized (queueing vs simulation vs cache serialization) rather than
-/// just detected.
+/// Where a sweep's wall-clock time went (seconds, summed over jobs), so perf
+/// regressions can be localized (queueing vs simulation vs cache
+/// serialization) rather than just detected.
 struct SweepProfile {
   double cache_lookup_seconds = 0.0;  ///< total time in ResultCache::lookup
   double serialize_seconds = 0.0;     ///< total time in ResultCache::store
@@ -114,21 +112,5 @@ class SweepRunner {
   std::unique_ptr<ResultCache> cache_;
   SweepStats stats_;
 };
-
-/// Declare the standard engine flags (--threads, --cache-dir, --progress,
-/// --bench-json) on a bench binary's CLI.
-void add_engine_flags(CliArgs& cli);
-
-/// Build SweepOptions from flags declared by add_engine_flags(). When
-/// --progress is set, wires a stderr progress printer.
-SweepOptions sweep_options_from_cli(const CliArgs& cli);
-
-/// Append {bench, jobs, cache_hits, executed, threads, wall_seconds,
-/// jobs_per_sec} to the JSON array in `path` (the --bench-json flag;
-/// empty path disables). Creates the file on first use; a malformed
-/// existing file is replaced rather than fatal. Gives later PRs a perf
-/// trajectory to compare against.
-void append_bench_record(const std::string& bench_name,
-                         const SweepRunner& runner, const std::string& path);
 
 }  // namespace alge::engine

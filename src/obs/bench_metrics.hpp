@@ -1,55 +1,27 @@
-// Normalization and comparison of the repo's benchmark JSON files, shared
-// by tools/bench_diff and the CI bench-regression gate.
+// The one schema of the repo's tracked bench files (BENCH_*.json), its
+// reader, and the diff that tools/bench_diff and the CI gates run. The
+// writer is bench/bench_common.hpp (BenchJson).
 //
-// These on-disk formats are understood, detected by shape:
+//   {"bench": "frontier",
+//    "records": [{"name": "summa n=8192 q=1024", "metric": "makespan",
+//                 "value": 1.2e9, "unit": "s", "better": "lower",
+//                 "kind": "exact"}, ...]}
 //
-//   BENCH_sim.json          object with a "benchmarks" OBJECT of named
-//                           {baseline, optimized, speedup} entries — the
-//                           "optimized" record (the current performance
-//                           contract) is emitted under the bare name
-//                           ("BM_PingPong.real_time_ns"), so the committed
-//                           baseline compares directly against a fresh
-//                           --benchmark_out run of the same binary
-//   google-benchmark output object with a "benchmarks" ARRAY — each entry
-//                           keyed by its "name" field, times normalized to
-//                           ns via "time_unit"
-//   BENCH_ghost.json        object with "bench": "ghost" and a "results"
-//                           array of named full-vs-ghost records — the
-//                           speedup ratio and the deterministic simulation
-//                           fields are emitted as "ghost.<name>.<field>";
-//                           raw wall-clock seconds are machine-dependent
-//                           and skipped
-//   BENCH_engine.json       top-level array of run records — the LAST
-//                           record per "bench" name wins (it is an
-//                           append-only history), keyed "engine.<bench>.*"
-//   BENCH_navigator.json    object with "bench": "navigator" and a
-//                           "results" array of per-(model, generation)
-//                           frontier records — emitted as
-//                           "navigator.<name>.<field>" (frontier_area /
-//                           crossover / inflation lower-better,
-//                           robust_fraction and gflops_per_watt
-//                           higher-better); navigate_seconds is wall
-//                           clock and skipped, negative crossover
-//                           sentinels ("unreachable") are skipped
-//   BENCH_serve.json        object with "bench": "serve" and a "results"
-//                           array of per-phase loadtest records — emitted
-//                           as "serve.<phase>.<field>" (queries_per_sec
-//                           higher-better, p50_us/p99_us/max_us
-//                           lower-better); raw query counts and elapsed
-//                           seconds scale with --duration and are skipped
-//   BENCH_transport.json    object with "bench": "transport" and a
-//                           "results" array of per-(alg, backend) records
-//                           from bench/transport_micro — the deterministic
-//                           model fields (makespan, wire message/word
-//                           totals, p) are emitted as
-//                           "transport.<name>.<field>"; wall_seconds is
-//                           real machine-dependent clock and skipped
-//
-// Everything else falls back to the generic numeric-leaf flatten, so the
-// tool keeps working when a new format appears. Wall-clock keys
-// ("unix_time", "date") are dropped: they change every run by construction.
+// Every record declares its own gate; nothing is inferred from names:
+//   kind "exact"   a deterministic simulated or model value: regresses when
+//                  it moves against `better` by more than kExactTolerance
+//                  (relative)
+//   kind "wall"    a wall-clock time or rate of the benching machine:
+//                  regresses only under a wall factor F (bench_diff
+//                  --wall=F), when a lower-better value grows more than F×
+//                  or a higher-better value shrinks more than F×
+//   better "none"  configuration or context (p, threads, job counts):
+//                  reported, never a regression
+// A metric is keyed "<bench>.<name>.<metric>"; (name, metric) is unique
+// within a file.
 #pragma once
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -57,60 +29,74 @@
 
 namespace alge::obs {
 
-/// A named numeric metric extracted from a bench file.
-struct Metric {
-  std::string name;
+enum class Better { kLower, kHigher, kNone };
+enum class Kind { kExact, kWall };
+
+/// The schema's spelling: "lower"/"higher"/"none", "exact"/"wall".
+const char* to_string(Better b);
+const char* to_string(Kind k);
+
+struct BenchRecord {
+  std::string name;    ///< the row: one run, configuration or phase
+  std::string metric;  ///< the quantity measured on that row
   double value = 0.0;
+  std::string unit;
+  Better better = Better::kNone;
+  Kind kind = Kind::kExact;
 };
 
-/// Which direction is better for a metric, inferred from its name:
-/// +1 higher-better (throughput-like), -1 lower-better (time-like),
-/// 0 neutral (counts/configuration: reported, never a regression).
-int metric_direction(const std::string& name);
+struct BenchFile {
+  std::string bench;
+  std::vector<BenchRecord> records;
+};
 
-/// Flatten `doc` (any of the formats above) into sorted name→value pairs.
-std::vector<Metric> normalize_bench_json(const json::Value& doc);
+/// A document outside the schema. `index` is the offending record's
+/// position in "records", or -1 when the top level is at fault.
+class bench_schema_error : public std::runtime_error {
+ public:
+  bench_schema_error(int index, const std::string& what)
+      : std::runtime_error(what), index(index) {}
+  int index;
+};
+
+/// Validate `doc` against the schema (every field present and typed, no
+/// unknown field, `better`/`kind` spelled as above, no duplicate
+/// (name, metric)). Throws bench_schema_error.
+BenchFile read_bench_file(const json::Value& doc);
+
+/// Relative tolerance of every exact gate.
+inline constexpr double kExactTolerance = 1e-4;
 
 struct MetricDiff {
-  std::string name;
+  std::string key;  ///< "<bench>.<name>.<metric>"
   double base = 0.0;
   double current = 0.0;
   /// Signed relative change (current - base) / |base|; ±inf when base is 0
   /// and current is not.
   double rel_change = 0.0;
-  int direction = 0;       ///< see metric_direction
-  double threshold = 0.0;  ///< the threshold this metric was gated at
-  bool regression = false; ///< worsened beyond the threshold
+  Better better = Better::kNone;  ///< as the baseline declares it
+  Kind kind = Kind::kExact;
+  bool regression = false;   ///< worse beyond the metric's gate
+  bool improvement = false;  ///< better beyond the same gate
 };
 
 struct BenchDiff {
   std::vector<MetricDiff> metrics;        ///< metrics present in both files
   std::vector<std::string> only_base;     ///< disappeared metrics
   std::vector<std::string> only_current;  ///< new metrics
+  double wall_factor = 0.0;               ///< 0 = wall metrics ungated
   int regressions = 0;
+  int improvements = 0;
 };
 
-/// Per-metric threshold override: metrics whose name contains `substring`
-/// are gated at `threshold` instead of the default. When several
-/// substrings match one metric, the longest match wins (most specific);
-/// ties break toward the later entry.
-struct ThresholdOverride {
-  std::string substring;
-  double threshold = 0.0;
-};
+/// Compare two files of one bench metric by metric, each gated as the
+/// baseline declares it. `wall_factor` is 0 (wall metrics never gate) or
+/// >= 1.
+BenchDiff diff_bench_files(const BenchFile& base, const BenchFile& current,
+                           double wall_factor);
 
-/// Compare two bench documents. A metric regresses when it moves against
-/// its direction by more than its threshold (relative, e.g. 0.1 = 10%):
-/// the default for most metrics, or the best-matching override. CI uses
-/// overrides to gate deterministic simulated metrics tightly (~1e-4)
-/// while leaving machine-dependent wall-clock ratios loose.
-BenchDiff diff_bench_json(const json::Value& base, const json::Value& current,
-                          double threshold,
-                          const std::vector<ThresholdOverride>& overrides = {});
-
-/// Human-readable report: regressions first, then improvements and notable
-/// changes; `verbose` lists every common metric.
-std::string render_diff(const BenchDiff& diff, double threshold,
-                        bool verbose = false);
+/// Human-readable report: regressions, improvements, removed and added
+/// metrics, then a summary line; `verbose` lists every common metric.
+std::string render_diff(const BenchDiff& diff, bool verbose = false);
 
 }  // namespace alge::obs

@@ -1,16 +1,15 @@
-// Golden-input coverage for the bench_diff CLI (tools/bench_diff_main.hpp)
-// and the obs::metric_direction heuristics it gates on. Exercises all three
-// exit codes — 0 clean, 1 regression, 2 usage/IO error — across the
-// bench JSON formats the repo produces.
+// Coverage for the bench schema reader and the bench_diff CLI
+// (tools/bench_diff_main.hpp): all three exit codes — 0 clean,
+// 1 regression, 2 usage/IO/schema error — the gate of each kind (exact at
+// 1e-4, wall only under --wall, better "none" never), and a check that
+// every committed BENCH_*.json file is in the schema.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "obs/bench_metrics.hpp"
-#include "support/json.hpp"
 #include "../tools/bench_diff_main.hpp"
 
 namespace {
@@ -33,10 +32,47 @@ CliResult run(std::vector<std::string> args) {
   return r;
 }
 
+/// One schema record as JSON text.
+std::string record(const std::string& metric, const std::string& value,
+                   const std::string& better = "lower",
+                   const std::string& kind = "exact") {
+  return R"({"name":"row","metric":")" + metric + R"(","value":)" + value +
+         R"(,"unit":"u","better":")" + better + R"(","kind":")" + kind +
+         R"("})";
+}
+
+/// A bench file holding `records` (comma-joined JSON), written to a
+/// per-process temp path.
+std::string bench_file(const std::string& name,
+                       const std::vector<std::string>& records) {
+  std::string text = R"({"bench":"t","records":[)";
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    text += (i == 0 ? "" : ",") + records[i];
+  }
+  text += "]}";
+  const std::string path = testing::TempDir() + "bench_diff_" +
+                           std::to_string(::getpid()) + "_" + name + ".json";
+  std::ofstream(path) << text;
+  return path;
+}
+
+/// Exit code of `bench_diff BASE CUR [flags]` for one metric moving from
+/// `base` to `cur`.
+int gate(const std::string& better, const std::string& kind,
+         const std::string& base, const std::string& cur,
+         const std::vector<std::string>& flags = {}) {
+  std::vector<std::string> args = {
+      bench_file("base", {record("m", base, better, kind)}),
+      bench_file("cur", {record("m", cur, better, kind)})};
+  args.insert(args.end(), flags.begin(), flags.end());
+  return run(args).rc;
+}
+
 // ---------------------------------------------------------------- exit 0
 
 TEST(BenchDiffCli, CleanPairWithinThresholdExitsZero) {
-  const CliResult r = run({golden("sim_base.json"), golden("sim_clean.json")});
+  const CliResult r = run(
+      {golden("sim_base.json"), golden("sim_clean.json"), "--wall=1.1"});
   EXPECT_EQ(r.rc, 0);
   EXPECT_TRUE(r.err.empty()) << r.err;
   EXPECT_EQ(r.out.find("REGRESSION"), std::string::npos) << r.out;
@@ -44,8 +80,8 @@ TEST(BenchDiffCli, CleanPairWithinThresholdExitsZero) {
 }
 
 TEST(BenchDiffCli, ImprovementsExitZeroAndAreReported) {
-  const CliResult r =
-      run({golden("sim_base.json"), golden("sim_improved.json")});
+  const CliResult r = run(
+      {golden("sim_base.json"), golden("sim_improved.json"), "--wall=1.5"});
   EXPECT_EQ(r.rc, 0);
   // Time halved and throughput doubled: both directions improved.
   EXPECT_NE(r.out.find("improved"), std::string::npos) << r.out;
@@ -56,60 +92,120 @@ TEST(BenchDiffCli, RenamedMetricIsReportedButNotARegression) {
   const CliResult r =
       run({golden("sim_base.json"), golden("sim_renamed.json")});
   EXPECT_EQ(r.rc, 0);
-  EXPECT_NE(r.out.find("removed     BM_fft.real_time_ns"), std::string::npos)
-      << r.out;
-  EXPECT_NE(r.out.find("added       BM_fft2.real_time_ns"), std::string::npos)
-      << r.out;
-}
-
-TEST(BenchDiffCli, GoogleBenchmarkTimeUnitsAreNormalized) {
-  // Base reports in us, current the same values in ns; after unit
-  // normalization nothing changed.
-  const CliResult r =
-      run({golden("gbench_base.json"), golden("gbench_current.json")});
-  EXPECT_EQ(r.rc, 0);
-  EXPECT_NE(r.out.find("3 metric(s) compared"), std::string::npos) << r.out;
-  EXPECT_NE(r.out.find("0 regression(s), 0 improvement(s)"),
+  EXPECT_NE(r.out.find("removed     sim.BM_fft.real_time_ns"),
             std::string::npos)
       << r.out;
-}
-
-TEST(BenchDiffCli, EngineHistoryComparesLatestRecordOnly) {
-  // Base history has two records for sweep_mm; only the last one (wall 8.0,
-  // hits 7) is the comparison point, so current (7.5, 9) is clean.
-  const CliResult r =
-      run({golden("engine_base.json"), golden("engine_current.json")});
-  EXPECT_EQ(r.rc, 0);
-  EXPECT_NE(r.out.find("2 metric(s) compared"), std::string::npos) << r.out;
-  EXPECT_NE(r.out.find("0 regression(s)"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("added       sim.BM_fft2.real_time_ns"),
+            std::string::npos)
+      << r.out;
 }
 
 TEST(BenchDiffCli, VerboseListsUnchangedMetrics) {
   const CliResult r = run(
       {golden("sim_base.json"), golden("sim_clean.json"), "--verbose"});
   EXPECT_EQ(r.rc, 0);
-  EXPECT_NE(r.out.find("ok "), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("ok          sim.BM_mm25d.iterations"),
+            std::string::npos)
+      << r.out;
 }
 
 TEST(BenchDiffCli, LooseThresholdSilencesRegressions) {
-  const CliResult r = run({golden("sim_base.json"),
-                           golden("sim_regressed.json"), "--threshold=0.60"});
-  EXPECT_EQ(r.rc, 0);
-  EXPECT_NE(r.out.find("0 regression(s)"), std::string::npos) << r.out;
+  // Time x1.5 and rate /1.67 pass a 2x wall factor, and pass ungated.
+  for (const char* wall : {"--wall=2", "--verbose"}) {
+    const CliResult r =
+        run({golden("sim_base.json"), golden("sim_regressed.json"), wall});
+    EXPECT_EQ(r.rc, 0) << wall;
+    EXPECT_NE(r.out.find("0 regression(s)"), std::string::npos) << r.out;
+  }
 }
 
 // ---------------------------------------------------------------- exit 1
 
 TEST(BenchDiffCli, RegressionsExitOne) {
-  const CliResult r =
-      run({golden("sim_base.json"), golden("sim_regressed.json")});
+  const CliResult r = run(
+      {golden("sim_base.json"), golden("sim_regressed.json"), "--wall=1.1"});
   EXPECT_EQ(r.rc, 1);
-  // Time +50% and throughput -40% both regress; the neutral "iterations"
-  // counter jumping 8 -> 1000 must not.
-  EXPECT_NE(r.out.find("REGRESSION"), std::string::npos) << r.out;
-  EXPECT_NE(r.out.find("2 regression(s)"), std::string::npos) << r.out;
-  EXPECT_EQ(r.out.find("REGRESSION  BM_mm25d.iterations"), std::string::npos)
+  // Time +50% and throughput -40% both regress; the better:"none"
+  // "iterations" jumping 8 -> 1000 must not.
+  EXPECT_NE(r.out.find("REGRESSION  sim.BM_mm25d.real_time_ns"),
+            std::string::npos)
       << r.out;
+  EXPECT_NE(r.out.find("2 regression(s)"), std::string::npos) << r.out;
+  EXPECT_EQ(r.out.find("REGRESSION  sim.BM_mm25d.iterations"),
+            std::string::npos)
+      << r.out;
+}
+
+TEST(BenchDiffCli, NavigatorFrontierRegressionsExitOne) {
+  const CliResult r = run(
+      {golden("navigator_base.json"), golden("navigator_regressed.json")});
+  EXPECT_EQ(r.rc, 1);
+  // frontier_area +50% (lower-better) and robust_fraction -50%
+  // (higher-better) both regress; navigate_seconds (wall, x8) does not
+  // gate without --wall.
+  EXPECT_NE(r.out.find("REGRESSION  navigator.nbody gen=0.frontier_area"),
+            std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("REGRESSION  navigator.nbody gen=0.robust_fraction"),
+            std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("2 regression(s)"), std::string::npos) << r.out;
+  // An unreachable faulted crossover is left out by the writer: it shows
+  // as removed, not as an improvement to -1.
+  EXPECT_NE(
+      r.out.find("removed     navigator.nbody gen=0.crossover_generations_"
+                 "faulted"),
+      std::string::npos)
+      << r.out;
+}
+
+TEST(BenchDiffCli, KindGatesPerMetric) {
+  // An exact metric 2e-4 worse regresses with no flag at all; a wall
+  // metric 50% worse does not until --wall asks for it.
+  const std::string base = bench_file(
+      "kind_base", {record("sim", "100"), record("t", "10", "lower", "wall")});
+  const std::string cur =
+      bench_file("kind_cur", {record("sim", "100.02"),
+                              record("t", "15", "lower", "wall")});
+  const CliResult exact = run({base, cur});
+  EXPECT_EQ(exact.rc, 1);
+  EXPECT_NE(exact.out.find("REGRESSION  t.row.sim"), std::string::npos)
+      << exact.out;
+  EXPECT_NE(exact.out.find("1 regression(s)"), std::string::npos)
+      << exact.out;
+  const CliResult wall = run({base, cur, "--wall=1.4"});
+  EXPECT_NE(wall.out.find("2 regression(s)"), std::string::npos)
+      << wall.out;
+}
+
+TEST(BenchDiffCli, WallFactorIsSymmetric) {
+  // At --wall=5 a time x5.01 and a rate /5.01 fail; x4.99 and /4.99 pass.
+  const std::vector<std::string> f = {"--wall=5"};
+  EXPECT_EQ(gate("lower", "wall", "100", "501", f), 1);
+  EXPECT_EQ(gate("higher", "wall", "501", "100", f), 1);
+  EXPECT_EQ(gate("lower", "wall", "100", "499", f), 0);
+  EXPECT_EQ(gate("higher", "wall", "499", "100", f), 0);
+  // Without --wall, nothing wall-clock gates.
+  EXPECT_EQ(gate("lower", "wall", "100", "100000", {}), 0);
+}
+
+TEST(BenchDiffCli, ExactToleranceIsOneInTenThousandBothWays) {
+  EXPECT_EQ(gate("lower", "exact", "10000", "10001.01"), 1);
+  EXPECT_EQ(gate("lower", "exact", "10000", "10000.99"), 0);
+  EXPECT_EQ(gate("higher", "exact", "10000", "9998.99"), 1);
+  EXPECT_EQ(gate("higher", "exact", "10000", "9999.01"), 0);
+  // The better direction is an improvement, never a regression.
+  EXPECT_EQ(gate("lower", "exact", "10000", "1"), 0);
+  EXPECT_EQ(gate("higher", "exact", "10000", "1e9"), 0);
+  // A wall factor does not loosen exact gates.
+  EXPECT_EQ(gate("lower", "exact", "10000", "10002", {"--wall=10"}), 1);
+}
+
+TEST(BenchDiffCli, BetterNoneNeverGates) {
+  for (const char* kind : {"exact", "wall"}) {
+    EXPECT_EQ(gate("none", kind, "1", "1000", {"--wall=1"}), 0) << kind;
+    EXPECT_EQ(gate("none", kind, "1000", "1", {"--wall=1"}), 0) << kind;
+  }
 }
 
 // ---------------------------------------------------------------- exit 2
@@ -135,11 +231,22 @@ TEST(BenchDiffCli, UnknownFlagIsAUsageError) {
 }
 
 TEST(BenchDiffCli, BadThresholdIsAUsageError) {
-  for (const char* flag : {"--threshold=abc", "--threshold=-0.5"}) {
+  for (const char* flag : {"--wall=abc", "--wall=0.5", "--wall=-5",
+                           "--wall=", "--wall=inf"}) {
     const CliResult r =
         run({golden("sim_base.json"), golden("sim_clean.json"), flag});
     EXPECT_EQ(r.rc, 2) << flag;
     EXPECT_NE(r.err.find("usage:"), std::string::npos) << r.err;
+  }
+}
+
+TEST(BenchDiffCli, BadThresholdOverrideIsAUsageError) {
+  // The name-substring threshold flags are gone: gates come from `kind`.
+  for (const char* gone : {"--threshold=0.1", "--thresholds=time=0.5"}) {
+    const CliResult r =
+        run({golden("sim_base.json"), golden("sim_clean.json"), gone});
+    EXPECT_EQ(r.rc, 2) << gone;
+    EXPECT_NE(r.err.find("unknown flag"), std::string::npos) << r.err;
   }
 }
 
@@ -157,6 +264,58 @@ TEST(BenchDiffCli, MalformedJsonExitsTwo) {
   EXPECT_NE(r.err.find("not valid JSON"), std::string::npos) << r.err;
 }
 
+TEST(BenchDiffCli, SchemaViolationsNameTheFileAndRecord) {
+  const std::string good = record("ok", "1");
+  struct Case {
+    const char* label;
+    std::string bad;
+    const char* why;
+  };
+  const std::vector<Case> cases = {
+      {"missing", R"({"name":"row","metric":"m","value":1,"unit":"u",)"
+                  R"("better":"lower"})",
+       "missing field \"kind\""},
+      {"better", record("m", "1", "faster"), "\"better\" must be"},
+      {"kind", record("m", "1", "lower", "cpu"), "\"kind\" must be"},
+      {"value", record("m", "\"12\""), "field \"value\" must be a number"},
+      {"duplicate", record("ok", "2"), "duplicate (name, metric)"},
+      {"extra", R"({"name":"row","metric":"m","value":1,"unit":"u",)"
+                R"("better":"lower","kind":"exact","layer":"sim"})",
+       "unknown field \"layer\""},
+  };
+  for (const Case& c : cases) {
+    const std::string path = bench_file(c.label, {good, c.bad});
+    const CliResult r = run({golden("sim_base.json"), path});
+    EXPECT_EQ(r.rc, 2) << c.label;
+    EXPECT_NE(r.err.find(path + "', record 1: "), std::string::npos)
+        << c.label << ": " << r.err;
+    EXPECT_NE(r.err.find(c.why), std::string::npos) << c.label << ": "
+                                                    << r.err;
+  }
+}
+
+TEST(BenchDiffCli, OldFormatFileIsASchemaErrorNotAFlatten) {
+  // The pre-schema navigator shape ({"bench", "results"}) is refused, on
+  // either side of the diff.
+  for (const bool old_first : {true, false}) {
+    const std::string old_file = golden("old_format.json");
+    const CliResult r =
+        old_first ? run({old_file, golden("navigator_base.json")})
+                  : run({golden("navigator_base.json"), old_file});
+    EXPECT_EQ(r.rc, 2);
+    EXPECT_NE(r.err.find("old_format.json': not a bench file"),
+              std::string::npos)
+        << r.err;
+  }
+}
+
+TEST(BenchDiffCli, DifferentBenchesAreAnError) {
+  const CliResult r =
+      run({golden("sim_base.json"), golden("navigator_base.json")});
+  EXPECT_EQ(r.rc, 2);
+  EXPECT_NE(r.err.find("is bench \"sim\""), std::string::npos) << r.err;
+}
+
 TEST(BenchDiffCli, NullSinksAreAccepted) {
   EXPECT_EQ(run_bench_diff({golden("sim_base.json"), golden("sim_clean.json")},
                            nullptr, nullptr),
@@ -164,280 +323,30 @@ TEST(BenchDiffCli, NullSinksAreAccepted) {
   EXPECT_EQ(run_bench_diff({}, nullptr, nullptr), 2);
 }
 
-// ------------------------------------------------- direction heuristics
-
-TEST(MetricDirection, ThroughputLikeNamesAreMoreIsBetter) {
-  using alge::obs::metric_direction;
-  EXPECT_EQ(metric_direction("BM_mm.items_per_second"), 1);
-  EXPECT_EQ(metric_direction("bytes_per_sec"), 1);
-  EXPECT_EQ(metric_direction("BM_mm25d.speedup"), 1);
-  EXPECT_EQ(metric_direction("engine.pool.occupancy"), 1);
-  EXPECT_EQ(metric_direction("engine.sweep.cache_hits"), 1);
-}
-
-TEST(MetricDirection, TimeLikeNamesAreLessIsBetter) {
-  using alge::obs::metric_direction;
-  EXPECT_EQ(metric_direction("BM_mm.real_time_ns"), -1);
-  EXPECT_EQ(metric_direction("engine.sweep.wall_seconds"), -1);
-  EXPECT_EQ(metric_direction("rank0.idle_wait"), -1);
-  EXPECT_EQ(metric_direction("engine.sweep.cache_miss"), -1);
-  EXPECT_EQ(metric_direction("makespan_ns"), -1);
-}
-
-TEST(MetricDirection, ThroughputRuleWinsOverEmbeddedTimeWords) {
-  // "items_per_second" contains "second" but must read as throughput.
-  EXPECT_EQ(alge::obs::metric_direction("items_per_second"), 1);
-}
-
-TEST(MetricDirection, NeutralNamesNeverGate) {
-  using alge::obs::metric_direction;
-  EXPECT_EQ(metric_direction("iterations"), 0);
-  EXPECT_EQ(metric_direction("BM_mm.flops"), 0);
-  EXPECT_EQ(metric_direction("words_sent"), 0);
-}
-
-TEST(GhostNormalizer, EmitsSpeedupAndSimFieldsSkipsWallClock) {
-  const alge::json::Value doc = alge::json::parse(R"({
-    "bench": "ghost",
-    "results": [
-      {"name": "mm n=4096", "p": 64, "full_seconds": 24.1,
-       "ghost_seconds": 0.0002, "speedup": 120000.0,
-       "cost_identical": true, "makespan": 2156527616.0},
-      {"name": "frontier", "p": 4096, "ghost_seconds": 0.35,
-       "makespan": 2164262144.0}
-    ]})");
-  const std::vector<alge::obs::Metric> m =
-      alge::obs::normalize_bench_json(doc);
-  std::vector<std::string> names;
-  for (const auto& metric : m) names.push_back(metric.name);
-  EXPECT_EQ(names,
-            (std::vector<std::string>{"ghost.frontier.makespan",
-                                      "ghost.frontier.p",
-                                      "ghost.mm n=4096.makespan",
-                                      "ghost.mm n=4096.p",
-                                      "ghost.mm n=4096.speedup"}));
-  // Speedup gates as more-is-better; the raw wall-clock fields (machine
-  // noise) never become metrics.
-  EXPECT_EQ(alge::obs::metric_direction("ghost.mm n=4096.speedup"), 1);
-}
-
-TEST(ServeNormalizer, EmitsRatesAndQuantilesSkipsRunScaledCounts) {
-  const alge::json::Value doc = alge::json::parse(R"({
-    "bench": "serve",
-    "results": [
-      {"name": "closed_form_pipelined", "queries": 1392640,
-       "seconds": 2.0004, "queries_per_sec": 696201.0,
-       "p50_us": 126.1, "p99_us": 228.0, "max_us": 3879.1},
-      {"name": "ghost_miss", "queries": 32, "seconds": 0.0029,
-       "queries_per_sec": 11018.7, "p50_us": 58.7, "p99_us": 146.6,
-       "max_us": 261.0}
-    ]})");
-  const std::vector<alge::obs::Metric> m =
-      alge::obs::normalize_bench_json(doc);
-  std::vector<std::string> names;
-  for (const auto& metric : m) names.push_back(metric.name);
-  EXPECT_EQ(names,
-            (std::vector<std::string>{
-                "serve.closed_form_pipelined.max_us",
-                "serve.closed_form_pipelined.p50_us",
-                "serve.closed_form_pipelined.p99_us",
-                "serve.closed_form_pipelined.queries_per_sec",
-                "serve.ghost_miss.max_us", "serve.ghost_miss.p50_us",
-                "serve.ghost_miss.p99_us",
-                "serve.ghost_miss.queries_per_sec"}));
-}
-
-TEST(ServeNormalizer, DirectionsGateThroughputUpLatencyDown) {
-  // Throughput regresses when it drops; latency quantiles regress when
-  // they grow. "per_sec" wins over the "_us"/"p50" latency rules.
-  EXPECT_EQ(alge::obs::metric_direction(
-                "serve.closed_form_pipelined.queries_per_sec"),
-            1);
-  EXPECT_EQ(alge::obs::metric_direction("serve.ghost_miss.p50_us"), -1);
-  EXPECT_EQ(alge::obs::metric_direction("serve.ghost_miss.p99_us"), -1);
-  EXPECT_EQ(alge::obs::metric_direction("serve.ghost_miss.max_us"), -1);
-
-  const alge::json::Value base = alge::json::parse(
-      R"({"bench":"serve","results":[{"name":"hot","queries_per_sec":
-          600000.0,"p99_us":100.0}]})");
-  const alge::json::Value cur = alge::json::parse(
-      R"({"bench":"serve","results":[{"name":"hot","queries_per_sec":
-          100000.0,"p99_us":700.0}]})");
-  const alge::obs::BenchDiff d = alge::obs::diff_bench_json(base, cur, 0.5);
-  EXPECT_EQ(d.regressions, 2);
-}
-
-// ------------------------------------------------- navigator normalizer
-
-TEST(NavigatorNormalizer, EmitsFrontierMetricsSkipsWallClockAndSentinels) {
-  std::ifstream in(golden("navigator_base.json"));
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const alge::json::Value doc = alge::json::parse(buf.str());
-  const std::vector<alge::obs::Metric> m =
-      alge::obs::normalize_bench_json(doc);
-  auto has = [&](const char* name) {
-    for (const alge::obs::Metric& x : m) {
-      if (x.name == name) return true;
-    }
-    return false;
-  };
-  EXPECT_TRUE(has("navigator.nbody gen=0.frontier_area"));
-  EXPECT_TRUE(has("navigator.nbody gen=0.robust_fraction"));
-  EXPECT_TRUE(has("navigator.nbody gen=0.fault_energy_inflation"));
-  EXPECT_TRUE(has("navigator.nbody gen=2.crossover_generations"));
-  // Wall clock never compares.
-  EXPECT_FALSE(has("navigator.nbody gen=0.navigate_seconds"));
-}
-
-TEST(NavigatorNormalizer, DirectionsGateFrontierDownRobustnessUp) {
-  using alge::obs::metric_direction;
-  EXPECT_EQ(metric_direction("navigator.nbody gen=0.frontier_area"), -1);
-  EXPECT_EQ(metric_direction("navigator.nbody gen=0.crossover_generations"),
-            -1);
-  EXPECT_EQ(
-      metric_direction("navigator.nbody gen=0.fault_energy_inflation"), -1);
-  EXPECT_EQ(metric_direction("navigator.nbody gen=0.min_energy_joules"), -1);
-  EXPECT_EQ(metric_direction("navigator.nbody gen=0.robust_fraction"), 1);
-  EXPECT_EQ(
-      metric_direction("navigator.nbody gen=0.gflops_per_watt_at_opt"), 1);
-  // Counts and configuration stay neutral.
-  EXPECT_EQ(metric_direction("navigator.nbody gen=0.frontier_points"), 0);
-  EXPECT_EQ(metric_direction("navigator.nbody gen=0.generation"), 0);
-}
-
-TEST(BenchDiffCli, NavigatorFrontierRegressionsExitOne) {
-  const CliResult r = run(
-      {golden("navigator_base.json"), golden("navigator_regressed.json")});
-  EXPECT_EQ(r.rc, 1);
-  // frontier_area +50% (lower-better) and robust_fraction -50%
-  // (higher-better) both regress.
-  EXPECT_NE(r.out.find("REGRESSION  navigator.nbody gen=0.frontier_area"),
-            std::string::npos)
-      << r.out;
-  EXPECT_NE(r.out.find("REGRESSION  navigator.nbody gen=0.robust_fraction"),
-            std::string::npos)
-      << r.out;
-  // The faulted crossover went to the -1 "unreachable" sentinel: it must
-  // surface as a removed metric, not as a -120% "improvement".
-  EXPECT_NE(
-      r.out.find("removed     navigator.nbody gen=0.crossover_generations_"
-                 "faulted"),
-      std::string::npos)
-      << r.out;
-}
-
-// ------------------------------------------------- per-metric thresholds
-
-TEST(ThresholdOverrides, LongestMatchingSubstringWins) {
-  const alge::json::Value base =
-      alge::json::parse(R"({"x":{"real_time_ns":100.0}})");
-  const alge::json::Value cur =
-      alge::json::parse(R"({"x":{"real_time_ns":103.0}})");
-  // +3%: clean at the 10% default.
-  EXPECT_EQ(alge::obs::diff_bench_json(base, cur, 0.10).regressions, 0);
-  // A 1% override on "time" catches it...
-  EXPECT_EQ(alge::obs::diff_bench_json(base, cur, 0.10, {{"time", 0.01}})
-                .regressions,
-            1);
-  // ...unless the longer "real_time" match loosens it back to 5%.
-  EXPECT_EQ(alge::obs::diff_bench_json(base, cur, 0.10,
-                                       {{"time", 0.01}, {"real_time", 0.05}})
-                .regressions,
-            0);
-}
-
-TEST(BenchDiffCli, ThresholdOverridesFlagGatesPerMetric) {
-  // The sim_regressed pair trips two regressions at the default 10%;
-  // loosening exactly those two metric families silences both.
-  const CliResult loose =
-      run({golden("sim_base.json"), golden("sim_regressed.json"),
-           "--thresholds=real_time_ns=0.60,items_per_second=0.60"});
-  EXPECT_EQ(loose.rc, 0) << loose.out;
-  // Tightening one family while the default stays loose still blocks.
-  const CliResult tight =
-      run({golden("sim_base.json"), golden("sim_clean.json"),
-           "--threshold=0.60", "--thresholds=real_time_ns=0.0000001"});
-  EXPECT_EQ(tight.rc, 1) << tight.out;
-}
-
-TEST(BenchDiffCli, BadThresholdOverrideIsAUsageError) {
-  for (const char* bad :
-       {"--thresholds=", "--thresholds=noequal", "--thresholds==0.5",
-        "--thresholds=time=notanumber", "--thresholds=time=-1"}) {
-    const CliResult r =
-        run({golden("sim_base.json"), golden("sim_clean.json"), bad});
-    EXPECT_EQ(r.rc, 2) << bad;
-  }
-}
-
-// Zero baselines can't form a relative change; the diff treats any growth
-// from zero as an infinite regression for time-like metrics.
+// Zero baselines can't form a relative change; any growth from zero is an
+// infinite regression for a lower-better metric, exact or wall.
 TEST(MetricDirection, ZeroBaseGrowthIsAnInfiniteRegression) {
-  const alge::json::Value base = alge::json::parse(R"({"startup_time": 0.0})");
-  const alge::json::Value cur = alge::json::parse(R"({"startup_time": 1.0})");
-  const alge::obs::BenchDiff d = alge::obs::diff_bench_json(base, cur, 0.10);
-  ASSERT_EQ(d.metrics.size(), 1u);
-  EXPECT_TRUE(d.metrics[0].regression);
-  EXPECT_EQ(d.regressions, 1);
+  EXPECT_EQ(gate("lower", "exact", "0", "1e-300"), 1);
+  EXPECT_EQ(gate("lower", "wall", "0", "1e-9", {"--wall=100"}), 1);
+  EXPECT_EQ(gate("higher", "exact", "0", "1"), 0);
+  EXPECT_EQ(gate("lower", "exact", "0", "0"), 0);
 }
 
-// ------------------------------------------- navigator byte-stability
-
-// The committed BENCH_navigator.json must normalize to a byte-stable
-// metric listing: the golden pair pins both the metric *set* (names) and
-// every value at full round-trip precision. If the normalizer's key
-// filtering, naming scheme, or ordering changes — or the snapshot drifts —
-// this diff catches it before the CI gate silently starts comparing
-// different metrics.
-TEST(NavigatorNormalizer, CommittedFileNormalizesByteStably) {
-  std::ifstream in(golden("navigator_committed.json"));
-  ASSERT_TRUE(in.good());
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const alge::json::Value doc = alge::json::parse(buf.str());
-  std::string normalized;
-  for (const alge::obs::Metric& m : alge::obs::normalize_bench_json(doc)) {
-    normalized += m.name;
-    normalized += ' ';
-    char num[64];
-    std::snprintf(num, sizeof(num), "%.17g", m.value);
-    normalized += num;
-    normalized += '\n';
+// Every tracked bench file is in the schema and diffs clean against
+// itself: a file left in an old shape fails here, not in CI.
+TEST(CommittedBenchFiles, AreInTheSchemaAndDiffClean) {
+  for (const char* bench : {"sim", "engine", "frontier", "ghost", "navigator",
+                            "serve", "transport"}) {
+    const std::string path = std::string(ALGE_SOURCE_DIR) + "/BENCH_" +
+                             bench + ".json";
+    const CliResult r = run({path, path, "--wall=1"});
+    EXPECT_EQ(r.rc, 0) << path << ": " << r.err;
+    EXPECT_NE(r.out.find(": 0 regression(s), 0 improvement(s), 0 removed, "
+                         "0 added"),
+              std::string::npos)
+        << path << ": " << r.out;
+    EXPECT_FALSE(r.out.starts_with("0 metric(s)")) << path << " is empty";
   }
-  std::ifstream want_in(golden("navigator_committed.normalized.txt"));
-  ASSERT_TRUE(want_in.good());
-  std::ostringstream want;
-  want << want_in.rdbuf();
-  EXPECT_EQ(normalized, want.str());
-}
-
-// ------------------------------------------------- transport normalizer
-
-TEST(TransportNormalizer, EmitsModelFieldsSkipsWallClock) {
-  const alge::json::Value doc = alge::json::parse(
-      R"({"bench":"transport","results":[{"name":"summa.shm","p":4,
-          "makespan":324.0,"ledger_messages_total":8.0,
-          "ledger_words_total":128.0,"wall_seconds":0.002}]})");
-  const std::vector<alge::obs::Metric> m =
-      alge::obs::normalize_bench_json(doc);
-  auto has = [&](const char* name) {
-    for (const alge::obs::Metric& x : m) {
-      if (x.name == name) return true;
-    }
-    return false;
-  };
-  EXPECT_TRUE(has("transport.summa.shm.p"));
-  EXPECT_TRUE(has("transport.summa.shm.makespan"));
-  EXPECT_TRUE(has("transport.summa.shm.ledger_messages_total"));
-  EXPECT_TRUE(has("transport.summa.shm.ledger_words_total"));
-  // The only machine-dependent field never compares.
-  EXPECT_FALSE(has("transport.summa.shm.wall_seconds"));
-  // Makespan gates downward; ledger counts are neutral configuration.
-  EXPECT_EQ(alge::obs::metric_direction("transport.summa.shm.makespan"), -1);
-  EXPECT_EQ(
-      alge::obs::metric_direction("transport.summa.shm.ledger_messages_total"),
-      0);
 }
 
 }  // namespace

@@ -11,12 +11,14 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "algs/registry.hpp"
+#include "bench_common.hpp"
 #include "engine/cache.hpp"
 #include "engine/job.hpp"
 #include "engine/pool.hpp"
@@ -401,28 +403,65 @@ TEST(Runner, InvalidSpecSurfacesAsException) {
   EXPECT_THROW(runner.run({bad}), invalid_argument_error);
 }
 
-TEST(Runner, BenchRecordAppendsToJsonArray) {
-  const std::string path = testing::TempDir() + "alge_bench_record_" +
-                           std::to_string(::getpid()) + ".json";
-  std::filesystem::remove(path);
+std::string read_text(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+/// A one-job sweep, recorded into `path` as bench `name`.
+void record_sweep(const std::string& name, const std::string& path) {
   SweepRunner runner;
-  std::vector<ExperimentSpec> specs;
   ExperimentSpec s;
   s.alg = Alg::kCollBcast;
   s.params = core::MachineParams::unit();
   s.p = 4;
   s.payload_words = 8;
-  specs.push_back(s);
-  runner.run(specs);
-  append_bench_record("unit_test", runner, path);
-  append_bench_record("unit_test", runner, path);
-  std::ifstream in(path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const json::Value records = json::parse(buf.str());
-  ASSERT_EQ(records.as_array().size(), 2u);
-  EXPECT_EQ(records.as_array()[0].at("bench").as_string(), "unit_test");
-  EXPECT_EQ(records.as_array()[1].at("jobs").as_double(), 1.0);
+  runner.run({s});
+  bench::write_engine_record(name, runner, path);
+}
+
+TEST(BenchJson, EngineRecordReplacesOnlyItsOwnRows) {
+  const std::string path = testing::TempDir() + "alge_bench_record_" +
+                           std::to_string(::getpid()) + ".json";
+  std::filesystem::remove(path);
+  record_sweep("sweep_a", path);
+  record_sweep("sweep_b", path);
+  record_sweep("sweep_a", path);  // replaces sweep_a's rows, keeps sweep_b's
+  const obs::BenchFile f = obs::read_bench_file(json::parse(read_text(path)));
+  EXPECT_EQ(f.bench, "engine");
+  int a_rows = 0;
+  int b_rows = 0;
+  for (const obs::BenchRecord& r : f.records) {
+    a_rows += r.name == "sweep_a";
+    b_rows += r.name == "sweep_b";
+    if (r.metric == "jobs") {
+      EXPECT_EQ(r.value, 1.0);
+    }
+  }
+  EXPECT_GT(a_rows, 0);
+  EXPECT_EQ(a_rows, b_rows);
+  EXPECT_EQ(f.records.size(), static_cast<std::size_t>(a_rows + b_rows));
+  // sweep_b's rows come first now: sweep_a's were rewritten at the end.
+  EXPECT_EQ(f.records.front().name, "sweep_b");
+  std::filesystem::remove(path);
+}
+
+TEST(BenchJson, RefusesToOverwriteAFileOutsideTheSchema) {
+  const std::string path = testing::TempDir() + "alge_bench_refuse_" +
+                           std::to_string(::getpid()) + ".json";
+  for (const std::string& text :
+       {std::string("[{\"bench\":\"old history\"}"),  // unparseable
+        std::string("[{\"bench\":\"x\",\"jobs\":1}]"),  // old format
+        std::string("{\"bench\":\"ghost\",\"records\":[]}")}) {  // other bench
+    std::ofstream(path, std::ios::trunc) << text;
+    EXPECT_THROW(record_sweep("sweep", path), invalid_argument_error) << text;
+    EXPECT_EQ(read_text(path), text) << "the file must be left untouched";
+    const bench::BenchJson empty("engine");
+    EXPECT_THROW(empty.write(path), invalid_argument_error) << text;
+    EXPECT_EQ(read_text(path), text);
+  }
   std::filesystem::remove(path);
 }
 

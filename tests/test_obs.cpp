@@ -2,13 +2,15 @@
 // (streaming sink + golden-file stability of a fixed p=4 matmul run), the
 // Eq. (2) energy ledger (the load-bearing property: (rank, phase) cells sum
 // EXACTLY — 1-ulp-scale — to Machine::energy(), across real machine
-// parameter sets from machines/db), and the bench-JSON normalizer/differ
-// behind tools/bench_diff and the CI regression gate.
+// parameter sets from machines/db), and the bench-file reader/differ
+// behind tools/bench_diff and the CI regression gates.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
+#include <tuple>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -359,130 +361,92 @@ TEST(ChromeTrace, ExecuteTracedMatchesUntracedResult) {
 
 // ------------------------------------------------------- bench metrics ----
 
-TEST(BenchMetrics, DirectionHeuristics) {
-  EXPECT_EQ(metric_direction("benchmarks.BM_PingPong.real_time_ns"), -1);
-  EXPECT_EQ(metric_direction("engine.mm.wall_seconds"), -1);
-  EXPECT_EQ(metric_direction("profile.queue_wait_seconds"), -1);
-  EXPECT_EQ(metric_direction("items_per_second"), +1);
-  EXPECT_EQ(metric_direction("engine.mm.jobs_per_sec"), +1);
-  EXPECT_EQ(metric_direction("speedup"), +1);
-  EXPECT_EQ(metric_direction("engine.mm.cache_hits"), +1);
-  EXPECT_EQ(metric_direction("engine.mm.jobs"), 0);
-  EXPECT_EQ(metric_direction("threads"), 0);
-}
-
-TEST(BenchMetrics, NormalizesGoogleBenchmarkFormat) {
-  const json::Value doc = json::parse(R"({
-    "context": {"date": "2026", "num_cpus": 8},
-    "benchmarks": [
-      {"name": "BM_X/16", "real_time": 2.0, "cpu_time": 1.5,
-       "time_unit": "us", "items_per_second": 5e6},
-      {"name": "BM_Y", "real_time": 3.0, "time_unit": "ms"}
-    ]})");
-  const auto metrics = normalize_bench_json(doc);
-  double x_ns = -1.0, y_ns = -1.0, x_items = -1.0;
-  for (const auto& m : metrics) {
-    if (m.name == "BM_X/16.real_time_ns") x_ns = m.value;
-    if (m.name == "BM_Y.real_time_ns") y_ns = m.value;
-    if (m.name == "BM_X/16.items_per_second") x_items = m.value;
-    EXPECT_EQ(m.name.find("context"), std::string::npos)
-        << "context must not leak: " << m.name;
+/// A one-bench file of (metric, value, better, kind) records on row "r".
+BenchFile bench_of(
+    std::initializer_list<std::tuple<const char*, double, Better, Kind>> rs) {
+  BenchFile f{"t", {}};
+  for (const auto& [metric, value, better, kind] : rs) {
+    f.records.push_back({"r", metric, value, "u", better, kind});
   }
-  EXPECT_DOUBLE_EQ(x_ns, 2000.0);     // 2 us
-  EXPECT_DOUBLE_EQ(y_ns, 3000000.0);  // 3 ms
-  EXPECT_DOUBLE_EQ(x_items, 5e6);
+  return f;
 }
 
-TEST(BenchMetrics, NormalizesEngineHistoryLastRecordWins) {
-  const json::Value doc = json::parse(R"([
-    {"bench": "mm", "jobs": 8, "wall_seconds": 2.0, "unix_time": 111},
-    {"bench": "val", "jobs": 3, "wall_seconds": 1.0, "unix_time": 222},
-    {"bench": "mm", "jobs": 8, "wall_seconds": 1.5, "unix_time": 333}
-  ])");
-  const auto metrics = normalize_bench_json(doc);
-  double mm_wall = -1.0;
-  bool saw_time = false;
-  for (const auto& m : metrics) {
-    if (m.name == "engine.mm.wall_seconds") mm_wall = m.value;
-    if (m.name.find("unix_time") != std::string::npos) saw_time = true;
-  }
-  EXPECT_DOUBLE_EQ(mm_wall, 1.5);  // the later record replaced the first
-  EXPECT_FALSE(saw_time);          // wall-clock keys dropped
-}
-
-TEST(BenchMetrics, NormalizesBaselineTableToBareBenchmarkNames) {
-  // The committed BENCH_sim.json shape: the "optimized" record is the
-  // performance contract and must come out under the bare benchmark name so
-  // it compares against a fresh google-benchmark run of the same binary.
-  const json::Value doc = json::parse(
-      R"({"description": "text ignored",
-          "benchmarks": {
-            "BM_A/16": {"baseline": {"real_time_ns": 100.0},
-                        "optimized": {"real_time_ns": 10.0,
-                                      "items_per_second": 4.0},
-                        "speedup": 10.0},
-            "BM_B": {"real_time_ns": 7.0}}})");
-  const auto metrics = normalize_bench_json(doc);
-  ASSERT_EQ(metrics.size(), 3u);  // sorted: the flatten is deterministic
-  EXPECT_EQ(metrics[0].name, "BM_A/16.items_per_second");
-  EXPECT_DOUBLE_EQ(metrics[0].value, 4.0);
-  EXPECT_EQ(metrics[1].name, "BM_A/16.real_time_ns");
-  EXPECT_DOUBLE_EQ(metrics[1].value, 10.0);
-  EXPECT_EQ(metrics[2].name, "BM_B.real_time_ns");  // no "optimized": whole
-}
-
-TEST(BenchMetrics, BaselineTableComparesAgainstGoogleBenchmarkOutput) {
-  const json::Value baseline = json::parse(
-      R"({"benchmarks": {"BM_A": {"optimized": {"real_time_ns": 100.0}}}})");
-  const json::Value fresh = json::parse(
-      R"({"benchmarks": [{"name": "BM_A", "real_time": 250.0,
-                          "time_unit": "ns"}]})");
-  const BenchDiff d = diff_bench_json(baseline, fresh, 0.5);
-  ASSERT_EQ(d.metrics.size(), 1u);  // the formats meet on a common name
-  EXPECT_EQ(d.metrics[0].name, "BM_A.real_time_ns");
-  EXPECT_TRUE(d.metrics[0].regression);  // 2.5x slower than committed
+TEST(BenchMetrics, ReaderRoundTripsEveryField) {
+  const BenchFile f = read_bench_file(json::parse(
+      R"({"bench":"sim","records":[{"name":"BM_A/16","metric":"real_time_ns",
+          "value":12.5,"unit":"ns","better":"lower","kind":"wall"},
+          {"name":"BM_A/16","metric":"p","value":4,"unit":"ranks",
+          "better":"none","kind":"exact"}]})"));
+  EXPECT_EQ(f.bench, "sim");
+  ASSERT_EQ(f.records.size(), 2u);
+  EXPECT_EQ(f.records[0].name, "BM_A/16");
+  EXPECT_EQ(f.records[0].metric, "real_time_ns");
+  EXPECT_EQ(f.records[0].value, 12.5);
+  EXPECT_EQ(f.records[0].unit, "ns");
+  EXPECT_EQ(f.records[0].better, Better::kLower);
+  EXPECT_EQ(f.records[0].kind, Kind::kWall);
+  EXPECT_EQ(f.records[1].better, Better::kNone);
+  EXPECT_EQ(f.records[1].kind, Kind::kExact);
+  // The top level must be exactly {bench, records}.
+  EXPECT_THROW(read_bench_file(json::parse(R"({"bench":"x","records":[],
+                                              "description":"d"})")),
+               bench_schema_error);
+  EXPECT_THROW(read_bench_file(json::parse("[]")), bench_schema_error);
 }
 
 TEST(BenchMetrics, DiffFlagsRegressionsByDirection) {
-  const json::Value base = json::parse(
-      R"({"a_time_ns": 100.0, "b_per_second": 50.0, "count": 7.0})");
-  const json::Value slower = json::parse(
-      R"({"a_time_ns": 150.0, "b_per_second": 20.0, "count": 9.0})");
-  const BenchDiff d = diff_bench_json(base, slower, 0.10);
+  const BenchFile base =
+      bench_of({{"a_ns", 100.0, Better::kLower, Kind::kWall},
+                {"b_rate", 50.0, Better::kHigher, Kind::kWall},
+                {"count", 7.0, Better::kNone, Kind::kExact}});
+  const BenchFile slower =
+      bench_of({{"a_ns", 150.0, Better::kLower, Kind::kWall},
+                {"b_rate", 20.0, Better::kHigher, Kind::kWall},
+                {"count", 9.0, Better::kNone, Kind::kExact}});
+  const BenchDiff d = diff_bench_files(base, slower, 1.1);
   EXPECT_EQ(d.regressions, 2);  // time rose 50%, throughput fell 60%
   for (const auto& m : d.metrics) {
-    if (m.name == "count") {
-      EXPECT_FALSE(m.regression);  // neutral direction never regresses
+    if (m.key == "t.r.count") {
+      EXPECT_FALSE(m.regression);  // better "none" never regresses
     }
   }
   // Self-compare is always clean.
-  EXPECT_EQ(diff_bench_json(base, base, 0.10).regressions, 0);
-  // A generous threshold forgives the change.
-  EXPECT_EQ(diff_bench_json(base, slower, 0.70).regressions, 0);
+  EXPECT_EQ(diff_bench_files(base, base, 1.1).regressions, 0);
+  // A generous wall factor forgives the change, and so does none at all.
+  EXPECT_EQ(diff_bench_files(base, slower, 3.0).regressions, 0);
+  EXPECT_EQ(diff_bench_files(base, slower, 0.0).regressions, 0);
   // Improvements never count as regressions.
-  const json::Value faster = json::parse(
-      R"({"a_time_ns": 50.0, "b_per_second": 80.0, "count": 7.0})");
-  EXPECT_EQ(diff_bench_json(base, faster, 0.10).regressions, 0);
+  const BenchFile faster =
+      bench_of({{"a_ns", 50.0, Better::kLower, Kind::kWall},
+                {"b_rate", 80.0, Better::kHigher, Kind::kWall},
+                {"count", 7.0, Better::kNone, Kind::kExact}});
+  const BenchDiff f = diff_bench_files(base, faster, 1.1);
+  EXPECT_EQ(f.regressions, 0);
+  EXPECT_EQ(f.improvements, 2);
 }
 
 TEST(BenchMetrics, DiffTracksAppearingAndDisappearingMetrics) {
-  const json::Value base = json::parse(R"({"old_ns": 1.0, "both_ns": 2.0})");
-  const json::Value cur = json::parse(R"({"new_ns": 3.0, "both_ns": 2.0})");
-  const BenchDiff d = diff_bench_json(base, cur, 0.10);
+  const BenchFile base = bench_of({{"old_ns", 1.0, Better::kLower, Kind::kExact},
+                                   {"both_ns", 2.0, Better::kLower, Kind::kExact}});
+  const BenchFile cur = bench_of({{"new_ns", 3.0, Better::kLower, Kind::kExact},
+                                  {"both_ns", 2.0, Better::kLower, Kind::kExact}});
+  const BenchDiff d = diff_bench_files(base, cur, 0.0);
   ASSERT_EQ(d.only_base.size(), 1u);
-  EXPECT_EQ(d.only_base[0], "old_ns");
+  EXPECT_EQ(d.only_base[0], "t.r.old_ns");
   ASSERT_EQ(d.only_current.size(), 1u);
-  EXPECT_EQ(d.only_current[0], "new_ns");
+  EXPECT_EQ(d.only_current[0], "t.r.new_ns");
   EXPECT_EQ(d.regressions, 0);
 }
 
 TEST(BenchMetrics, RenderNamesTheOffendingMetric) {
-  const json::Value base = json::parse(R"({"slow_path_ns": 100.0})");
-  const json::Value cur = json::parse(R"({"slow_path_ns": 250.0})");
-  const BenchDiff d = diff_bench_json(base, cur, 0.10);
-  const std::string report = render_diff(d, 0.10);
-  EXPECT_NE(report.find("REGRESSION"), std::string::npos);
-  EXPECT_NE(report.find("slow_path_ns"), std::string::npos);
+  const BenchDiff d = diff_bench_files(
+      bench_of({{"slow_path_ns", 100.0, Better::kLower, Kind::kExact}}),
+      bench_of({{"slow_path_ns", 250.0, Better::kLower, Kind::kExact}}), 0.0);
+  const std::string report = render_diff(d);
+  EXPECT_NE(report.find("REGRESSION  t.r.slow_path_ns"), std::string::npos)
+      << report;
+  EXPECT_NE(report.find("exact at 0.0001, wall not gated"), std::string::npos)
+      << report;
 }
 
 // ----------------------------------------------------- engine profiling ----

@@ -1,29 +1,19 @@
-// bench_diff: compare two benchmark JSON files and flag regressions.
+// bench_diff: compare two bench files and flag regressions.
 //
-//   bench_diff BASELINE.json CURRENT.json [--threshold=0.10]
-//              [--thresholds=SUBSTR=REL,...] [--verbose]
+//   bench_diff BASELINE.json CURRENT.json [--wall=FACTOR] [--verbose]
 //
-// Understands all the bench formats the repo produces (see
-// obs/bench_metrics.hpp): the committed BENCH_sim.json object,
-// google-benchmark --benchmark_out files, BENCH_engine.json run
-// histories, BENCH_ghost.json full-vs-ghost speedup records,
-// BENCH_serve.json query-service loadtest phases (throughput
-// higher-better, latency quantiles lower-better),
-// BENCH_frontier.json folded-execution frontier points (simulated
-// makespan/energy/per-rank costs lower-better, wall seconds skipped),
-// and BENCH_navigator.json Pareto-frontier sweeps (frontier area,
-// crossover generations and fault inflation lower-better,
-// robust_fraction higher-better). A metric "regresses" when it moves
-// against its direction (time-like up, throughput-like down) by more
-// than its relative threshold — the default, or the longest-matching
-// --thresholds override; neutral metrics (counts, configuration) are
-// reported but never fail the diff.
+// Both files are in the one bench schema (obs/bench_metrics.hpp): every
+// record declares its direction ("better") and its kind. Exact metrics
+// (simulated costs, model outputs) regress when they move the wrong way by
+// more than a relative 1e-4. Wall metrics (times and rates of the benching
+// machine) regress only under --wall=FACTOR: a time more than FACTOR x
+// higher, or a rate more than FACTOR x lower. Metrics declared
+// better "none" are reported, never a regression.
 //
-// Exit codes: 0 clean, 1 regressions found, 2 usage or I/O error —
-// CI blocks on 1 (deterministic metrics gated tightly, wall-clock
-// ratios loosely; the allow-bench-regression PR label overrides). The
-// actual CLI logic lives in bench_diff_main.hpp so tests can drive it
-// in-process.
+// Exit codes: 0 clean, 1 regressions found, 2 usage, I/O or schema error
+// (naming the file and the record index). CI blocks on 1; the
+// allow-bench-regression PR label skips the gate. The CLI logic lives in
+// bench_diff_main.hpp so tests can drive it in-process.
 #include <cstdio>
 #include <string>
 #include <vector>

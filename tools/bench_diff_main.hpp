@@ -5,7 +5,7 @@
 // link target.
 #pragma once
 
-#include <cstdio>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -18,22 +18,20 @@ namespace alge::tools {
 
 inline const char* bench_diff_usage_text() {
   return
-      "usage: bench_diff BASELINE.json CURRENT.json [--threshold=REL]"
-      " [--thresholds=SUBSTR=REL,...] [--verbose]\n"
-      "  --threshold=REL  relative change that counts as a regression\n"
-      "                   (default 0.10 = 10%)\n"
-      "  --thresholds=SUBSTR=REL,...\n"
-      "                   per-metric overrides: metrics whose name contains\n"
-      "                   SUBSTR gate at REL instead; the longest matching\n"
-      "                   SUBSTR wins (CI gates deterministic simulated\n"
-      "                   metrics at ~1e-4 and wall-clock ratios loosely)\n"
-      "  --verbose        list every compared metric, not just changes\n";
+      "usage: bench_diff BASELINE.json CURRENT.json [--wall=FACTOR]"
+      " [--verbose]\n"
+      "  Both files are in the bench schema (obs/bench_metrics.hpp). Exact\n"
+      "  metrics gate at a relative 1e-4 in their declared direction.\n"
+      "  --wall=FACTOR  also gate wall metrics: a time more than FACTOR x\n"
+      "                 higher, or a rate more than FACTOR x lower, is a\n"
+      "                 regression (FACTOR >= 1; default: wall not gated)\n"
+      "  --verbose      list every compared metric, not just changes\n";
 }
 
 /// Run the bench_diff CLI on `args` (argv[1..argc-1]). The report is
 /// appended to *out and diagnostics to *err (either may be null).
-/// Returns the process exit code: 0 clean, 1 regressions, 2 usage or
-/// I/O error.
+/// Returns the process exit code: 0 clean, 1 regressions, 2 usage, I/O or
+/// schema error.
 inline int run_bench_diff(const std::vector<std::string>& args,
                           std::string* out, std::string* err) {
   auto say = [](std::string* sink, const std::string& text) {
@@ -46,47 +44,19 @@ inline int run_bench_diff(const std::vector<std::string>& args,
 
   std::string paths[2];
   int npaths = 0;
-  double threshold = 0.10;
-  std::vector<obs::ThresholdOverride> overrides;
+  double wall = 0.0;
   bool verbose = false;
   for (const std::string& arg : args) {
-    if (arg.rfind("--threshold=", 0) == 0) {
+    if (arg.rfind("--wall=", 0) == 0) {
       try {
-        threshold = std::stod(arg.substr(12));
+        wall = std::stod(arg.substr(7));
       } catch (...) {
-        say(err, "bench_diff: bad threshold '" + arg + "'\n");
-        return usage();
+        wall = -1.0;
       }
-      if (threshold < 0.0) {
-        say(err, "bench_diff: threshold must be >= 0\n");
+      if (!(wall >= 1.0) || !std::isfinite(wall)) {
+        say(err, "bench_diff: --wall must be a factor >= 1 (got '" +
+                     arg.substr(7) + "')\n");
         return usage();
-      }
-    } else if (arg.rfind("--thresholds=", 0) == 0) {
-      // SUBSTR=REL, comma-separated. SUBSTR may not contain '=' or ','.
-      std::string rest = arg.substr(13);
-      if (rest.empty()) {
-        say(err, "bench_diff: empty --thresholds\n");
-        return usage();
-      }
-      while (!rest.empty()) {
-        const std::size_t comma = rest.find(',');
-        const std::string item = rest.substr(0, comma);
-        rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
-        const std::size_t eq = item.find('=');
-        obs::ThresholdOverride o;
-        if (eq != std::string::npos && eq > 0) {
-          o.substring = item.substr(0, eq);
-          try {
-            o.threshold = std::stod(item.substr(eq + 1));
-          } catch (...) {
-            o.threshold = -1.0;
-          }
-        }
-        if (o.substring.empty() || o.threshold < 0.0) {
-          say(err, "bench_diff: bad threshold override '" + item + "'\n");
-          return usage();
-        }
-        overrides.push_back(std::move(o));
       }
     } else if (arg == "--verbose") {
       verbose = true;
@@ -102,7 +72,7 @@ inline int run_bench_diff(const std::vector<std::string>& args,
   }
   if (npaths != 2) return usage();
 
-  json::Value docs[2];
+  obs::BenchFile files[2];
   for (int i = 0; i < 2; ++i) {
     std::ifstream in(paths[i]);
     if (!in) {
@@ -112,17 +82,28 @@ inline int run_bench_diff(const std::vector<std::string>& args,
     std::ostringstream buf;
     buf << in.rdbuf();
     try {
-      docs[i] = json::parse(buf.str());
+      files[i] = obs::read_bench_file(json::parse(buf.str()));
     } catch (const json::json_error& e) {
       say(err, "bench_diff: '" + paths[i] +
                    "' is not valid JSON: " + e.what() + "\n");
       return 2;
+    } catch (const obs::bench_schema_error& e) {
+      say(err, "bench_diff: '" + paths[i] + "'" +
+                   (e.index >= 0 ? ", record " + std::to_string(e.index)
+                                 : std::string()) +
+                   ": " + e.what() + "\n");
+      return 2;
     }
   }
+  if (files[0].bench != files[1].bench) {
+    say(err, "bench_diff: '" + paths[0] + "' is bench \"" + files[0].bench +
+                 "\" but '" + paths[1] + "' is bench \"" + files[1].bench +
+                 "\"\n");
+    return 2;
+  }
 
-  const obs::BenchDiff diff =
-      obs::diff_bench_json(docs[0], docs[1], threshold, overrides);
-  say(out, obs::render_diff(diff, threshold, verbose));
+  const obs::BenchDiff diff = obs::diff_bench_files(files[0], files[1], wall);
+  say(out, obs::render_diff(diff, verbose));
   return diff.regressions > 0 ? 1 : 0;
 }
 
