@@ -32,6 +32,7 @@
 #include "bench_common.hpp"
 #include "core/params.hpp"
 #include "sim/fold.hpp"
+#include "sim/fold_rotor.hpp"
 #include "support/cli.hpp"
 #include "support/common.hpp"
 #include "support/table.hpp"
@@ -147,6 +148,18 @@ int main(int argc, char** argv) {
     records.exact(name, "msgs_per_rank", r.totals.msgs_sent_max, "msgs");
   };
 
+  // Rotor points also record the phases of the sweep's plan for a team of
+  // three (the automatic team on a 4-CPU host), fixed so the count is the
+  // same on every host: a sweep that synchronizes once per op again shows
+  // up in the exact gate.
+  auto record_phases = [&](const std::string& name, const algs::Problem& pb) {
+    const auto map = algs::find(pb.alg).fold(pb);
+    if (map != nullptr && map->rotor() != nullptr) {
+      records.exact(name, "phases", sim::rotor_phases(*map->rotor(), 3),
+                    "phases");
+    }
+  };
+
   // Parity anchor: fiber-ghost vs folded-ghost on one spec, bit-identical
   // or the bench fails.
   auto anchor = [&](const std::string& name, const algs::Problem& pb) {
@@ -161,6 +174,7 @@ int main(int argc, char** argv) {
       ok = false;
     }
     record("anchor " + name, rd, fold, wall);
+    record_phases("anchor " + name, pb);
   };
 
   // Frontier point: folded-only; must actually fold.
@@ -175,6 +189,7 @@ int main(int argc, char** argv) {
       ok = false;
     }
     record(name, r, seen, wall);
+    record_phases(name, pb);
   };
 
   // ---- Parity anchors (small p, both modes run) ----------------------

@@ -9,50 +9,80 @@
 //      per-fiber op order. Binomial-tree arrivals are replayed send by
 //      send: a child's arrival is the parent's clock after that specific
 //      sequential send charge (parents send to children in descending
-//      subtree order), never a closed form.
+//      subtree order), never a closed form. Inner loops over a grid row
+//      run two ranks per SSE2 register; each lane evaluates the scalar
+//      expression, so the bits are the same.
 //
 //   2. Word/message counters only ever accumulate integer values, and
 //      every partial sum stays far below 2^53, so any summation order is
 //      exact; they aggregate in int64 and are added to the RankCounters
-//      doubles once at the end.
+//      doubles once at the end. Wherever a count depends only on a
+//      rank's (layer, row), (layer, column) or layer coordinates, the
+//      pre-pass adds it to that axis profile: mask-free collectives, a
+//      masked broadcast's receives (less the root's) and skew/shift
+//      traffic. The sweep counts per rank only a masked collective's
+//      sends and a masked reduce's receives.
 //
 //   3. Memory registration is rank-uniform in every rotor schedule, so
 //      one scalar live/peak pair stands for all ranks; the M-capacity
 //      check throws the fiber path's SimError verbatim.
 //
-//   4. Every op's per-rank work splits into a fixed number of
-//      rank-disjoint chunks: compute by grid rows, row collectives by row
-//      groups, depth collectives by (i, j) instances, skew/shift by
-//      (layer, row) blocks in two phases, sends then receives. Column
-//      collectives cut the tree's virtual ranks into aligned power-of-two
-//      blocks, each a binomial subtree, and run two phases per layer and
-//      replay: the arrivals at the block roots by column slices, then
-//      whole grid rows by blocks. Each chunk runs in the serial order, so
-//      every rank sees the serial floating-point sequence whichever member
-//      runs it and whatever the team size. Chunks that split a grid row
-//      (column slices, (i, j) instances) may share a cache line at their
-//      edges, since a std::vector<double> need not start on one: that
-//      costs some false sharing at the cuts, never a wrong value. Members
-//      of the call's thread team claim chunks first come, first served,
-//      and a phase ends when all its chunks are done: a member that the
-//      OS has descheduled holds up only the chunk it is running, never the
-//      chunks it has not claimed yet.
+//   4. The run is planned into phases, and within a phase every rank
+//      belongs to exactly one of a fixed number of chunks. A chunk runs
+//      the phase's op segments on its ranks back to back, in schedule
+//      order per rank, so every rank sees the serial floating-point
+//      sequence whichever member runs it and whatever the team size. The
+//      first segment of a phase fixes its partition: compute, row
+//      collectives, skew/shift sends and receives, load and store cut the
+//      first segment's active grid rows (layer, row) into contiguous runs;
+//      a column collective's phase B cuts one layer's virtual ranks into
+//      aligned power-of-two blocks of whole grid rows, each a binomial
+//      subtree; its phase A cuts the columns; depth collectives cut the
+//      (i, j) instances. A later op joins the open phase only if it touches
+//      nothing but whole grid rows of that partition (compute, row
+//      collectives, skew/shift sends, store). A phase boundary stays only
+//      where a rank reads state that another chunk wrote since the last
+//      one:
+//        - before a column collective's phase A, which reads the
+//          block-root rows after every earlier op, and between its phases
+//          A and B, whose block roots take their arrivals from phase A;
+//        - between a skew/shift's sends and its receives; sends alternate
+//          between two arrival buffers, so a phase's receives never read
+//          the buffer its sends write;
+//        - around depth collectives;
+//        - around a serial phase: a run of consecutive ops that each touch
+//          fewer ranks than one chunk's share of p runs whole, in schedule
+//          order, as the one chunk with work in its phase.
+//      A chunk walks its grid rows one at a time through all of the
+//      phase's segments, so a row's clock, idle and flop entries stay in
+//      cache from op to op. In a column collective's phase B a row writes
+//      its children's arrivals into the level buffer before any later
+//      segment moves its clock on, and its block's rows run in ascending
+//      virtual rank, parents first. Chunks that split a grid row (column
+//      slices, (i, j) instances) may share a cache line at their edges,
+//      since a std::vector<double> need not start on one: that costs some
+//      false sharing at the cuts, never a wrong value. Members of the
+//      call's thread team claim chunks first come, first served, and a
+//      phase ends when all its chunks are done: a member that the OS has
+//      descheduled holds up only the chunk it is running, never the chunks
+//      it has not claimed yet.
 //
 // A serial pre-pass runs before the team starts and does everything that
 // can fail or is not per rank: the mask, root and shape checks, the memory
-// replay of invariant 3 (and its SimError), the mask-free collectives'
-// axis profiles and the per-op send costs. Team members therefore never
-// throw, and `out` is only written once the pre-pass has passed.
+// replay of invariant 3 (and its SimError), the axis profiles of
+// invariant 2, the per-op send costs and the phase plan. Team members
+// therefore never throw, and `out` is only written once the pre-pass has
+// passed.
 //
 // The group sweeps are the hot path — a q = 1024 SUMMA run replays ~2·10⁹
 // member visits — so the binomial child lists are flattened to CSR, the
 // per-group replay runs in raw-pointer loops with the rank index stepped
-// incrementally, and masked compute ops iterate only the coordinates with
-// nonzero participation (a one-hot panel mask costs O(q), not O(q²)).
-// Column collectives walk whole grid rows: each chunk streams through a
-// run of consecutive rows (one block, wrapping at most once at the root)
-// instead of a slice of every row, and keeps its arrivals in a buffer of
-// log2(block) rows per member, not a q × q array.
+// incrementally, and masked ops visit only the grid rows and the column
+// range with nonzero participation (a one-hot panel mask costs O(q), not
+// O(q²)). Column collectives walk whole grid rows: each chunk streams
+// through a run of consecutive rows (one block, wrapping at most once at
+// the root) instead of a slice of every row, and keeps its arrivals in a
+// buffer of log2(block) rows per member, not a q × q array.
 #include "sim/fold_rotor.hpp"
 
 #include <algorithm>
@@ -62,7 +92,6 @@
 #include <exception>
 #include <memory>
 #include <thread>
-#include <type_traits>
 
 #include "sim/machine.hpp"
 #include "support/common.hpp"
@@ -72,8 +101,8 @@ namespace alge::sim {
 namespace {
 
 /// Below this many rank-ops (p × schedule length) an automatic team is
-/// not worth its thread start-up and per-op synchronization: the call runs
-/// inline on the caller's thread.
+/// not worth its thread start-up and per-phase synchronization: the call
+/// runs inline on the caller's thread.
 constexpr double kTeamRankOps = 16777216.0;  // 2^24
 
 /// Hardware threads an automatic team leaves to the rest of the system.
@@ -186,9 +215,10 @@ void for_part(const std::vector<int>& a, const std::vector<int>& b, int k,
 /// Chunk claims and completions of one rotor_run, shared by its team.
 /// Each phase has members × per_member chunks; member k owns chunks
 /// [k·per_member, (k+1)·per_member) and runs them first, in order, so with
-/// no member delayed every member keeps to its own rows from op to op
-/// (and its caches stay warm). A member out of chunks of its own takes the
-/// unclaimed ones of the others; the phase ends when all chunks are done.
+/// no member delayed every member keeps to its own rows from phase to
+/// phase (and its caches stay warm). A member out of chunks of its own
+/// takes the unclaimed ones of the others; the phase ends when all chunks
+/// are done.
 /// Counters only grow, over all phases, so a member that fell behind
 /// passes the phases already finished at once.
 class Team {
@@ -250,6 +280,37 @@ class Team {
   alignas(64) std::atomic<int> done_{0};  ///< chunks done, all phases
 };
 
+/// CostHooks' receive-side sync: a rank whose clock `cl` is behind an
+/// arrival `a` idles until it.
+inline double sync(double a, double cl, double& idl) {
+  if (a > cl) {
+    idl += a - cl;
+    return a;
+  }
+  return cl;
+}
+
+/// Two ranks in one SSE2 register, the x86-64 baseline: the inner loops
+/// over a grid row step two columns at a time. Each lane runs the scalar
+/// operations in the scalar order, so the results are the same bits.
+using V2 = double __attribute__((vector_size(16)));
+
+inline V2 load2(const double* p) {
+  V2 v;
+  __builtin_memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline void store2(double* p, V2 v) { __builtin_memcpy(p, &v, sizeof v); }
+
+/// sync() on two lanes, with their idle times at idl[0] and idl[1].
+inline V2 sync2(V2 a, V2 cl, double* idl) {
+  const V2 id = load2(idl);
+  const auto later = a > cl;
+  store2(idl, later ? id + (a - cl) : id);
+  return later ? a : cl;
+}
+
 /// One binomial bcast over the group at (base, stride, n) with root index
 /// rho — clocks only (uniform ops account integers once per op via the
 /// axis profile). Ascending virtual rank visits parents before children;
@@ -257,46 +318,33 @@ class Team {
 void bcast_group(double* clk, double* idl, double* arr, const int* koff,
                  const int* kval, int n, int rho, double cost,
                  std::size_t base, std::size_t stride) {
-  const std::size_t wrap = static_cast<std::size_t>(n) * stride;
-  std::size_t r = base + static_cast<std::size_t>(rho) * stride;
-  for (int vr = 0; vr < n; ++vr) {
+  int vr = 0;
+  auto visit = [&](std::size_t r) {
     double cl = clk[r];
-    if (vr != 0) {
-      const double a = arr[vr];
-      if (a > cl) {
-        idl[r] += a - cl;
-        cl = a;
-      }
-    }
+    if (vr != 0) cl = sync(arr[vr], cl, idl[r]);
     const int end = koff[vr + 1];
     for (int t = koff[vr]; t < end; ++t) {
       cl += cost;
       arr[kval[t]] = cl;
     }
     clk[r] = cl;
-    r += stride;
-    if (r >= base + wrap) r -= wrap;
-  }
+    ++vr;
+  };
+  // Members rho..n-1, then 0..rho-1: ascending virtual rank.
+  for (int x = rho; x < n; ++x) visit(base + x * stride);
+  for (int x = 0; x < rho; ++x) visit(base + x * stride);
 }
 
-/// Masked-group variant: the same replay plus per-rank integer deltas.
+/// Masked-group variant: the same replay plus the per-rank send counts
+/// (the pre-pass accounts a masked broadcast's receives).
 void bcast_group_masked(double* clk, double* idl, double* arr,
                         const int* koff, const int* kval, int n, int rho,
                         const PointCost& pc, std::size_t base,
                         std::size_t stride, Profile& pr) {
-  const std::size_t wrap = static_cast<std::size_t>(n) * stride;
-  std::size_t r = base + static_cast<std::size_t>(rho) * stride;
-  for (int vr = 0; vr < n; ++vr) {
+  int vr = 0;
+  auto visit = [&](std::size_t r) {
     double cl = clk[r];
-    if (vr != 0) {
-      const double a = arr[vr];
-      if (a > cl) {
-        idl[r] += a - cl;
-        cl = a;
-      }
-      pr.wr[r] += pc.k;
-      pr.mr[r] += pc.m;
-    }
+    if (vr != 0) cl = sync(arr[vr], cl, idl[r]);
     const int beg = koff[vr];
     const int end = koff[vr + 1];
     for (int t = beg; t < end; ++t) {
@@ -306,19 +354,21 @@ void bcast_group_masked(double* clk, double* idl, double* arr,
     pr.ws[r] += (end - beg) * pc.k;
     pr.ms[r] += (end - beg) * pc.m;
     clk[r] = cl;
-    r += stride;
-    if (r >= base + wrap) r -= wrap;
-  }
+    ++vr;
+  };
+  for (int x = rho; x < n; ++x) visit(base + x * stride);
+  for (int x = 0; x < rho; ++x) visit(base + x * stride);
 }
 
 /// Uniform-op integer profile: per member position, the tree's send and
-/// recv counts depend only on the virtual rank.
-void tree_profile(Profile& pf, const KidsCsr& kids, int n, int rho,
-                  const PointCost& pc, bool reduce) {
+/// recv counts depend only on the virtual rank. Member coordinate x is
+/// entry at + x of `pf`.
+void tree_profile(Profile& pf, std::size_t at, const KidsCsr& kids, int n,
+                  int rho, const PointCost& pc, bool reduce) {
   for (int vr = 0; vr < n; ++vr) {
     int coord = vr + rho;
     if (coord >= n) coord -= n;
-    const std::size_t uc = static_cast<std::size_t>(coord);
+    const std::size_t uc = at + static_cast<std::size_t>(coord);
     const std::int64_t nk = kids.off[static_cast<std::size_t>(vr) + 1] -
                             kids.off[static_cast<std::size_t>(vr)];
     if (reduce) {
@@ -337,6 +387,209 @@ void tree_profile(Profile& pf, const KidsCsr& kids, int n, int rho,
       }
     }
   }
+}
+
+/// Active coordinates of a mask on an axis of n (n when it is empty).
+double n_active(const std::vector<std::int32_t>& mask, int n) {
+  return mask.empty()
+             ? n
+             : static_cast<double>(std::count_if(
+                   mask.begin(), mask.end(),
+                   [](std::int32_t v) { return v > 0; }));
+}
+
+/// Every check on the schedule's shape: grid, mask sizes and signs,
+/// collective roots and unmasked member axes, the skew/shift
+/// preconditions. A violation is a programming error.
+void check_schedule(const RotorSchedule& rs) {
+  const int q = rs.q;
+  const int c = rs.c;
+  ALGE_CHECK(q >= 1 && c >= 1, "rotor schedule needs q >= 1 and c >= 1");
+  auto check_mask = [](const std::vector<std::int32_t>& mask, int n) {
+    ALGE_CHECK(mask.empty() || static_cast<int>(mask.size()) == n,
+               "rotor mask sized %zu on an axis of %d", mask.size(), n);
+    for (const std::int32_t v : mask) {
+      ALGE_CHECK(v >= 0, "negative rotor participation count");
+    }
+  };
+  for (const RotorOp& op : rs.ops) {
+    check_mask(op.row_rep, q);
+    check_mask(op.col_rep, q);
+    check_mask(op.layer_rep, c);
+    switch (op.kind) {
+      case RotorOp::Kind::kAlloc:
+      case RotorOp::Kind::kFree:
+      case RotorOp::Kind::kCompute:
+        break;
+      case RotorOp::Kind::kBcastRow:
+      case RotorOp::Kind::kBcastCol:
+      case RotorOp::Kind::kBcastDepth:
+      case RotorOp::Kind::kReduceDepth: {
+        const bool depth = op.kind == RotorOp::Kind::kBcastDepth ||
+                           op.kind == RotorOp::Kind::kReduceDepth;
+        const int n = depth ? c : q;
+        ALGE_CHECK(op.root >= 0 && op.root < n,
+                   "rotor collective root %d on a group of %d", op.root, n);
+        // The member axis must be unmasked: a group collective always
+        // involves the whole group.
+        if (depth) {
+          ALGE_CHECK(op.layer_rep.empty(),
+                     "depth collective with a masked layer axis");
+        } else if (op.kind == RotorOp::Kind::kBcastRow) {
+          ALGE_CHECK(op.col_rep.empty(),
+                     "row collective with a masked column axis");
+        } else {
+          ALGE_CHECK(op.row_rep.empty(),
+                     "column collective with a masked row axis");
+        }
+        break;
+      }
+      case RotorOp::Kind::kSkewA:
+      case RotorOp::Kind::kSkewB:
+      case RotorOp::Kind::kShiftA:
+      case RotorOp::Kind::kShiftB:
+        ALGE_CHECK(op.row_rep.empty() && op.col_rep.empty() &&
+                       op.layer_rep.empty(),
+                   "skew/shift ops are unmasked");
+        ALGE_CHECK(q % c == 0, "skew needs c | q");
+        break;
+    }
+  }
+}
+
+/// What one segment of a phase runs.
+enum class Step : std::uint8_t {
+  kLoad,      ///< counters in from `out`
+  kStore,     ///< counters back out
+  kCompute,   ///< a compute op
+  kBcastRow,  ///< a row collective
+  kSend,      ///< a skew/shift's send charges
+  kRecv,      ///< its receives: reads the arrivals other rows sent
+  kColRoots,  ///< column collective phase A, one layer and replay round
+  kColRows,   ///< column collective phase B, one layer and replay round
+  kDepth,     ///< a depth collective
+};
+
+/// One op's share of a phase (or the load or store of the counters).
+struct Seg {
+  Step step = Step::kLoad;
+  int op = -1;         ///< schedule position; -1 for load and store
+  int l = 0;           ///< column collective: layer
+  int t = 0;           ///< column collective: replay round
+  int j0 = 0, j1 = 0;  ///< compute: the op's active column range
+  int buf = 0;         ///< skew/shift: arrival buffer
+};
+
+/// Segments that run with no phase boundary between them (invariant 4).
+struct Phase {
+  bool serial = false;  ///< one chunk runs each segment whole
+  std::vector<Seg> segs;
+};
+
+/// The phase plan of `rs` for `chunks` chunks per phase, by invariant 4:
+/// each op joins the open phase when it may and opens a new one when it
+/// may not. `rs` must have passed check_schedule.
+std::vector<Phase> plan_phases(const RotorSchedule& rs, int chunks) {
+  const int q = rs.q;
+  const int c = rs.c;
+  // The grid rows a row-local segment or a phase B touches: load and
+  // store touch all, phase B one layer, an op those its masks select.
+  auto has_layer = [&rs](const Seg& s, int l) {
+    if (s.step == Step::kColRows) return s.l == l;
+    return s.op < 0 ||
+           rep_at(rs.ops[static_cast<std::size_t>(s.op)].layer_rep, l) > 0;
+  };
+  auto has_row = [&rs](const Seg& s, int i) {
+    return s.op < 0 ||
+           rep_at(rs.ops[static_cast<std::size_t>(s.op)].row_rep, i) > 0;
+  };
+  // Whether every grid row `s` touches is one of `lead`'s, so `s` can run
+  // on the rows the phase hands each chunk.
+  auto within = [&](const Seg& lead, const Seg& s) {
+    for (int l = 0; l < c; ++l) {
+      if (has_layer(s, l) && !has_layer(lead, l)) return false;
+    }
+    for (int i = 0; i < q; ++i) {
+      if (has_row(s, i) && !has_row(lead, i)) return false;
+    }
+    return true;
+  };
+  std::vector<Phase> plan;
+  plan.push_back({false, {Seg{}}});
+  auto place = [&](const Seg& s, bool small) {
+    Phase& open = plan.back();
+    const Step lead = open.segs.front().step;
+    const bool row_local = s.step == Step::kCompute ||
+                           s.step == Step::kBcastRow ||
+                           s.step == Step::kSend || s.step == Step::kStore;
+    const bool joins =
+        open.serial ? small
+                    : row_local && lead != Step::kColRoots &&
+                          lead != Step::kDepth &&
+                          within(open.segs.front(), s);
+    if (joins) {
+      open.segs.push_back(s);
+    } else {
+      plan.push_back({small, {s}});
+    }
+  };
+  const double share = static_cast<double>(rs.p()) / chunks;
+  int skews = 0;
+  for (int o = 0; o < static_cast<int>(rs.ops.size()); ++o) {
+    const RotorOp& op = rs.ops[static_cast<std::size_t>(o)];
+    // An op on fewer ranks than one chunk's share runs serially (a single
+    // chunk has no boundary to save). Collectives leave their member axis
+    // unmasked, so the product counts the ranks of every kind of op.
+    const double ranks = n_active(op.row_rep, q) * n_active(op.col_rep, q) *
+                         n_active(op.layer_rep, c);
+    const bool small = chunks > 1 && ranks < share;
+    switch (op.kind) {
+      case RotorOp::Kind::kAlloc:
+      case RotorOp::Kind::kFree:
+        break;  // replayed by the pre-pass
+      case RotorOp::Kind::kCompute: {
+        Seg s{.step = Step::kCompute, .op = o, .j1 = q};
+        if (!op.col_rep.empty()) {
+          const auto nz = [](std::int32_t v) { return v > 0; };
+          const auto first =
+              std::find_if(op.col_rep.begin(), op.col_rep.end(), nz);
+          const auto last =
+              std::find_if(op.col_rep.rbegin(), op.col_rep.rend(), nz);
+          s.j0 = static_cast<int>(first - op.col_rep.begin());
+          s.j1 = std::max(s.j0, static_cast<int>(op.col_rep.rend() - last));
+        }
+        place(s, small);
+        break;
+      }
+      case RotorOp::Kind::kBcastRow:
+        place({.step = Step::kBcastRow, .op = o}, small);
+        break;
+      case RotorOp::Kind::kBcastDepth:
+      case RotorOp::Kind::kReduceDepth:
+        place({.step = Step::kDepth, .op = o}, small);
+        break;
+      case RotorOp::Kind::kBcastCol:
+        for (int l = 0; l < c; ++l) {
+          const int rounds = rep_at(op.layer_rep, l) * max_rep(op.col_rep);
+          for (int t = 0; t < rounds; ++t) {
+            place({.step = Step::kColRoots, .op = o, .l = l, .t = t}, small);
+            place({.step = Step::kColRows, .op = o, .l = l, .t = t}, small);
+          }
+        }
+        break;
+      case RotorOp::Kind::kSkewA:
+      case RotorOp::Kind::kSkewB:
+      case RotorOp::Kind::kShiftA:
+      case RotorOp::Kind::kShiftB: {
+        const int buf = skews++ % 2;
+        place({.step = Step::kSend, .op = o, .buf = buf}, small);
+        place({.step = Step::kRecv, .op = o, .buf = buf}, small);
+        break;
+      }
+    }
+  }
+  place({.step = Step::kStore}, false);
+  return plan;
 }
 
 /// One team member's scratch, allocated before the team starts so the
@@ -358,29 +611,32 @@ struct Scratch {
 };
 
 /// The state one rotor_run shares across its team: per-rank arrays that
-/// each chunk writes only at the ranks of its own part, the phase
-/// counters, and read-only schedule data.
+/// each chunk writes only at the ranks of its own part, and read-only
+/// schedule data and plan.
 class Sweep {
  public:
-  /// The serial pre-pass, in op order: every check, the rank-uniform
-  /// memory replay over the pre-run baseline `mem_base` (throws its
-  /// SimError), the send costs, the mask-free collectives' axis profiles
-  /// and the phase count. The per-rank arrays are allocated only once it
-  /// has passed. `chunks` is the team's chunk count per phase; it sizes
-  /// the column collectives' vr blocks.
+  /// The serial pre-pass, after check_schedule: the phase plan, the
+  /// rank-uniform memory replay over the pre-run baseline in `out` (throws
+  /// its SimError), the send costs and the integer profiles. The per-rank
+  /// arrays are allocated only once the memory replay has passed.
+  /// `chunks` is the team's chunk count per phase; it sizes the column
+  /// collectives' vr blocks and decides which ops run serially.
   Sweep(const RotorSchedule& rs, const core::MachineParams& mp,
-        std::size_t mem_base, int chunks)
+        std::vector<RankCounters>& out, int chunks)
       : rs_(rs),
+        out_(out),
         q_(rs.q),
         c_(rs.c),
         qq_(static_cast<std::size_t>(rs.q) * rs.q),
+        p_(static_cast<std::size_t>(rs.p())),
         gamma_(mp.gamma_t),
         cost_(rs.ops.size()),
         kids_q_(make_kids(rs.q)),
         kids_c_(make_kids(rs.c)),
-        prof_i_(rs.q),
-        prof_j_(rs.q),
-        prof_l_(rs.c) {
+        prof_li_(rs.c * rs.q),
+        prof_lj_(rs.c * rs.q),
+        prof_l_(rs.c),
+        plan_(plan_phases(rs, chunks)) {
     // The largest power of two that still leaves at least `chunks` blocks
     // (one block when the team has one chunk, one row each when q is
     // smaller than the chunk count).
@@ -396,20 +652,11 @@ class Sweep {
       pc.m = static_cast<std::int64_t>(nmsg);
       return pc;
     };
-    auto check_mask = [&](const std::vector<std::int32_t>& mask, int n) {
-      ALGE_CHECK(mask.empty() || static_cast<int>(mask.size()) == n,
-                 "rotor mask sized %zu on an axis of %d", mask.size(), n);
-      for (const std::int32_t v : mask) {
-        ALGE_CHECK(v >= 0, "negative rotor participation count");
-      }
-    };
-    bool rank_profile = false, col_groups = false, skews = false;
+    const std::size_t mem_base = out[0].mem_words;
+    bool rank_profile = false, col_groups = false;
+    int skews = 0;
     std::int64_t mem_cur = 0;
-    for (std::size_t o = 0; o < rs.ops.size(); ++o) {
-      const RotorOp& op = rs.ops[o];
-      check_mask(op.row_rep, q_);
-      check_mask(op.col_rep, q_);
-      check_mask(op.layer_rep, c_);
+    for (const RotorOp& op : rs.ops) {
       const bool uniform =
           op.row_rep.empty() && op.col_rep.empty() && op.layer_rep.empty();
       switch (op.kind) {
@@ -433,174 +680,290 @@ class Sweep {
           mem_cur -= static_cast<std::int64_t>(op.words);
           break;
         case RotorOp::Kind::kCompute:
-          phases_ += 1.0;
           break;
         case RotorOp::Kind::kBcastRow:
         case RotorOp::Kind::kBcastCol:
         case RotorOp::Kind::kBcastDepth:
-        case RotorOp::Kind::kReduceDepth: {
-          const bool depth = op.kind == RotorOp::Kind::kBcastDepth ||
-                             op.kind == RotorOp::Kind::kReduceDepth;
-          const bool row_groups = op.kind == RotorOp::Kind::kBcastRow;
-          const int n = depth ? c_ : q_;
-          ALGE_CHECK(op.root >= 0 && op.root < n,
-                     "rotor collective root %d on a group of %d", op.root, n);
-          // The member axis must be unmasked: a group collective always
-          // involves the whole group.
-          if (depth) {
-            ALGE_CHECK(op.layer_rep.empty(),
-                       "depth collective with a masked layer axis");
-          } else if (row_groups) {
-            ALGE_CHECK(op.col_rep.empty(),
-                       "row collective with a masked column axis");
-          } else {
-            ALGE_CHECK(op.row_rep.empty(),
-                       "column collective with a masked row axis");
-          }
-          cost_[o] = send_cost(op.words);
-          if (op.kind == RotorOp::Kind::kBcastCol) {
-            // Phases A and B per layer and replay.
-            for (int l = 0; l < c_; ++l) {
-              phases_ += 2.0 * rep_at(op.layer_rep, l) * max_rep(op.col_rep);
-            }
-          } else {
-            phases_ += 1.0;
-          }
-          if (uniform) {
-            tree_profile(depth ? prof_l_ : (row_groups ? prof_j_ : prof_i_),
-                         depth ? kids_c_ : kids_q_, n, op.root, cost_[o],
-                         op.kind == RotorOp::Kind::kReduceDepth);
-          }
+        case RotorOp::Kind::kReduceDepth:
           rank_profile = rank_profile || !uniform;
           col_groups = col_groups || op.kind == RotorOp::Kind::kBcastCol;
           break;
-        }
         case RotorOp::Kind::kSkewA:
         case RotorOp::Kind::kSkewB:
         case RotorOp::Kind::kShiftA:
         case RotorOp::Kind::kShiftB:
-          ALGE_CHECK(uniform, "skew/shift ops are unmasked");
-          ALGE_CHECK(q_ % c_ == 0, "skew needs c | q");
-          cost_[o] = send_cost(op.words);
-          phases_ += 2.0;
-          rank_profile = skews = true;
+          ++skews;
           break;
       }
     }
     mem_end_ = mem_cur;
-    const std::size_t p = static_cast<std::size_t>(rs.p());
-    clock_.resize(p);
-    idle_.resize(p);
-    flops_.resize(p);
+    clock_.resize(p_);
+    idle_.resize(p_);
+    flops_.resize(p_);
     if (rank_profile) prof_r_ = std::make_unique<Profile>(rs.p());
-    if (skews) arr_rank_.resize(p);
+    // One arrival buffer per skew/shift parity (invariant 4).
+    arr_rank_.resize(static_cast<std::size_t>(std::min(skews, 2)) * p_);
     if (col_groups) {
       arr_roots_.resize(static_cast<std::size_t>(nblk_) * q_);
     }
+    for (std::size_t o = 0; o < rs.ops.size(); ++o) {
+      const RotorOp& op = rs.ops[o];
+      switch (op.kind) {
+        case RotorOp::Kind::kAlloc:
+        case RotorOp::Kind::kFree:
+        case RotorOp::Kind::kCompute:
+          break;
+        case RotorOp::Kind::kBcastRow:
+        case RotorOp::Kind::kBcastCol:
+        case RotorOp::Kind::kBcastDepth:
+        case RotorOp::Kind::kReduceDepth:
+          cost_[o] = send_cost(op.words);
+          if (!op.row_rep.empty() || !op.col_rep.empty() ||
+              !op.layer_rep.empty()) {
+            if (op.kind != RotorOp::Kind::kReduceDepth) {
+              masked_recvs(op, cost_[o]);
+            }
+          } else if (op.kind == RotorOp::Kind::kBcastRow ||
+                     op.kind == RotorOp::Kind::kBcastCol) {
+            Profile& pf =
+                op.kind == RotorOp::Kind::kBcastRow ? prof_lj_ : prof_li_;
+            for (int l = 0; l < c_; ++l) {
+              tree_profile(pf, static_cast<std::size_t>(l) * q_, kids_q_, q_,
+                           op.root, cost_[o], false);
+            }
+          } else {
+            tree_profile(prof_l_, 0, kids_c_, c_, op.root, cost_[o],
+                         op.kind == RotorOp::Kind::kReduceDepth);
+          }
+          break;
+        case RotorOp::Kind::kSkewA:
+        case RotorOp::Kind::kSkewB:
+        case RotorOp::Kind::kShiftA:
+        case RotorOp::Kind::kShiftB:
+          cost_[o] = send_cost(op.words);
+          skew_profile(op, cost_[o]);
+          break;
+      }
+    }
   }
 
-  /// Phases of one run: one per compute, row or depth collective, two
-  /// per skew/shift and per column-collective layer and replay, plus load
-  /// and store.
-  double phases() const { return phases_; }
+  std::size_t phases() const { return plan_.size(); }
 
   /// Rows of a member's column-collective level buffer: log2 of the vr
   /// block size.
   int levels() const { return std::countr_zero(static_cast<unsigned>(blk_)); }
 
-  /// Member k's walk through every phase in schedule order, as phases()
-  /// counts them: the rows of `out` are read in a phase before the first
-  /// op and written in one after the last. Each member uses its own `sc`.
-  void run(Team& team, int member, Scratch& sc,
-           std::vector<RankCounters>& out) {
+  /// Member k's walk through every phase of the plan, in order. Each
+  /// member uses its own `sc`.
+  void run(Team& team, int member, Scratch& sc) {
     const int n = team.chunks();
-    int ph = 0;
-    auto run_phase = [&](auto&& f) { team.phase(member, ph++, f); };
-    run_phase([&](int k) {
-      const std::size_t r1 = rows_begin(k + 1, n) * q_;
-      for (std::size_t r = rows_begin(k, n) * q_; r < r1; ++r) {
-        clock_[r] = out[r].clock;
-        idle_[r] = out[r].idle_time;
-        flops_[r] = out[r].flops;
-      }
-    });
-    for (std::size_t o = 0; o < rs_.ops.size(); ++o) {
-      const RotorOp& op = rs_.ops[o];
-      const PointCost& pc = cost_[o];
-      switch (op.kind) {
-        case RotorOp::Kind::kAlloc:
-        case RotorOp::Kind::kFree:
-          continue;  // replayed by the pre-pass
-        case RotorOp::Kind::kCompute:
-          run_phase([&](int k) { compute(op, k, n, sc); });
-          break;
-        case RotorOp::Kind::kBcastRow:
-        case RotorOp::Kind::kBcastDepth:
-        case RotorOp::Kind::kReduceDepth:
-          run_phase([&](int k) { groups(op, pc, k, n, sc); });
-          break;
-        case RotorOp::Kind::kBcastCol:
-          active(op.layer_rep, c_, sc.lay_act);
-          for (const int l : sc.lay_act) {
-            const int rounds = rep_at(op.layer_rep, l) * max_rep(op.col_rep);
-            for (int t = 0; t < rounds; ++t) {
-              run_phase([&](int k) { col_roots(op, pc, l, k, n, sc); });
-              run_phase([&](int k) { col_rows(op, pc, l, t, k, n, sc); });
-            }
-          }
-          break;
-        case RotorOp::Kind::kSkewA:
-        case RotorOp::Kind::kSkewB:
-        case RotorOp::Kind::kShiftA:
-        case RotorOp::Kind::kShiftB:
-          run_phase([&](int k) { skew(op, pc, k, n, false); });
-          run_phase([&](int k) { skew(op, pc, k, n, true); });
-          break;
-      }
+    for (std::size_t ph = 0; ph < plan_.size(); ++ph) {
+      const Phase& phase = plan_[ph];
+      const Seg* const s0 = phase.segs.data();
+      const Seg* const s1 = s0 + phase.segs.size();
+      team.phase(member, static_cast<int>(ph), [&](int k) {
+        if (!phase.serial) {
+          run_chunk(s0, s1, k, n, sc);
+        } else if (k == 0) {
+          for (const Seg* s = s0; s != s1; ++s) run_chunk(s, s + 1, 0, 1, sc);
+        }
+      });
     }
-    run_phase([&](int k) { store(k, n, out); });
   }
 
  private:
+  /// The receive counts of a masked broadcast. Every member but the root
+  /// receives once per repetition, and the repetition count depends only
+  /// on the group, so a row or column group's receives go into the axis
+  /// profile of its (layer, row) or (layer, column) coordinates, less the
+  /// root's share, and the sweep need not count them rank by rank.
+  void masked_recvs(const RotorOp& op, const PointCost& pc) {
+    Profile& pr = *prof_r_;
+    auto add = [&pc](Profile& pf, std::size_t at, std::int64_t reps) {
+      pf.wr[at] += reps * pc.k;
+      pf.mr[at] += reps * pc.m;
+    };
+    for (int l = 0; l < c_; ++l) {
+      for (int x = 0; x < q_; ++x) {
+        const std::size_t lx = static_cast<std::size_t>(l) * q_ + x;
+        if (op.kind == RotorOp::Kind::kBcastRow) {  // group (l, i = x)
+          const std::int64_t reps =
+              rep_at(op.layer_rep, l) * rep_at(op.row_rep, x);
+          add(prof_li_, lx, reps);
+          add(pr, lx * q_ + op.root, -reps);
+        } else if (op.kind == RotorOp::Kind::kBcastCol) {  // group (l, j = x)
+          const std::int64_t reps =
+              rep_at(op.layer_rep, l) * rep_at(op.col_rep, x);
+          add(prof_lj_, lx, reps);
+          add(pr, static_cast<std::size_t>(l) * qq_ +
+                      static_cast<std::size_t>(op.root) * q_ + x,
+              -reps);
+        } else if (l != op.root) {  // depth group (i, j), rank by rank
+          for (int j = 0; j < q_; ++j) {
+            add(pr, lx * q_ + j, rep_at(op.row_rep, x) * rep_at(op.col_rep, j));
+          }
+        }
+      }
+    }
+  }
+
+  /// The integer counts of a skew or shift: every rank receives the
+  /// words, and all but the self-exchanges (skew_row) send them and count
+  /// the messages; which ranks self-exchange depends on (layer, row) for
+  /// A and on (layer, column) for B.
+  void skew_profile(const RotorOp& op, const PointCost& pc) {
+    const bool skew = op.kind == RotorOp::Kind::kSkewA ||
+                      op.kind == RotorOp::Kind::kSkewB;
+    const bool on_a = op.kind == RotorOp::Kind::kSkewA ||
+                      op.kind == RotorOp::Kind::kShiftA;
+    Profile& pf = on_a ? prof_li_ : prof_lj_;
+    for (int l = 0; l < c_; ++l) {
+      const int s0 = skew ? l * (q_ / c_) : 0;
+      for (int x = 0; x < q_; ++x) {
+        const std::size_t at = static_cast<std::size_t>(l) * q_ + x;
+        pf.wr[at] += pc.k;
+        if (q_ == 1 || (skew && (x + s0) % q_ == 0)) continue;
+        pf.ws[at] += pc.k;
+        pf.ms[at] += pc.m;
+        pf.mr[at] += pc.m;
+      }
+    }
+  }
+
   /// First grid row (l*q + i) of part k of `parts`.
   std::size_t rows_begin(int k, int parts) const {
     return part(static_cast<std::size_t>(c_) * q_, k, parts);
   }
 
-  void compute(const RotorOp& op, int k, int parts, Scratch& sc) {
+  const RotorOp& op_of(const Seg& s) const {
+    return rs_.ops[static_cast<std::size_t>(s.op)];
+  }
+
+  /// Chunk k of `parts` of the segments [s0, s1), in the partition of the
+  /// first: each of its grid rows through every segment in turn.
+  void run_chunk(const Seg* s0, const Seg* s1, int k, int parts,
+                 Scratch& sc) {
+    switch (s0->step) {
+      case Step::kColRoots:
+        col_roots(op_of(*s0), cost_[static_cast<std::size_t>(s0->op)], s0->l,
+                  k, parts, sc);
+        return;
+      case Step::kColRows:
+        col_rows(s0, s1, k, parts, sc);
+        return;
+      case Step::kDepth:
+        depth_groups(op_of(*s0), cost_[static_cast<std::size_t>(s0->op)], k,
+                     parts, sc);
+        return;
+      default:
+        break;
+    }
+    auto each = [&](int l, int i) {
+      for (const Seg* s = s0; s != s1; ++s) run_row(*s, l, i, sc);
+    };
+    if (s0->op >= 0 && (!op_of(*s0).row_rep.empty() ||
+                        !op_of(*s0).layer_rep.empty())) {
+      active(op_of(*s0).layer_rep, c_, sc.lay_act);
+      active(op_of(*s0).row_rep, q_, sc.row_act);
+      for_part(sc.lay_act, sc.row_act, k, parts, each);
+      return;
+    }
+    const std::size_t g1 = rows_begin(k + 1, parts);
+    for (std::size_t g = rows_begin(k, parts); g < g1; ++g) {
+      each(static_cast<int>(g / q_), static_cast<int>(g % q_));
+    }
+  }
+
+  /// Segment `s` on grid row (l, i); a row the segment's op leaves out
+  /// is skipped.
+  void run_row(const Seg& s, int l, int i, Scratch& sc) {
+    const std::size_t base =
+        static_cast<std::size_t>(l) * qq_ + static_cast<std::size_t>(i) * q_;
+    switch (s.step) {
+      case Step::kLoad:
+        for (std::size_t r = base; r < base + q_; ++r) {
+          clock_[r] = out_[r].clock;
+          idle_[r] = out_[r].idle_time;
+          flops_[r] = out_[r].flops;
+        }
+        return;
+      case Step::kStore:
+        store_row(l, i, base);
+        return;
+      case Step::kCompute:
+        compute_row(s, l, i, base);
+        return;
+      case Step::kBcastRow:
+        bcast_row(s, l, i, base, sc);
+        return;
+      case Step::kSend:
+      case Step::kRecv:
+        skew_row(s, l, i, base);
+        return;
+      default:
+        return;  // phase leaders only (run_chunk)
+    }
+  }
+
+  void compute_row(const Seg& s, int l, int i, std::size_t base) {
+    const RotorOp& op = op_of(s);
+    const int ir = rep_at(op.row_rep, i) * rep_at(op.layer_rep, l);
+    if (ir == 0) return;
     const double f = op.flops;
     // CostHooks::compute with speed=1.0: gamma_t*flops/1.0.
     const double dt = gamma_ * f;
-    double* const clk = clock_.data();
-    double* const flp = flops_.data();
-    if (op.row_rep.empty() && op.col_rep.empty() && op.layer_rep.empty()) {
-      const std::size_t r1 = rows_begin(k + 1, parts) * q_;
-      for (std::size_t r = rows_begin(k, parts) * q_; r < r1; ++r) {
-        flp[r] += f;
-        clk[r] += dt;
+    double* const clk = clock_.data() + base;
+    double* const flp = flops_.data() + base;
+    // The op's column range, two columns at a time where both repeat
+    // equally often.
+    auto one = [&](int j) {
+      const int reps = ir * rep_at(op.col_rep, j);
+      double fl = flp[j];
+      double cl = clk[j];
+      for (int t = 0; t < reps; ++t) {
+        fl += f;
+        cl += dt;
       }
-      return;
+      flp[j] = fl;
+      clk[j] = cl;
+    };
+    int j = s.j0;
+    for (; j + 2 <= s.j1; j += 2) {
+      const int reps = ir * rep_at(op.col_rep, j);
+      if (reps != ir * rep_at(op.col_rep, j + 1)) {
+        one(j);
+        one(j + 1);
+        continue;
+      }
+      V2 fl = load2(flp + j);
+      V2 cl = load2(clk + j);
+      for (int t = 0; t < reps; ++t) {
+        fl += f;
+        cl += dt;
+      }
+      store2(flp + j, fl);
+      store2(clk + j, cl);
     }
-    active(op.row_rep, q_, sc.row_act);
-    active(op.col_rep, q_, sc.col_act);
-    active(op.layer_rep, c_, sc.lay_act);
-    for_part(sc.lay_act, sc.row_act, k, parts, [&](int l, int i) {
-      const int ir = rep_at(op.row_rep, i) * rep_at(op.layer_rep, l);
-      const std::size_t row_base = static_cast<std::size_t>(l) * qq_ +
-                                   static_cast<std::size_t>(i) * q_;
-      for (const int j : sc.col_act) {
-        const int reps = ir * rep_at(op.col_rep, j);
-        const std::size_t r = row_base + static_cast<std::size_t>(j);
-        double fl = flp[r];
-        double cl = clk[r];
-        for (int t = 0; t < reps; ++t) {
-          fl += f;
-          cl += dt;
-        }
-        flp[r] = fl;
-        clk[r] = cl;
+    if (j < s.j1) one(j);
+  }
+
+  /// A row collective on grid row (l, i), its repetitions back to back.
+  void bcast_row(const Seg& s, int l, int i, std::size_t base, Scratch& sc) {
+    const RotorOp& op = op_of(s);
+    const PointCost& pc = cost_[static_cast<std::size_t>(s.op)];
+    const int reps = rep_at(op.layer_rep, l) * rep_at(op.row_rep, i);
+    const bool uniform = op.row_rep.empty() && op.layer_rep.empty();
+    for (int t = 0; t < reps; ++t) {
+      if (uniform) {
+        bcast_group(clock_.data(), idle_.data(), sc.arr.data(),
+                    kids_q_.off.data(), kids_q_.val.data(), q_, op.root,
+                    pc.cost, base, 1);
+      } else {
+        bcast_group_masked(clock_.data(), idle_.data(), sc.arr.data(),
+                           kids_q_.off.data(), kids_q_.val.data(), q_,
+                           op.root, pc, base, 1, *prof_r_);
       }
-    });
+    }
   }
 
   /// One binomial reduce_sum: descending virtual rank visits children
@@ -628,11 +991,7 @@ class Sweep {
           break;
         }
         if (vr + mask < n) {
-          const double a = arr[vr + mask];
-          if (a > cl) {
-            idl[r] += a - cl;
-            cl = a;
-          }
+          cl = sync(arr[vr + mask], cl, idl[r]);
           if (pr != nullptr) {
             pr->wr[r] += pc.k;
             pr->mr[r] += pc.m;
@@ -645,50 +1004,35 @@ class Sweep {
     }
   }
 
-  /// Row and depth collectives: chunk k replays its part of the selected
-  /// group instances, each instance's repetitions back to back.
-  void groups(const RotorOp& op, const PointCost& pc, int k, int parts,
-              Scratch& sc) {
-    const bool depth = op.kind != RotorOp::Kind::kBcastRow;
+  /// Depth collectives: chunk k replays its part of the selected (i, j)
+  /// instances, each instance's repetitions back to back.
+  void depth_groups(const RotorOp& op, const PointCost& pc, int k,
+                    int parts, Scratch& sc) {
     const bool reduce = op.kind == RotorOp::Kind::kReduceDepth;
-    const int n = depth ? c_ : q_;
-    const KidsCsr& kids = depth ? kids_c_ : kids_q_;
-    const int* const koff = kids.off.data();
-    const int* const kval = kids.val.data();
     const double fk = static_cast<double>(op.words);
     const double dt_merge = gamma_ * fk;
-    const bool uniform =
-        op.row_rep.empty() && op.col_rep.empty() && op.layer_rep.empty();
+    const bool uniform = op.row_rep.empty() && op.col_rep.empty();
     Profile* const pr = uniform ? nullptr : prof_r_.get();
     double* const arr = sc.arr.data();
-    auto run_one = [&](std::size_t base, std::size_t stride, int reps) {
+    active(op.row_rep, q_, sc.row_act);
+    active(op.col_rep, q_, sc.col_act);
+    for_part(sc.row_act, sc.col_act, k, parts, [&](int i, int j) {
+      const std::size_t base =
+          static_cast<std::size_t>(i) * q_ + static_cast<std::size_t>(j);
+      const int reps = rep_at(op.row_rep, i) * rep_at(op.col_rep, j);
       for (int t = 0; t < reps; ++t) {
         if (reduce) {
-          reduce_group(arr, base, stride, n, op.root, pc, fk, dt_merge, pr);
+          reduce_group(arr, base, qq_, c_, op.root, pc, fk, dt_merge, pr);
         } else if (pr == nullptr) {
-          bcast_group(clock_.data(), idle_.data(), arr, koff, kval, n,
-                      op.root, pc.cost, base, stride);
+          bcast_group(clock_.data(), idle_.data(), arr, kids_c_.off.data(),
+                      kids_c_.val.data(), c_, op.root, pc.cost, base, qq_);
         } else {
-          bcast_group_masked(clock_.data(), idle_.data(), arr, koff, kval, n,
-                             op.root, pc, base, stride, *pr);
+          bcast_group_masked(clock_.data(), idle_.data(), arr,
+                             kids_c_.off.data(), kids_c_.val.data(), c_,
+                             op.root, pc, base, qq_, *pr);
         }
       }
-    };
-    active(op.row_rep, q_, sc.row_act);
-    if (depth) {
-      active(op.col_rep, q_, sc.col_act);
-      for_part(sc.row_act, sc.col_act, k, parts, [&](int i, int j) {
-        run_one(static_cast<std::size_t>(i) * q_ + static_cast<std::size_t>(j),
-                qq_, rep_at(op.row_rep, i) * rep_at(op.col_rep, j));
-      });
-    } else {
-      active(op.layer_rep, c_, sc.lay_act);
-      for_part(sc.lay_act, sc.row_act, k, parts, [&](int l, int i) {
-        run_one(static_cast<std::size_t>(l) * qq_ +
-                    static_cast<std::size_t>(i) * q_,
-                1, rep_at(op.layer_rep, l) * rep_at(op.row_rep, i));
-      });
-    }
+    });
   }
 
   /// End of virtual rank vr's leading sends to other blocks' roots in its
@@ -741,23 +1085,28 @@ class Sweep {
     }
   }
 
-  /// Column collectives, phase B: chunk k replays its part of the vr
-  /// blocks, each block's rows whole and in ascending virtual rank, so a
-  /// parent runs before its children. A block root's arrival comes from
-  /// phase A. Any other member x has its parent in its block, which left
-  /// the arrival in the running member's level buffer at level
-  /// log2(lowbit(x)); no rank between them overwrites it (they send only
-  /// to lower levels). The inner loop walks one grid row contiguously;
-  /// columns are disjoint groups, so evaluating them in lockstep is the
-  /// per-rank op sequence the fiber path runs.
-  void col_rows(const RotorOp& op, const PointCost& pc, int l, int t, int k,
-                int parts, Scratch& sc) {
+  /// Column collectives, phase B (segment *s0), then the phase's other
+  /// segments [s0 + 1, s1) on the same rows: chunk k replays its part of
+  /// the vr blocks of layer s0->l, each block's rows whole and in
+  /// ascending virtual rank, so a parent runs before its children. A block
+  /// root's arrival comes from phase A. Any other member x has its parent
+  /// in its block, which left the arrival in the running member's level
+  /// buffer at level log2(lowbit(x)); no rank between them overwrites it
+  /// (they send only to lower levels), and the later segments on the
+  /// parent's row move only its clock. The inner loop walks one grid row
+  /// contiguously; columns are disjoint groups, so evaluating them in
+  /// lockstep is the per-rank op sequence the fiber path runs.
+  void col_rows(const Seg* s0, const Seg* s1, int k, int parts,
+                Scratch& sc) {
+    const RotorOp& op = op_of(*s0);
+    const PointCost& pc = cost_[static_cast<std::size_t>(s0->op)];
+    const int l = s0->l;
+    const int t = s0->t;
     active(op.col_rep, q_, sc.col_act);
-    if (sc.col_act.empty()) return;
-    const int j0 = sc.col_act.front();
-    const int j1 = sc.col_act.back() + 1;
-    const bool uniform =
-        op.row_rep.empty() && op.col_rep.empty() && op.layer_rep.empty();
+    const bool any = !sc.col_act.empty();
+    const int j0 = any ? sc.col_act.front() : 0;
+    const int j1 = any ? sc.col_act.back() + 1 : 0;
+    const bool uniform = op.col_rep.empty() && op.layer_rep.empty();
     int* const reps = sc.col_reps.data();
     if (!uniform) {
       const int lr = rep_at(op.layer_rep, l);
@@ -794,188 +1143,196 @@ class Sweep {
           dst[s - mid] = level(kids_q_.val[static_cast<std::size_t>(s)]);
         }
         const int n_dst = end - mid;
-        auto replay = [&](auto masked) {
-          double* const crow = clock_.data() + row;
-          double* const irow = idle_.data() + row;
-          std::int64_t *wsr = nullptr, *msr = nullptr, *wrr = nullptr,
-                       *mrr = nullptr;
-          if constexpr (masked) {
-            wsr = prof_r_->ws.data() + row;
-            msr = prof_r_->ms.data() + row;
-            wrr = prof_r_->wr.data() + row;
-            mrr = prof_r_->mr.data() + row;
+        double* const crow = clock_.data() + row;
+        double* const irow = idle_.data() + row;
+        auto one = [&](int j) {
+          double cl = crow[j];
+          if (vr != 0) cl = sync(av[j], cl, irow[j]);
+          for (int s = beg; s < mid; ++s) cl += pc.cost;
+          for (int s = 0; s < n_dst; ++s) {
+            cl += pc.cost;
+            dst[s][j] = cl;
           }
+          crow[j] = cl;
+        };
+        auto two = [&](int j) {
+          V2 cl = load2(crow + j);
+          if (vr != 0) cl = sync2(load2(av + j), cl, irow + j);
+          for (int s = beg; s < mid; ++s) cl += pc.cost;
+          for (int s = 0; s < n_dst; ++s) {
+            cl += pc.cost;
+            store2(dst[s] + j, cl);
+          }
+          store2(crow + j, cl);
+        };
+        int j = j0;
+        if (uniform) {
+          for (; j + 2 <= j1; j += 2) two(j);
+          if (j < j1) one(j);
+        } else {
+          std::int64_t* const wsr = prof_r_->ws.data() + row;
+          std::int64_t* const msr = prof_r_->ms.data() + row;
           const std::int64_t dws = (end - beg) * pc.k;
           const std::int64_t dms = (end - beg) * pc.m;
-          for (int j = j0; j < j1; ++j) {
-            if constexpr (masked) {
-              if (reps[j] <= t) continue;
+          auto sent = [&](int x) {
+            wsr[x] += dws;
+            msr[x] += dms;
+          };
+          for (; j + 2 <= j1; j += 2) {
+            const bool in0 = reps[j] > t;
+            const bool in1 = reps[j + 1] > t;
+            if (in0 && in1) {
+              two(j);
+            } else if (in0) {
+              one(j);
+            } else if (in1) {
+              one(j + 1);
             }
-            double cl = crow[j];
-            if (vr != 0) {
-              const double a = av[j];
-              if (a > cl) {
-                irow[j] += a - cl;
-                cl = a;
-              }
-            }
-            for (int s = beg; s < mid; ++s) cl += pc.cost;
-            for (int s = 0; s < n_dst; ++s) {
-              cl += pc.cost;
-              dst[s][j] = cl;
-            }
-            crow[j] = cl;
-            if constexpr (masked) {
-              if (vr != 0) {
-                wrr[j] += pc.k;
-                mrr[j] += pc.m;
-              }
-              wsr[j] += dws;
-              msr[j] += dms;
-            }
+            if (in0) sent(j);
+            if (in1) sent(j + 1);
           }
-        };
-        if (uniform) {
-          replay(std::false_type{});
-        } else {
-          replay(std::true_type{});
+          if (j < j1 && reps[j] > t) {
+            one(j);
+            sent(j);
+          }
         }
+        for (const Seg* s = s0 + 1; s != s1; ++s) run_row(*s, l, coord, sc);
       }
     }
   }
 
-  /// Cannon skews and shifts over chunk k's (layer, row) block, in two
-  /// phases like the fiber sendrecv: every rank's send charge, then (with
-  /// `recv`) the sync to the source's post-send clock. Both run in
-  /// world-rank order; the phase boundary between them publishes every
-  /// sender's arrival.
-  void skew(const RotorOp& op, const PointCost& pc, int k, int parts,
-            bool recv) {
+  /// Cannon skews and shifts on grid row (l, i), in two segments like the
+  /// fiber sendrecv: every rank's send charge, then (kRecv) the sync to
+  /// the source's post-send clock, which the phase boundary between them
+  /// has published in arrival buffer s.buf. The pre-pass counts the
+  /// words and messages (skew_profile).
+  void skew_row(const Seg& s, int l, int i, std::size_t base) {
+    const RotorOp& op = op_of(s);
+    const double cost = cost_[static_cast<std::size_t>(s.op)].cost;
     const int q = q_;
-    const int steps = q / c_;
     const bool skew = op.kind == RotorOp::Kind::kSkewA ||
                       op.kind == RotorOp::Kind::kSkewB;
     const bool on_a = op.kind == RotorOp::Kind::kSkewA ||
                       op.kind == RotorOp::Kind::kShiftA;
-    // Self-exchange coordinate per layer: Cannon's alignment leaves row
-    // i = -s0 mod q (A) / column j = -s0 mod q (B) in place; the one-step
-    // shifts never self-send (q >= 2 whenever they appear).
-    auto src_of = [&](int l, int i, int j) -> std::size_t {
-      const int s0 = skew ? l * steps : 0;
-      int si = i;
-      int sj = j;
-      if (skew) {
-        const int t = (i + j + s0) % q;
-        if (on_a) {
-          sj = t;
-        } else {
-          si = t;
+    const int s0 = skew ? l * (q / c_) : 0;
+    // Self-exchanges (arrival == own clock, no charge): on a 1 x 1 grid
+    // every rank; otherwise Cannon's alignment leaves row i = -s0 mod q
+    // (A) or column j = -s0 mod q (B) of layer l in place, and the
+    // one-step shifts never self-send.
+    if (q == 1 || (skew && on_a && (i + s0) % q == 0)) return;
+    const int self_col = skew && !on_a ? (q - s0) % q : -1;
+    double* const crow = clock_.data() + base;
+    double* const irow = idle_.data() + base;
+    double* const arr = arr_rank_.data() + static_cast<std::size_t>(s.buf) * p_;
+    double* const arow = arr + base;
+    if (s.step == Step::kSend) {
+      auto send = [&](int j0, int j1) {
+        int j = j0;
+        for (; j + 2 <= j1; j += 2) {
+          const V2 cl = load2(crow + j) + cost;
+          store2(crow + j, cl);
+          store2(arow + j, cl);
         }
-      } else if (on_a) {
-        sj = j + 1 == q ? 0 : j + 1;
+        if (j < j1) {
+          crow[j] += cost;
+          arow[j] = crow[j];
+        }
+      };
+      if (self_col < 0) {
+        send(0, q);
       } else {
-        si = i + 1 == q ? 0 : i + 1;
-      }
-      return static_cast<std::size_t>(l) * qq_ +
-             static_cast<std::size_t>(si) * q +
-             static_cast<std::size_t>(sj);
-    };
-    auto is_self = [&](int l, int i, int j) {
-      if (!skew) return q == 1;
-      const int coord = on_a ? i : j;
-      return (coord + l * steps) % q == 0;
-    };
-    double* const clk = clock_.data();
-    double* const idl = idle_.data();
-    Profile& pr = *prof_r_;
-    const std::size_t g0 = rows_begin(k, parts);
-    const std::size_t g1 = rows_begin(k + 1, parts);
-    std::size_t r = g0 * q;
-    if (!recv) {
-      for (std::size_t g = g0; g < g1; ++g) {
-        const int l = static_cast<int>(g / q);
-        const int i = static_cast<int>(g % q);
-        for (int j = 0; j < q; ++j, ++r) {
-          if (is_self(l, i, j)) continue;
-          const double cl = clk[r] + pc.cost;
-          clk[r] = cl;
-          arr_rank_[r] = cl;
-          pr.ws[r] += pc.k;
-          pr.ms[r] += pc.m;
-        }
+        send(0, self_col);
+        send(self_col + 1, q);
       }
       return;
     }
-    for (std::size_t g = g0; g < g1; ++g) {
-      const int l = static_cast<int>(g / q);
-      const int i = static_cast<int>(g % q);
-      for (int j = 0; j < q; ++j, ++r) {
-        pr.wr[r] += pc.k;
-        if (is_self(l, i, j)) continue;  // arrival == own clock, 0 msgs
-        const double a = arr_rank_[src_of(l, i, j)];
-        if (a > clk[r]) {
-          idl[r] += a - clk[r];
-          clk[r] = a;
+    // Receives from the contiguous arrivals src[0..n) into columns
+    // [j0, j0 + n).
+    auto recv = [&](int j0, const double* src, int n) {
+      int j = 0;
+      for (; j + 2 <= n; j += 2) {
+        store2(crow + j0 + j, sync2(load2(src + j), load2(crow + j0 + j),
+                                    irow + j0 + j));
+      }
+      if (j < n) crow[j0 + j] = sync(src[j], crow[j0 + j], irow[j0 + j]);
+    };
+    const std::size_t layer = static_cast<std::size_t>(l) * qq_;
+    if (on_a) {
+      // Source (i, (j + off) mod q): the row's own arrivals, rotated.
+      const int off = skew ? (i + s0) % q : 1;
+      recv(0, arow + off, q - off);
+      recv(q - off, arow, off);
+    } else if (!skew) {
+      // Source (i + 1 mod q, j).
+      const int si = i + 1 == q ? 0 : i + 1;
+      recv(0, arr + layer + static_cast<std::size_t>(si) * q, q);
+    } else {
+      // Source ((i + j + s0) mod q, j).
+      int si = (i + s0) % q;
+      for (int j = 0; j < q; ++j) {
+        if (j != self_col) {
+          crow[j] = sync(arr[layer + static_cast<std::size_t>(si) * q + j],
+                         crow[j], irow[j]);
         }
-        pr.mr[r] += pc.m;
+        si = si + 1 == q ? 0 : si + 1;
       }
     }
   }
 
-  /// Materialize chunk k's rows: exact doubles back in place, integer
+  /// Materialize grid row (l, i): exact doubles back in place, integer
   /// deltas added once (hop-weighted counters equal the plain ones on the
   /// flat network).
-  void store(int k, int parts, std::vector<RankCounters>& out) const {
+  void store_row(int l, int i, std::size_t base) const {
     const std::size_t mem_now = static_cast<std::size_t>(mem_end_);
     const std::size_t peak = static_cast<std::size_t>(mem_peak_);
-    const std::size_t g0 = rows_begin(k, parts);
-    const std::size_t g1 = rows_begin(k + 1, parts);
-    std::size_t r = g0 * q_;
-    for (std::size_t g = g0; g < g1; ++g) {
-      const std::size_t ul = g / q_;
-      const std::size_t ui = g % q_;
-      for (std::size_t uj = 0; uj < static_cast<std::size_t>(q_); ++uj, ++r) {
-        RankCounters& rc = out[r];
-        rc.clock = clock_[r];
-        rc.idle_time = idle_[r];
-        rc.flops = flops_[r];
-        std::int64_t ws = prof_i_.ws[ui] + prof_j_.ws[uj] + prof_l_.ws[ul];
-        std::int64_t ms = prof_i_.ms[ui] + prof_j_.ms[uj] + prof_l_.ms[ul];
-        std::int64_t wr = prof_i_.wr[ui] + prof_j_.wr[uj] + prof_l_.wr[ul];
-        std::int64_t mr = prof_i_.mr[ui] + prof_j_.mr[uj] + prof_l_.mr[ul];
-        if (prof_r_) {
-          ws += prof_r_->ws[r];
-          ms += prof_r_->ms[r];
-          wr += prof_r_->wr[r];
-          mr += prof_r_->mr[r];
-        }
-        rc.words_sent += static_cast<double>(ws);
-        rc.msgs_sent += static_cast<double>(ms);
-        rc.words_hops += static_cast<double>(ws);
-        rc.msgs_hops += static_cast<double>(ms);
-        rc.words_recv += static_cast<double>(wr);
-        rc.msgs_recv += static_cast<double>(mr);
-        rc.mem_highwater = std::max(rc.mem_highwater, rc.mem_words + peak);
-        rc.mem_words += mem_now;
+    const std::size_t ul = static_cast<std::size_t>(l);
+    const std::size_t li = ul * q_ + static_cast<std::size_t>(i);
+    for (std::size_t uj = 0; uj < static_cast<std::size_t>(q_); ++uj) {
+      const std::size_t r = base + uj;
+      RankCounters& rc = out_[r];
+      rc.clock = clock_[r];
+      rc.idle_time = idle_[r];
+      rc.flops = flops_[r];
+      const std::size_t lj = ul * q_ + uj;
+      std::int64_t ws = prof_li_.ws[li] + prof_lj_.ws[lj] + prof_l_.ws[ul];
+      std::int64_t ms = prof_li_.ms[li] + prof_lj_.ms[lj] + prof_l_.ms[ul];
+      std::int64_t wr = prof_li_.wr[li] + prof_lj_.wr[lj] + prof_l_.wr[ul];
+      std::int64_t mr = prof_li_.mr[li] + prof_lj_.mr[lj] + prof_l_.mr[ul];
+      if (prof_r_) {
+        ws += prof_r_->ws[r];
+        ms += prof_r_->ms[r];
+        wr += prof_r_->wr[r];
+        mr += prof_r_->mr[r];
       }
+      rc.words_sent += static_cast<double>(ws);
+      rc.msgs_sent += static_cast<double>(ms);
+      rc.words_hops += static_cast<double>(ws);
+      rc.msgs_hops += static_cast<double>(ms);
+      rc.words_recv += static_cast<double>(wr);
+      rc.msgs_recv += static_cast<double>(mr);
+      rc.mem_highwater = std::max(rc.mem_highwater, rc.mem_words + peak);
+      rc.mem_words += mem_now;
     }
   }
 
   const RotorSchedule& rs_;
+  std::vector<RankCounters>& out_;
   const int q_;
   const int c_;
   const std::size_t qq_;
+  const std::size_t p_;
   const double gamma_;
   std::vector<PointCost> cost_;  ///< per op (collectives, skews)
   const KidsCsr kids_q_;
   const KidsCsr kids_c_;
-  // Integer deltas of the mask-free collectives, per axis coordinate.
-  Profile prof_i_;  ///< by row coordinate (column collectives)
-  Profile prof_j_;  ///< by column coordinate (row collectives)
-  Profile prof_l_;  ///< by layer (depth collectives)
+  // Integer deltas of the mask-free collectives and of masked broadcasts
+  // receives, per axis coordinate.
+  Profile prof_li_;  ///< by (layer, row): column collectives, row receives
+  Profile prof_lj_;  ///< by (layer, column): row collectives, column receives
+  Profile prof_l_;   ///< by layer (depth collectives)
+  const std::vector<Phase> plan_;
   std::int64_t mem_end_ = 0;   ///< live words at the end, over the baseline
   std::int64_t mem_peak_ = 0;  ///< high-water mark, over the baseline
-  double phases_ = 2.0;        ///< load and store, plus the ops'
   /// Column collectives cut the virtual-rank axis into nblk_ aligned
   /// blocks of blk_ (a power of two), each a binomial subtree.
   int blk_ = 1;
@@ -985,7 +1342,9 @@ class Sweep {
   /// Per-rank integer deltas, materialized only when a masked or skew op
   /// needs them (mask-free collectives use the axis profiles).
   std::unique_ptr<Profile> prof_r_;
-  std::vector<double> arr_rank_;  ///< skew/shift arrivals, all ranks
+  /// Skew/shift arrivals, all ranks, one buffer per parity (none without
+  /// skews, one for a single skew).
+  std::vector<double> arr_rank_;
   std::vector<double> arr_roots_;  ///< vr block-root arrivals [block][col]
 };
 
@@ -1006,14 +1365,15 @@ void run_team(int team, const Body& body) {
   for (std::thread& w : workers) w.join();
 }
 
+/// Chunks per phase each member of a team of `team` owns.
+int per_member(int team) { return team == 1 ? 1 : kChunksPerMember; }
+
 }  // namespace
 
 void rotor_run(const RotorSchedule& rs, const MachineConfig& cfg,
                std::vector<RankCounters>& out, int threads) {
-  const int q = rs.q;
-  const int c = rs.c;
+  check_schedule(rs);
   const int p = rs.p();
-  ALGE_CHECK(q >= 1 && c >= 1, "rotor schedule needs q >= 1 and c >= 1");
   ALGE_CHECK(static_cast<int>(out.size()) == p,
              "rotor counters sized %zu for p=%d", out.size(), p);
   ALGE_CHECK(cfg.data_mode == DataMode::kGhost && cfg.faults == nullptr &&
@@ -1032,19 +1392,29 @@ void rotor_run(const RotorSchedule& rs, const MachineConfig& cfg,
                                  std::thread::hardware_concurrency()) -
                                  kSpareCpus);
   }
-  Team claims(team, team == 1 ? 1 : kChunksPerMember);
-  Sweep sweep(rs, cfg.params, out[0].mem_words, claims.chunks());
+  Team claims(team, per_member(team));
+  Sweep sweep(rs, cfg.params, out, claims.chunks());
   // Chunk counts over all phases must fit the int counters.
-  ALGE_CHECK(static_cast<double>(claims.chunks()) * sweep.phases() <
+  ALGE_CHECK(static_cast<double>(claims.chunks()) *
+                     static_cast<double>(sweep.phases()) <
                  2147483647.0,
              "rotor schedule of %zu ops too long for a team of %d",
              rs.ops.size(), team);
   std::vector<Scratch> scratch;
   scratch.reserve(static_cast<std::size_t>(team));
-  for (int k = 0; k < team; ++k) scratch.emplace_back(q, c, sweep.levels());
+  for (int k = 0; k < team; ++k) {
+    scratch.emplace_back(rs.q, rs.c, sweep.levels());
+  }
   run_team(team, [&](int k) {
-    sweep.run(claims, k, scratch[static_cast<std::size_t>(k)], out);
+    sweep.run(claims, k, scratch[static_cast<std::size_t>(k)]);
   });
+}
+
+int rotor_phases(const RotorSchedule& rs, int threads) {
+  ALGE_CHECK(threads >= 1, "rotor team of %d threads", threads);
+  check_schedule(rs);
+  return static_cast<int>(
+      plan_phases(rs, threads * per_member(threads)).size());
 }
 
 }  // namespace alge::sim

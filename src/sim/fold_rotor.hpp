@@ -22,20 +22,24 @@
 //     a child's arrival is its parent's clock after that specific
 //     sequential send charge, never a closed form;
 //   * words/messages sent/received are integer-valued (< 2^53), hence
-//     order-independent, and accumulate in int64 profiles: one scalar
-//     axis profile per grid dimension for mask-free ops (O(q) per op) and
-//     a per-rank array for masked and skew ops;
+//     order-independent, and accumulate in int64 profiles: by (layer,
+//     row), (layer, column) and layer wherever a count depends only on
+//     those (mask-free collectives, masked broadcasts' receives, skews and
+//     shifts; O(c·q) per op), and a per-rank array for the rest of the
+//     masked ops;
 //   * memory registration is uniform across ranks in these schedules, so
 //     the high-water mark and the M-capacity check replay from a scalar;
-//   * each op's work splits into rank-disjoint chunks (rows, row groups,
-//     depth instances, skew blocks; for column collectives, blocks of
-//     whole rows that are binomial subtrees, after a small phase that
-//     computes the arrivals at their roots) that the members of a thread
-//     team created for the call claim first come, first served, so each
+//   * a serial pre-pass plans the run into phases: each phase holds op
+//     segments that one chunk of ranks runs back to back, grid row by grid
+//     row, and a phase boundary stays only where a rank reads state that
+//     another chunk wrote since the last one (a column collective's
+//     block-root arrivals, a skew's sends, a depth collective's
+//     instances). The members of a thread team created for the call claim
+//     each phase's rank-disjoint chunks first come, first served, so each
 //     rank's floating-point sequence is the serial one whichever member
-//     runs it and at any team size. All checks, the memory replay and the
-//     mask-free ops' integer profiles run in a serial pre-pass first; the
-//     team itself never throws.
+//     runs it and at any team size. All checks, the memory replay, the
+//     axis profiles and the plan come first; the team itself never
+//     throws.
 //
 // Participation masks (row_rep/col_rep/layer_rep) make one op vector
 // describe LU's shrinking active grid: member (i, j, l) participates
@@ -109,16 +113,21 @@ struct RotorSchedule {
 /// replay behind the SimError, runs before any rank is evaluated, so `out`
 /// is unchanged whenever the call throws.
 ///
-/// `threads` sizes the team that evaluates each op: the calling thread
+/// `threads` sizes the team that evaluates each phase: the calling thread
 /// plus threads - 1 threads started for this call and joined before it
 /// returns. 0 picks std::thread::hardware_concurrency() - 1 members (one
 /// CPU left to the rest of the system, at least one member) when the run
 /// holds at least 2^24 rank-ops (p × ops.size()) and runs inline on the
-/// caller otherwise. Every op's work splits into rank-disjoint chunks, each
-/// rank's floating-point updates keep the serial order, so `out` is
+/// caller otherwise. Every phase's work splits into rank-disjoint chunks,
+/// each rank's floating-point updates keep the serial order, so `out` is
 /// bit-identical for every team size and every assignment of chunks to
 /// members.
 void rotor_run(const RotorSchedule& rs, const MachineConfig& cfg,
                std::vector<RankCounters>& out, int threads = 0);
+
+/// Phases rotor_run plans for `rs` with a team of `threads` (>= 1)
+/// members: the team synchronizes once per phase. Checks `rs` as rotor_run
+/// does.
+int rotor_phases(const RotorSchedule& rs, int threads);
 
 }  // namespace alge::sim

@@ -16,6 +16,7 @@
 //     equal fiber results bit for bit, and folded + full data is rejected.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -527,8 +528,8 @@ TEST(RotorTeam, LuShrinkingMasksAreBitIdentical) {
 }
 
 /// Per-rank counters of the fiber program that `rs` describes, for a
-/// schedule of compute ops and column broadcasts only: member (i, j, l)
-/// takes part row_rep[i]·col_rep[j]·layer_rep[l] times in a row.
+/// schedule of compute ops and row and column broadcasts only: member
+/// (i, j, l) takes part row_rep[i]·col_rep[j]·layer_rep[l] times in a row.
 std::vector<sim::RankCounters> fiber_counters(const sim::RotorSchedule& rs) {
   const int q = rs.q;
   sim::MachineConfig cfg = rotor_cfg(rotor_mp(), rs.p());
@@ -549,6 +550,9 @@ std::vector<sim::RankCounters> fiber_counters(const sim::RotorSchedule& rs) {
       for (int t = 0; t < reps; ++t) {
         if (op.kind == sim::RotorOp::Kind::kCompute) {
           comm.compute(op.flops);
+        } else if (op.kind == sim::RotorOp::Kind::kBcastRow) {
+          comm.bcast(buf, op.root,
+                     sim::Group::strided(l * q * q + i * q, q, 1));
         } else {
           comm.bcast(buf, op.root,
                      sim::Group::strided(l * q * q + j, q, q));
@@ -559,6 +563,22 @@ std::vector<sim::RankCounters> fiber_counters(const sim::RotorSchedule& rs) {
   std::vector<sim::RankCounters> out;
   for (int r = 0; r < m.p(); ++r) out.push_back(m.rank_counters(r));
   return out;
+}
+
+/// Every team size reproduces the fiber program of `rs` bit for bit.
+void expect_fiber_parity(const sim::RotorSchedule& rs) {
+  const auto fib = fiber_counters(rs);
+  const sim::MachineConfig cfg = rotor_cfg(rotor_mp(), rs.p());
+  for (const int threads : kTeamSizes) {
+    std::vector<sim::RankCounters> rot(fib.size());
+    sim::rotor_run(rs, cfg, rot, threads);
+    for (std::size_t r = 0; r < fib.size(); ++r) {
+      ASSERT_EQ(std::memcmp(&fib[r], &rot[r], sizeof(sim::RankCounters)), 0)
+          << threads << " threads, rank " << r << ": clock " << fib[r].clock
+          << " vs " << rot[r].clock << ", words_sent " << fib[r].words_sent
+          << " vs " << rot[r].words_sent;
+    }
+  }
 }
 
 TEST(RotorTeam, LayeredMaskedColumnBroadcastsMatchFibers) {
@@ -587,23 +607,89 @@ TEST(RotorTeam, LayeredMaskedColumnBroadcastsMatchFibers) {
   add(K::kCompute, 1, {}, {0, 1, 3});
   add(K::kBcastCol, 0, {0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}, {});
   add(K::kBcastCol, 7, {}, {1, 0, 2});
-  const auto fib = fiber_counters(rs);
-  const sim::MachineConfig cfg = rotor_cfg(rotor_mp(), rs.p());
-  for (const int threads : kTeamSizes) {
-    std::vector<sim::RankCounters> rot(fib.size());
-    sim::rotor_run(rs, cfg, rot, threads);
-    for (std::size_t r = 0; r < fib.size(); ++r) {
-      ASSERT_EQ(std::memcmp(&fib[r], &rot[r], sizeof(sim::RankCounters)), 0)
-          << threads << " threads, rank " << r << ": clock " << fib[r].clock
-          << " vs " << rot[r].clock << ", words_sent " << fib[r].words_sent
-          << " vs " << rot[r].words_sent;
-    }
-  }
+  expect_fiber_parity(rs);
+}
+
+TEST(RotorTeam, FusedLayeredMaskedPhasesMatchFibers) {
+  // Ops that share phases: compute and row broadcasts run on a column
+  // broadcast's rows right after its last replay round when they stay in
+  // its layer, a masked row broadcast leads a phase of its own rows that a
+  // compute on one of them joins, and ops on fewer ranks than a chunk's
+  // share run serially (at 2 to 4 threads: the one-rank compute, the
+  // one-row broadcast and compute, the one-column broadcast replayed
+  // twice), all against the fiber program.
+  sim::RotorSchedule rs;
+  rs.q = 11;
+  rs.c = 3;
+  using K = sim::RotorOp::Kind;
+  auto add = [&rs](K kind, int root, std::vector<std::int32_t> row_rep,
+                   std::vector<std::int32_t> col_rep,
+                   std::vector<std::int32_t> layer_rep) {
+    sim::RotorOp op;
+    op.kind = kind;
+    op.root = root;
+    op.words = 100;
+    op.flops = 7.0 + root;
+    op.row_rep = std::move(row_rep);
+    op.col_rep = std::move(col_rep);
+    op.layer_rep = std::move(layer_rep);
+    rs.ops.push_back(std::move(op));
+  };
+  auto one_hot = [](int n, int at, int reps) {
+    std::vector<std::int32_t> v(static_cast<std::size_t>(n), 0);
+    v[static_cast<std::size_t>(at)] = reps;
+    return v;
+  };
+  const std::vector<std::int32_t> rows = {2, 0, 1, 1, 3, 0, 1, 2, 1, 0, 1};
+  const std::vector<std::int32_t> cols = {3, 0, 1, 2, 0, 1, 1, 3, 0, 2, 1};
+  add(K::kCompute, 5, rows, {}, {1, 2, 0});
+  add(K::kBcastRow, 3, {}, {}, {});
+  add(K::kBcastCol, 4, {}, {}, {0, 0, 1});
+  add(K::kCompute, 6, rows, cols, {0, 0, 2});
+  add(K::kBcastRow, 8, rows, {}, {0, 0, 1});
+  add(K::kBcastCol, 10, {}, cols, {2, 0, 1});
+  add(K::kCompute, 1, one_hot(11, 5, 1), one_hot(11, 7, 2), {0, 1, 0});
+  add(K::kBcastRow, 2, one_hot(11, 2, 1), {}, {1, 0, 0});
+  add(K::kCompute, 4, one_hot(11, 2, 2), cols, {1, 0, 0});
+  add(K::kBcastCol, 2, {}, one_hot(11, 6, 2), {0, 1, 0});
+  add(K::kCompute, 0, {}, {}, {});
+  add(K::kBcastRow, 9, rows, {}, {});
+  add(K::kBcastCol, 7, {}, {}, {});
+  add(K::kBcastRow, 0, {}, {}, {0, 0, 1});
+  add(K::kCompute, 3, {}, cols, {0, 0, 1});
+  expect_fiber_parity(rs);
 }
 
 TEST(RotorTeam, Mm25dSkewShiftAndDepthAreBitIdentical) {
   expect_team_invariant(algs::foldmap_mm25d(8, 2, 4, false));
   expect_team_invariant(algs::foldmap_mm25d(8, 4, 4, false));
+}
+
+TEST(RotorTeam, Mm25dOddStepCountsMatchFibers) {
+  // q/c = 3 and 5 Cannon steps: the shifts' arrivals alternate between
+  // two buffers, so an odd count ends on the other parity than it began.
+  for (const algs::Problem& pb :
+       {algs::Problem{.alg = "mm25d", .n = 24, .q = 6, .c = 2},
+        algs::Problem{.alg = "mm25d", .n = 40, .q = 10, .c = 2},
+        algs::Problem{.alg = "mm25d", .n = 24, .q = 12, .c = 4}}) {
+    SCOPED_TRACE(testing::Message() << "q " << pb.q << ", c " << pb.c);
+    const auto fib = ghost_counters(sim::ExecMode::kFibers, nullptr, pb);
+    const auto map = algs::find(pb.alg).fold(pb);
+    ASSERT_NE(map, nullptr);
+    ASSERT_NE(map->rotor(), nullptr);
+    const sim::RotorSchedule& rs = *map->rotor();
+    const sim::MachineConfig cfg = rotor_cfg(rotor_mp(), rs.p());
+    for (const int threads : kTeamSizes) {
+      std::vector<sim::RankCounters> rot(fib.size());
+      sim::rotor_run(rs, cfg, rot, threads);
+      for (std::size_t r = 0; r < fib.size(); ++r) {
+        ASSERT_EQ(std::memcmp(&fib[r], &rot[r], sizeof(sim::RankCounters)),
+                  0)
+            << threads << " threads, rank " << r << ": clock "
+            << fib[r].clock << " vs " << rot[r].clock;
+      }
+    }
+  }
 }
 
 TEST(RotorTeam, CapacityOverflowThrowsTheSameErrorAndLeavesOutUnchanged) {
@@ -632,6 +718,93 @@ TEST(RotorTeam, CapacityOverflowThrowsTheSameErrorAndLeavesOutUnchanged) {
     EXPECT_TRUE(out == before) << threads << " threads: out was modified";
   }
   EXPECT_NE(first.find("out of memory"), std::string::npos) << first;
+}
+
+// ------------------------------------------------------- rotor phase plan
+
+// Phase counts of the sweep's plan (one team synchronization each). The
+// sweep used to open a phase per op and two per column broadcast; these
+// pin the fused counts exactly.
+
+TEST(RotorPlan, SummaRunsTwoPhasesPerStep) {
+  // Step k: [column roots(k)], then [column rows(k) -> compute(k) -> row
+  // broadcast(k+1)] row by row; the first row broadcast joins the load
+  // and the store joins the last step: 2q + 1 (one phase per op: 4q + 2).
+  const auto map = algs::foldmap_summa(4096, 512);
+  for (const int threads : {1, 3, 7}) {
+    EXPECT_EQ(sim::rotor_phases(*map->rotor(), threads), 2 * 512 + 1)
+        << threads << " threads";
+  }
+}
+
+TEST(RotorPlan, LuRunsFourPhasesPerStep) {
+  // nt = q = 512 (one phase per op: 5,116). At 3 threads (24 chunks) a
+  // step is [getrf, the A(k,k) broadcasts and both trsm run serially],
+  // [the L broadcast], [U broadcast roots], [U broadcast rows -> gemm ->
+  // next getrf] while the trailing broadcasts reach 22 of the 512 rows
+  // and columns (k <= 489: a chunk's share is 2^18 / 24 ranks); the last
+  // 22 steps run serially in one phase. Load and store add two.
+  const auto map = algs::foldmap_lu(4096, 8, 512, 1);
+  const int phases = sim::rotor_phases(*map->rotor(), 3);
+  EXPECT_LE(phases, 4 * 512 + 2);
+  EXPECT_EQ(phases, 2 + 4 * 490 + 1);
+}
+
+TEST(RotorPlan, LuReplayRoundsAddTwoPhasesEach) {
+  // nt = 36 > q = 12: the U broadcast replays max(t) rounds, each round
+  // its own phase A and B; the gemm joins only the last round's B.
+  const sim::RotorSchedule rs = *algs::foldmap_lu(144, 4, 12, 1)->rotor();
+  // The same schedule with every column broadcast cut to one round.
+  sim::RotorSchedule once = rs;
+  int extra = 0;
+  for (sim::RotorOp& op : once.ops) {
+    if (op.kind != sim::RotorOp::Kind::kBcastCol || op.col_rep.empty()) {
+      continue;
+    }
+    extra += *std::max_element(op.col_rep.begin(), op.col_rep.end()) - 1;
+    for (std::int32_t& reps : op.col_rep) reps = std::min(reps, 1);
+  }
+  ASSERT_GT(extra, 0);
+  for (const int threads : {1, 3, 7}) {
+    EXPECT_EQ(sim::rotor_phases(rs, threads) - sim::rotor_phases(once, threads),
+              2 * extra)
+        << threads << " threads";
+  }
+}
+
+TEST(RotorPlan, Mm25dRunsTwoPhasesPerCannonStep) {
+  // q/c = 64 steps: [recv B(s-1) -> compute(s) -> send A(s)] and
+  // [recv A(s) -> send B(s)], with the skews as step -1; plus load, the
+  // two depth broadcasts, skew A's sends, the depth reduce and the store
+  // (one phase per op: 325).
+  const auto map = algs::foldmap_mm25d(256, 4, 16, false);
+  for (const int threads : {1, 3}) {
+    EXPECT_EQ(sim::rotor_phases(*map->rotor(), threads), 2 * 64 + 6)
+        << threads << " threads";
+  }
+}
+
+/// The SUMMA schedule cut down to its ops of one kind, as
+/// bench/micro_sim's BM_RotorSweepKind runs it.
+sim::RotorSchedule summa_kind(int n, int q, sim::RotorOp::Kind kind) {
+  sim::RotorSchedule rs = *algs::foldmap_summa(n, q)->rotor();
+  std::erase_if(rs.ops, [kind](const sim::RotorOp& op) {
+    return op.kind != kind;
+  });
+  return rs;
+}
+
+TEST(RotorPlan, SingleKindSchedulesPlanAndRun) {
+  using K = sim::RotorOp::Kind;
+  // All computes, or all row broadcasts, share one phase with the load
+  // and store; each column broadcast needs its A and B.
+  EXPECT_EQ(sim::rotor_phases(summa_kind(4096, 256, K::kCompute), 3), 1);
+  EXPECT_EQ(sim::rotor_phases(summa_kind(4096, 256, K::kBcastRow), 3), 1);
+  EXPECT_EQ(sim::rotor_phases(summa_kind(4096, 256, K::kBcastCol), 3),
+            2 * 256 + 1);
+  for (const K kind : {K::kCompute, K::kBcastRow, K::kBcastCol}) {
+    expect_fiber_parity(summa_kind(34, 17, kind));
+  }
 }
 
 // ------------------------------------------------------ engine spec axis
