@@ -17,9 +17,9 @@
 // SUMMA, LU or 2.5D (c = 4) schedule at q = 256, inline (threads = 1) and
 // with the default team (threads = 0), and reports ns_per_rank_op: wall
 // time per (rank, schedule op) pair, the unit of the array sweep's work.
-// The summa_compute, summa_bcast_row and summa_bcast_col schedules keep
-// only the SUMMA ops of one kind, so each op kind's cost and team scaling
-// is measured on its own.
+// The summa_* and lu_* schedules (compute, bcast_row, bcast_col) keep only
+// the SUMMA or LU ops of one kind, so each op kind's cost and team scaling
+// is measured on its own; LU's are its masked paths.
 //
 // BM_SectionV/<question> times one cold §V answer from core::Optimizer on
 // the case-study machine: n-body V-A (the closed form), classical-mm V-B
@@ -218,7 +218,8 @@ void time_rotor(benchmark::State& state, const sim::RotorSchedule& rs) {
 constexpr int kRotorQ = 256;
 constexpr int kRotorN = 4096;
 
-void BM_RotorSweep(benchmark::State& state, int alg) {
+/// The folded schedule of `alg`: 0 SUMMA, 1 LU, 2 2.5D (c = 4).
+sim::RotorSchedule rotor_schedule(int alg) {
   std::shared_ptr<const sim::FoldMap> map;
   switch (alg) {
     case 0:
@@ -231,34 +232,45 @@ void BM_RotorSweep(benchmark::State& state, int alg) {
       map = algs::foldmap_mm25d(kRotorQ, 4, kRotorN / kRotorQ, false);
       break;
   }
-  time_rotor(state, *map->rotor());
+  return *map->rotor();
 }
 
-/// The SUMMA schedule of BM_RotorSweep cut down to its ops of one kind.
-void BM_RotorSweepKind(benchmark::State& state, sim::RotorOp::Kind kind) {
-  sim::RotorSchedule rs = *algs::foldmap_summa(kRotorN, kRotorQ)->rotor();
+void BM_RotorSweep(benchmark::State& state, int alg) {
+  time_rotor(state, rotor_schedule(alg));
+}
+
+/// The schedule of BM_RotorSweep cut down to its ops of one kind.
+void BM_RotorSweepKind(benchmark::State& state, int alg,
+                       sim::RotorOp::Kind kind) {
+  sim::RotorSchedule rs = rotor_schedule(alg);
   std::erase_if(rs.ops,
                 [kind](const sim::RotorOp& op) { return op.kind != kind; });
   time_rotor(state, rs);
 }
 
-#define ALGE_ROTOR_BENCH(fn, label, arg)   \
-  BENCHMARK_CAPTURE(fn, label, arg)        \
-      ->Name("BM_RotorSweep/" #label)      \
-      ->ArgName("threads")                 \
-      ->Arg(1)                             \
-      ->Arg(0)                             \
-      ->UseRealTime()                      \
+#define ALGE_ROTOR_BENCH(fn, label, ...)    \
+  BENCHMARK_CAPTURE(fn, label, __VA_ARGS__) \
+      ->Name("BM_RotorSweep/" #label)       \
+      ->ArgName("threads")                  \
+      ->Arg(1)                              \
+      ->Arg(0)                              \
+      ->UseRealTime()                       \
       ->Unit(benchmark::kMillisecond)
 
 ALGE_ROTOR_BENCH(BM_RotorSweep, summa, 0);
 ALGE_ROTOR_BENCH(BM_RotorSweep, lu, 1);
 ALGE_ROTOR_BENCH(BM_RotorSweep, mm25d_c4, 2);
-ALGE_ROTOR_BENCH(BM_RotorSweepKind, summa_compute,
+ALGE_ROTOR_BENCH(BM_RotorSweepKind, summa_compute, 0,
                  sim::RotorOp::Kind::kCompute);
-ALGE_ROTOR_BENCH(BM_RotorSweepKind, summa_bcast_row,
+ALGE_ROTOR_BENCH(BM_RotorSweepKind, summa_bcast_row, 0,
                  sim::RotorOp::Kind::kBcastRow);
-ALGE_ROTOR_BENCH(BM_RotorSweepKind, summa_bcast_col,
+ALGE_ROTOR_BENCH(BM_RotorSweepKind, summa_bcast_col, 0,
+                 sim::RotorOp::Kind::kBcastCol);
+ALGE_ROTOR_BENCH(BM_RotorSweepKind, lu_compute, 1,
+                 sim::RotorOp::Kind::kCompute);
+ALGE_ROTOR_BENCH(BM_RotorSweepKind, lu_bcast_row, 1,
+                 sim::RotorOp::Kind::kBcastRow);
+ALGE_ROTOR_BENCH(BM_RotorSweepKind, lu_bcast_col, 1,
                  sim::RotorOp::Kind::kBcastCol);
 
 using SectionV = core::RunPoint (*)(const core::Optimizer&);

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstddef>
 
+#include "support/cpu.hpp"
+
 #if defined(__x86_64__)
 #include <immintrin.h>
 #endif
@@ -75,24 +77,12 @@ inline V vsqrt(V x) {
 #include "algs/kernels.inc"
 }  // namespace baseline
 
-#if defined(__x86_64__)
-bool has_avx512() {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx512f");
-}
-bool has_avx2() {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2");
-}
-#endif
-bool always() { return true; }
-
 constexpr Isa kIsas[] = {
 #if defined(__x86_64__)
-    {"avx512", has_avx512, avx512::matmul, avx512::forces},
-    {"avx2", has_avx2, avx2::matmul, avx2::forces},
+    {"avx512", cpu::avx512f, avx512::matmul, avx512::forces},
+    {"avx2", cpu::avx2, avx2::matmul, avx2::forces},
 #endif
-    {"baseline", always, baseline::matmul, baseline::forces},
+    {"baseline", cpu::baseline, baseline::matmul, baseline::forces},
 };
 
 }  // namespace

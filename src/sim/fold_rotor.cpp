@@ -9,9 +9,16 @@
 //      per-fiber op order. Binomial-tree arrivals are replayed send by
 //      send: a child's arrival is the parent's clock after that specific
 //      sequential send charge (parents send to children in descending
-//      subtree order), never a closed form. Inner loops over a grid row
-//      run two ranks per SSE2 register; each lane evaluates the scalar
-//      expression, so the bits are the same.
+//      subtree order), never a closed form. A row or depth broadcast runs
+//      level by level from the top: a member receives at the level of its
+//      virtual rank's lowest set bit and sends at every lower one, so
+//      replaying each level's (sender, receiver) pairs in descending level
+//      order gives every member its per-fiber sequence, one sync and then
+//      its sends high to low (sim/rotor_rows.hpp). The inner loops over a
+//      grid row (sim/rotor_rows.hpp) run as many ranks per vector as the
+//      CPU's widest supported instruction set holds, one rank per lane;
+//      each lane evaluates the scalar expression, so the bits are the same
+//      on every variant.
 //
 //   2. Word/message counters only ever accumulate integer values, and
 //      every partial sum stays far below 2^53, so any summation order is
@@ -20,8 +27,12 @@
 //      rank's (layer, row), (layer, column) or layer coordinates, the
 //      pre-pass adds it to that axis profile: mask-free collectives, a
 //      masked broadcast's receives (less the root's) and skew/shift
-//      traffic. The sweep counts per rank only a masked collective's
-//      sends and a masked reduce's receives.
+//      traffic. Per rank are counted only a masked collective's sends and
+//      a masked reduce's receives. A masked row or column broadcast's
+//      sends are added when the grid row is stored, not per op: a row
+//      broadcast's are the tree's child counts, rotated by the root, times
+//      the row's repetitions; a column broadcast's are the row's child
+//      count in every column group, times that column's repetitions.
 //
 //   3. Memory registration is rank-uniform in every rotor schedule, so
 //      one scalar live/peak pair stands for all ranks; the M-capacity
@@ -75,14 +86,15 @@
 // passed.
 //
 // The group sweeps are the hot path — a q = 1024 SUMMA run replays ~2·10⁹
-// member visits — so the binomial child lists are flattened to CSR, the
-// per-group replay runs in raw-pointer loops with the rank index stepped
-// incrementally, and masked ops visit only the grid rows and the column
-// range with nonzero participation (a one-hot panel mask costs O(q), not
-// O(q²)). Column collectives walk whole grid rows: each chunk streams
-// through a run of consecutive rows (one block, wrapping at most once at
-// the root) instead of a slice of every row, and keeps its arrivals in a
-// buffer of log2(block) rows per member, not a q × q array.
+// member visits — so row broadcasts keep no arrivals at all (level order),
+// column collectives read the binomial child lists flattened to CSR, the
+// row loops run at the vector width, and masked ops visit only the grid
+// rows and the column range with nonzero participation (a one-hot panel
+// mask costs O(q), not O(q²)). Column collectives walk whole grid rows:
+// each chunk streams through a run of consecutive rows (one block,
+// wrapping at most once at the root) instead of a slice of every row, and
+// keeps its arrivals in a buffer of log2(block) rows per member, not a
+// q × q array.
 #include "sim/fold_rotor.hpp"
 
 #include <algorithm>
@@ -94,6 +106,7 @@
 #include <thread>
 
 #include "sim/machine.hpp"
+#include "sim/rotor_rows.hpp"
 #include "support/common.hpp"
 
 namespace alge::sim {
@@ -152,6 +165,15 @@ KidsCsr make_kids(int n) {
   }
   k.off.push_back(static_cast<int>(k.val.size()));
   return k;
+}
+
+/// Sends per virtual rank of a tree: its child count.
+std::vector<std::int64_t> kid_counts(const KidsCsr& k) {
+  std::vector<std::int64_t> n(k.off.size() - 1);
+  for (std::size_t vr = 0; vr < n.size(); ++vr) {
+    n[vr] = k.off[vr + 1] - k.off[vr];
+  }
+  return n;
 }
 
 /// Integer word/message deltas for one index domain (an axis or the whole
@@ -280,97 +302,17 @@ class Team {
   alignas(64) std::atomic<int> done_{0};  ///< chunks done, all phases
 };
 
-/// CostHooks' receive-side sync: a rank whose clock `cl` is behind an
-/// arrival `a` idles until it.
-inline double sync(double a, double cl, double& idl) {
-  if (a > cl) {
-    idl += a - cl;
-    return a;
-  }
-  return cl;
-}
-
-/// Two ranks in one SSE2 register, the x86-64 baseline: the inner loops
-/// over a grid row step two columns at a time. Each lane runs the scalar
-/// operations in the scalar order, so the results are the same bits.
-using V2 = double __attribute__((vector_size(16)));
-
-inline V2 load2(const double* p) {
-  V2 v;
-  __builtin_memcpy(&v, p, sizeof v);
-  return v;
-}
-
-inline void store2(double* p, V2 v) { __builtin_memcpy(p, &v, sizeof v); }
-
-/// sync() on two lanes, with their idle times at idl[0] and idl[1].
-inline V2 sync2(V2 a, V2 cl, double* idl) {
-  const V2 id = load2(idl);
-  const auto later = a > cl;
-  store2(idl, later ? id + (a - cl) : id);
-  return later ? a : cl;
-}
-
-/// One binomial bcast over the group at (base, stride, n) with root index
-/// rho — clocks only (uniform ops account integers once per op via the
-/// axis profile). Ascending virtual rank visits parents before children;
-/// arr[vr] carries each member's arrival.
-void bcast_group(double* clk, double* idl, double* arr, const int* koff,
-                 const int* kval, int n, int rho, double cost,
-                 std::size_t base, std::size_t stride) {
-  int vr = 0;
-  auto visit = [&](std::size_t r) {
-    double cl = clk[r];
-    if (vr != 0) cl = sync(arr[vr], cl, idl[r]);
-    const int end = koff[vr + 1];
-    for (int t = koff[vr]; t < end; ++t) {
-      cl += cost;
-      arr[kval[t]] = cl;
-    }
-    clk[r] = cl;
-    ++vr;
-  };
-  // Members rho..n-1, then 0..rho-1: ascending virtual rank.
-  for (int x = rho; x < n; ++x) visit(base + x * stride);
-  for (int x = 0; x < rho; ++x) visit(base + x * stride);
-}
-
-/// Masked-group variant: the same replay plus the per-rank send counts
-/// (the pre-pass accounts a masked broadcast's receives).
-void bcast_group_masked(double* clk, double* idl, double* arr,
-                        const int* koff, const int* kval, int n, int rho,
-                        const PointCost& pc, std::size_t base,
-                        std::size_t stride, Profile& pr) {
-  int vr = 0;
-  auto visit = [&](std::size_t r) {
-    double cl = clk[r];
-    if (vr != 0) cl = sync(arr[vr], cl, idl[r]);
-    const int beg = koff[vr];
-    const int end = koff[vr + 1];
-    for (int t = beg; t < end; ++t) {
-      cl += pc.cost;
-      arr[kval[t]] = cl;
-    }
-    pr.ws[r] += (end - beg) * pc.k;
-    pr.ms[r] += (end - beg) * pc.m;
-    clk[r] = cl;
-    ++vr;
-  };
-  for (int x = rho; x < n; ++x) visit(base + x * stride);
-  for (int x = 0; x < rho; ++x) visit(base + x * stride);
-}
-
 /// Uniform-op integer profile: per member position, the tree's send and
-/// recv counts depend only on the virtual rank. Member coordinate x is
-/// entry at + x of `pf`.
-void tree_profile(Profile& pf, std::size_t at, const KidsCsr& kids, int n,
-                  int rho, const PointCost& pc, bool reduce) {
+/// recv counts depend only on the virtual rank (`kids`: child counts).
+/// Member coordinate x is entry at + x of `pf`.
+void tree_profile(Profile& pf, std::size_t at,
+                  const std::vector<std::int64_t>& kids, int n, int rho,
+                  const PointCost& pc, bool reduce) {
   for (int vr = 0; vr < n; ++vr) {
     int coord = vr + rho;
     if (coord >= n) coord -= n;
     const std::size_t uc = at + static_cast<std::size_t>(coord);
-    const std::int64_t nk = kids.off[static_cast<std::size_t>(vr) + 1] -
-                            kids.off[static_cast<std::size_t>(vr)];
+    const std::int64_t nk = kids[static_cast<std::size_t>(vr)];
     if (reduce) {
       if (vr != 0) {
         pf.ws[uc] += pc.k;
@@ -473,11 +415,10 @@ enum class Step : std::uint8_t {
 /// One op's share of a phase (or the load or store of the counters).
 struct Seg {
   Step step = Step::kLoad;
-  int op = -1;         ///< schedule position; -1 for load and store
-  int l = 0;           ///< column collective: layer
-  int t = 0;           ///< column collective: replay round
-  int j0 = 0, j1 = 0;  ///< compute: the op's active column range
-  int buf = 0;         ///< skew/shift: arrival buffer
+  int op = -1;   ///< schedule position; -1 for load and store
+  int l = 0;     ///< column collective: layer
+  int t = 0;     ///< column collective: replay round
+  int buf = 0;   ///< skew/shift: arrival buffer
 };
 
 /// Segments that run with no phase boundary between them (invariant 4).
@@ -547,20 +488,9 @@ std::vector<Phase> plan_phases(const RotorSchedule& rs, int chunks) {
       case RotorOp::Kind::kAlloc:
       case RotorOp::Kind::kFree:
         break;  // replayed by the pre-pass
-      case RotorOp::Kind::kCompute: {
-        Seg s{.step = Step::kCompute, .op = o, .j1 = q};
-        if (!op.col_rep.empty()) {
-          const auto nz = [](std::int32_t v) { return v > 0; };
-          const auto first =
-              std::find_if(op.col_rep.begin(), op.col_rep.end(), nz);
-          const auto last =
-              std::find_if(op.col_rep.rbegin(), op.col_rep.rend(), nz);
-          s.j0 = static_cast<int>(first - op.col_rep.begin());
-          s.j1 = std::max(s.j0, static_cast<int>(op.col_rep.rend() - last));
-        }
-        place(s, small);
+      case RotorOp::Kind::kCompute:
+        place({.step = Step::kCompute, .op = o}, small);
         break;
-      }
       case RotorOp::Kind::kBcastRow:
         place({.step = Step::kBcastRow, .op = o}, small);
         break;
@@ -596,12 +526,12 @@ std::vector<Phase> plan_phases(const RotorSchedule& rs, int chunks) {
 /// sweep never allocates. A chunk uses the scratch of the member running
 /// it.
 struct Scratch {
-  std::vector<double> arr;  // one group's arrivals, by virtual rank
+  std::vector<double> arr;  // one depth reduce's arrivals, by virtual rank
   std::vector<int> row_act, col_act, lay_act;
-  std::vector<int> col_reps;  // per-column replay counts, one layer
-  std::vector<double> lev;    // column-collective arrivals, by tree level
+  std::vector<std::int64_t> col_reps;  // per-column replay counts, one layer
+  std::vector<double> lev;  // column-collective arrivals, by tree level
   Scratch(int q, int c, int levels)
-      : arr(static_cast<std::size_t>(std::max(q, c))),
+      : arr(static_cast<std::size_t>(c)),
         col_reps(static_cast<std::size_t>(q)),
         lev(static_cast<std::size_t>(levels) * static_cast<std::size_t>(q)) {
     row_act.reserve(static_cast<std::size_t>(q));
@@ -630,9 +560,11 @@ class Sweep {
         qq_(static_cast<std::size_t>(rs.q) * rs.q),
         p_(static_cast<std::size_t>(rs.p())),
         gamma_(mp.gamma_t),
+        rows_(rotor_rows::active()),
         cost_(rs.ops.size()),
         kids_q_(make_kids(rs.q)),
-        kids_c_(make_kids(rs.c)),
+        sends_q_(kid_counts(kids_q_)),
+        sends_c_(kid_counts(make_kids(rs.c))),
         prof_li_(rs.c * rs.q),
         prof_lj_(rs.c * rs.q),
         prof_l_(rs.c),
@@ -706,12 +638,15 @@ class Sweep {
     if (col_groups) {
       arr_roots_.resize(static_cast<std::size_t>(nblk_) * q_);
     }
+    run_at_.push_back(0);
     for (std::size_t o = 0; o < rs.ops.size(); ++o) {
       const RotorOp& op = rs.ops[o];
       switch (op.kind) {
         case RotorOp::Kind::kAlloc:
         case RotorOp::Kind::kFree:
+          break;
         case RotorOp::Kind::kCompute:
+          col_runs(op);
           break;
         case RotorOp::Kind::kBcastRow:
         case RotorOp::Kind::kBcastCol:
@@ -723,16 +658,22 @@ class Sweep {
             if (op.kind != RotorOp::Kind::kReduceDepth) {
               masked_recvs(op, cost_[o]);
             }
+            if (op.kind == RotorOp::Kind::kBcastRow) {
+              masked_rows_.push_back(static_cast<int>(o));
+            } else if (op.kind == RotorOp::Kind::kBcastCol) {
+              masked_cols_.push_back(static_cast<int>(o));
+              col_runs(op);
+            }
           } else if (op.kind == RotorOp::Kind::kBcastRow ||
                      op.kind == RotorOp::Kind::kBcastCol) {
             Profile& pf =
                 op.kind == RotorOp::Kind::kBcastRow ? prof_lj_ : prof_li_;
             for (int l = 0; l < c_; ++l) {
-              tree_profile(pf, static_cast<std::size_t>(l) * q_, kids_q_, q_,
+              tree_profile(pf, static_cast<std::size_t>(l) * q_, sends_q_, q_,
                            op.root, cost_[o], false);
             }
           } else {
-            tree_profile(prof_l_, 0, kids_c_, c_, op.root, cost_[o],
+            tree_profile(prof_l_, 0, sends_c_, c_, op.root, cost_[o],
                          op.kind == RotorOp::Kind::kReduceDepth);
           }
           break;
@@ -744,6 +685,7 @@ class Sweep {
           skew_profile(op, cost_[o]);
           break;
       }
+      run_at_.push_back(runs_.size());
     }
   }
 
@@ -772,6 +714,18 @@ class Sweep {
   }
 
  private:
+  /// The runs of equal nonzero column counts of an op's col_rep, appended
+  /// to runs_ (an empty mask is one run over the whole row).
+  void col_runs(const RotorOp& op) {
+    for (int j = 0; j < q_;) {
+      const int rep = rep_at(op.col_rep, j);
+      int e = j + 1;
+      while (e < q_ && rep_at(op.col_rep, e) == rep) ++e;
+      if (rep > 0) runs_.push_back({j, e, rep});
+      j = e;
+    }
+  }
+
   /// The receive counts of a masked broadcast. Every member but the root
   /// receives once per repetition, and the repetition count depends only
   /// on the group, so a row or column group's receives go into the axis
@@ -859,7 +813,7 @@ class Sweep {
         break;
     }
     auto each = [&](int l, int i) {
-      for (const Seg* s = s0; s != s1; ++s) run_row(*s, l, i, sc);
+      for (const Seg* s = s0; s != s1; ++s) run_row(*s, l, i);
     };
     if (s0->op >= 0 && (!op_of(*s0).row_rep.empty() ||
                         !op_of(*s0).layer_rep.empty())) {
@@ -876,7 +830,7 @@ class Sweep {
 
   /// Segment `s` on grid row (l, i); a row the segment's op leaves out
   /// is skipped.
-  void run_row(const Seg& s, int l, int i, Scratch& sc) {
+  void run_row(const Seg& s, int l, int i) {
     const std::size_t base =
         static_cast<std::size_t>(l) * qq_ + static_cast<std::size_t>(i) * q_;
     switch (s.step) {
@@ -894,7 +848,7 @@ class Sweep {
         compute_row(s, l, i, base);
         return;
       case Step::kBcastRow:
-        bcast_row(s, l, i, base, sc);
+        bcast_row(s, l, i, base);
         return;
       case Step::kSend:
       case Step::kRecv:
@@ -905,6 +859,8 @@ class Sweep {
     }
   }
 
+  /// A compute op on grid row (l, i), one run of equal column counts at a
+  /// time.
   void compute_row(const Seg& s, int l, int i, std::size_t base) {
     const RotorOp& op = op_of(s);
     const int ir = rep_at(op.row_rep, i) * rep_at(op.layer_rep, l);
@@ -912,57 +868,24 @@ class Sweep {
     const double f = op.flops;
     // CostHooks::compute with speed=1.0: gamma_t*flops/1.0.
     const double dt = gamma_ * f;
-    double* const clk = clock_.data() + base;
-    double* const flp = flops_.data() + base;
-    // The op's column range, two columns at a time where both repeat
-    // equally often.
-    auto one = [&](int j) {
-      const int reps = ir * rep_at(op.col_rep, j);
-      double fl = flp[j];
-      double cl = clk[j];
-      for (int t = 0; t < reps; ++t) {
-        fl += f;
-        cl += dt;
-      }
-      flp[j] = fl;
-      clk[j] = cl;
-    };
-    int j = s.j0;
-    for (; j + 2 <= s.j1; j += 2) {
-      const int reps = ir * rep_at(op.col_rep, j);
-      if (reps != ir * rep_at(op.col_rep, j + 1)) {
-        one(j);
-        one(j + 1);
-        continue;
-      }
-      V2 fl = load2(flp + j);
-      V2 cl = load2(clk + j);
-      for (int t = 0; t < reps; ++t) {
-        fl += f;
-        cl += dt;
-      }
-      store2(flp + j, fl);
-      store2(clk + j, cl);
+    const std::size_t o = static_cast<std::size_t>(s.op);
+    for (std::size_t r = run_at_[o]; r < run_at_[o + 1]; ++r) {
+      const Run& run = runs_[r];
+      rows_.compute(clock_.data() + base + run.j0,
+                    flops_.data() + base + run.j0, run.j1 - run.j0,
+                    ir * run.rep, dt, f);
     }
-    if (j < s.j1) one(j);
   }
 
-  /// A row collective on grid row (l, i), its repetitions back to back.
-  void bcast_row(const Seg& s, int l, int i, std::size_t base, Scratch& sc) {
+  /// A row collective on grid row (l, i), its repetitions back to back
+  /// (clocks only: store_row counts a masked one's sends).
+  void bcast_row(const Seg& s, int l, int i, std::size_t base) {
     const RotorOp& op = op_of(s);
-    const PointCost& pc = cost_[static_cast<std::size_t>(s.op)];
+    const double cost = cost_[static_cast<std::size_t>(s.op)].cost;
     const int reps = rep_at(op.layer_rep, l) * rep_at(op.row_rep, i);
-    const bool uniform = op.row_rep.empty() && op.layer_rep.empty();
     for (int t = 0; t < reps; ++t) {
-      if (uniform) {
-        bcast_group(clock_.data(), idle_.data(), sc.arr.data(),
-                    kids_q_.off.data(), kids_q_.val.data(), q_, op.root,
-                    pc.cost, base, 1);
-      } else {
-        bcast_group_masked(clock_.data(), idle_.data(), sc.arr.data(),
-                           kids_q_.off.data(), kids_q_.val.data(), q_,
-                           op.root, pc, base, 1, *prof_r_);
-      }
+      rows_.bcast(clock_.data() + base, idle_.data() + base, 1, q_, op.root,
+                  cost);
     }
   }
 
@@ -991,7 +914,7 @@ class Sweep {
           break;
         }
         if (vr + mask < n) {
-          cl = sync(arr[vr + mask], cl, idl[r]);
+          cl = rotor_rows::sync(arr[vr + mask], cl, idl[r]);
           if (pr != nullptr) {
             pr->wr[r] += pc.k;
             pr->mr[r] += pc.m;
@@ -1023,14 +946,19 @@ class Sweep {
       for (int t = 0; t < reps; ++t) {
         if (reduce) {
           reduce_group(arr, base, qq_, c_, op.root, pc, fk, dt_merge, pr);
-        } else if (pr == nullptr) {
-          bcast_group(clock_.data(), idle_.data(), arr, kids_c_.off.data(),
-                      kids_c_.val.data(), c_, op.root, pc.cost, base, qq_);
         } else {
-          bcast_group_masked(clock_.data(), idle_.data(), arr,
-                             kids_c_.off.data(), kids_c_.val.data(), c_,
-                             op.root, pc, base, qq_, *pr);
+          rows_.bcast(clock_.data() + base, idle_.data() + base, qq_, c_,
+                      op.root, pc.cost);
         }
+      }
+      if (reduce || pr == nullptr) return;
+      // A masked broadcast's sends: member x's child count, times reps.
+      for (int x = 0; x < c_; ++x) {
+        const std::int64_t n =
+            reps * sends_c_[static_cast<std::size_t>((x - op.root + c_) % c_)];
+        const std::size_t r = base + static_cast<std::size_t>(x) * qq_;
+        pr->ws[r] += n * pc.k;
+        pr->ms[r] += n * pc.m;
       }
     });
   }
@@ -1107,7 +1035,7 @@ class Sweep {
     const int j0 = any ? sc.col_act.front() : 0;
     const int j1 = any ? sc.col_act.back() + 1 : 0;
     const bool uniform = op.col_rep.empty() && op.layer_rep.empty();
-    int* const reps = sc.col_reps.data();
+    std::int64_t* const reps = sc.col_reps.data();
     if (!uniform) {
       const int lr = rep_at(op.layer_rep, l);
       for (int j = j0; j < j1; ++j) reps[j] = lr * rep_at(op.col_rep, j);
@@ -1142,61 +1070,21 @@ class Sweep {
         for (int s = mid; s < end; ++s) {
           dst[s - mid] = level(kids_q_.val[static_cast<std::size_t>(s)]);
         }
-        const int n_dst = end - mid;
-        double* const crow = clock_.data() + row;
-        double* const irow = idle_.data() + row;
-        auto one = [&](int j) {
-          double cl = crow[j];
-          if (vr != 0) cl = sync(av[j], cl, irow[j]);
-          for (int s = beg; s < mid; ++s) cl += pc.cost;
-          for (int s = 0; s < n_dst; ++s) {
-            cl += pc.cost;
-            dst[s][j] = cl;
-          }
-          crow[j] = cl;
-        };
-        auto two = [&](int j) {
-          V2 cl = load2(crow + j);
-          if (vr != 0) cl = sync2(load2(av + j), cl, irow + j);
-          for (int s = beg; s < mid; ++s) cl += pc.cost;
-          for (int s = 0; s < n_dst; ++s) {
-            cl += pc.cost;
-            store2(dst[s] + j, cl);
-          }
-          store2(crow + j, cl);
-        };
-        int j = j0;
-        if (uniform) {
-          for (; j + 2 <= j1; j += 2) two(j);
-          if (j < j1) one(j);
-        } else {
-          std::int64_t* const wsr = prof_r_->ws.data() + row;
-          std::int64_t* const msr = prof_r_->ms.data() + row;
-          const std::int64_t dws = (end - beg) * pc.k;
-          const std::int64_t dms = (end - beg) * pc.m;
-          auto sent = [&](int x) {
-            wsr[x] += dws;
-            msr[x] += dms;
-          };
-          for (; j + 2 <= j1; j += 2) {
-            const bool in0 = reps[j] > t;
-            const bool in1 = reps[j + 1] > t;
-            if (in0 && in1) {
-              two(j);
-            } else if (in0) {
-              one(j);
-            } else if (in1) {
-              one(j + 1);
-            }
-            if (in0) sent(j);
-            if (in1) sent(j + 1);
-          }
-          if (j < j1 && reps[j] > t) {
-            one(j);
-            sent(j);
-          }
+        rotor_rows::ColRow cr{.clk = clock_.data() + row,
+                              .idl = idle_.data() + row,
+                              .arrive = vr != 0 ? av : nullptr,
+                              .cross = mid - beg,
+                              .dst = dst,
+                              .n_dst = end - mid,
+                              .cost = pc.cost,
+                              .j0 = j0,
+                              .j1 = j1};
+        if (!uniform) {
+          cr.reps = reps;
+          cr.t = t;
         }
-        for (const Seg* s = s0 + 1; s != s1; ++s) run_row(*s, l, coord, sc);
+        rows_.col_row(cr);
+        for (const Seg* s = s0 + 1; s != s1; ++s) run_row(*s, l, coord);
       }
     }
   }
@@ -1226,63 +1114,88 @@ class Sweep {
     double* const arr = arr_rank_.data() + static_cast<std::size_t>(s.buf) * p_;
     double* const arow = arr + base;
     if (s.step == Step::kSend) {
-      auto send = [&](int j0, int j1) {
-        int j = j0;
-        for (; j + 2 <= j1; j += 2) {
-          const V2 cl = load2(crow + j) + cost;
-          store2(crow + j, cl);
-          store2(arow + j, cl);
-        }
-        if (j < j1) {
-          crow[j] += cost;
-          arow[j] = crow[j];
-        }
-      };
       if (self_col < 0) {
-        send(0, q);
+        rows_.send(crow, arow, q, cost);
       } else {
-        send(0, self_col);
-        send(self_col + 1, q);
+        rows_.send(crow, arow, self_col, cost);
+        rows_.send(crow + self_col + 1, arow + self_col + 1, q - self_col - 1,
+                   cost);
       }
       return;
     }
-    // Receives from the contiguous arrivals src[0..n) into columns
-    // [j0, j0 + n).
-    auto recv = [&](int j0, const double* src, int n) {
-      int j = 0;
-      for (; j + 2 <= n; j += 2) {
-        store2(crow + j0 + j, sync2(load2(src + j), load2(crow + j0 + j),
-                                    irow + j0 + j));
+    // Receives into columns [j0, j1) from src[(j - j0)·stride], the
+    // self-exchange column left out.
+    auto recv = [&](int j0, int j1, const double* src, std::size_t stride) {
+      if (j0 <= self_col && self_col < j1) {
+        rows_.recv(crow + j0, irow + j0, src, stride, self_col - j0);
+        src += static_cast<std::size_t>(self_col + 1 - j0) * stride;
+        j0 = self_col + 1;
       }
-      if (j < n) crow[j0 + j] = sync(src[j], crow[j0 + j], irow[j0 + j]);
+      rows_.recv(crow + j0, irow + j0, src, stride, j1 - j0);
     };
-    const std::size_t layer = static_cast<std::size_t>(l) * qq_;
+    const double* const layer = arr + static_cast<std::size_t>(l) * qq_;
     if (on_a) {
       // Source (i, (j + off) mod q): the row's own arrivals, rotated.
       const int off = skew ? (i + s0) % q : 1;
-      recv(0, arow + off, q - off);
-      recv(q - off, arow, off);
+      recv(0, q - off, arow + off, 1);
+      recv(q - off, q, arow, 1);
     } else if (!skew) {
       // Source (i + 1 mod q, j).
       const int si = i + 1 == q ? 0 : i + 1;
-      recv(0, arr + layer + static_cast<std::size_t>(si) * q, q);
+      recv(0, q, layer + static_cast<std::size_t>(si) * q, 1);
     } else {
-      // Source ((i + j + s0) mod q, j).
-      int si = (i + s0) % q;
-      for (int j = 0; j < q; ++j) {
-        if (j != self_col) {
-          crow[j] = sync(arr[layer + static_cast<std::size_t>(si) * q + j],
-                         crow[j], irow[j]);
-        }
-        si = si + 1 == q ? 0 : si + 1;
-      }
+      // Source ((i + j + s0) mod q, j): a diagonal of the layer's arrivals
+      // (stride q + 1) from row i0 = (i + s0) mod q, on from row 0 at
+      // column q - i0.
+      const int i0 = (i + s0) % q;
+      const std::size_t diag = static_cast<std::size_t>(q) + 1;
+      recv(0, q - i0, layer + static_cast<std::size_t>(i0) * q, diag);
+      recv(q - i0, q, layer + (q - i0), diag);
     }
   }
 
   /// Materialize grid row (l, i): exact doubles back in place, integer
   /// deltas added once (hop-weighted counters equal the plain ones on the
   /// flat network).
-  void store_row(int l, int i, std::size_t base) const {
+  void store_row(int l, int i, std::size_t base) {
+    // The sends of the masked row broadcasts: each op's tree child counts,
+    // rotated by its root, times the row's repetitions. Added here, once
+    // the row is in cache, rather than streamed through per op.
+    for (const int o : masked_rows_) {
+      const RotorOp& op = rs_.ops[static_cast<std::size_t>(o)];
+      const std::int64_t reps =
+          rep_at(op.layer_rep, l) * rep_at(op.row_rep, i);
+      if (reps == 0) continue;
+      const PointCost& pc = cost_[static_cast<std::size_t>(o)];
+      const int rho = op.root;
+      const std::int64_t* const kids = sends_q_.data();
+      auto count = [&](std::int64_t* row, std::int64_t d) {
+        rows_.add_scaled(row + rho, kids, q_ - rho, d);
+        rows_.add_scaled(row, kids + (q_ - rho), rho, d);
+      };
+      count(prof_r_->ws.data() + base, reps * pc.k);
+      count(prof_r_->ms.data() + base, reps * pc.m);
+    }
+    // Those of the masked column broadcasts: the row's rank in column
+    // group j sends its child count in each of the group's repetitions, so
+    // the row gets that count times the op's runs of column counts.
+    for (const int o : masked_cols_) {
+      const RotorOp& op = rs_.ops[static_cast<std::size_t>(o)];
+      int vr = i - op.root;
+      if (vr < 0) vr += q_;
+      const std::int64_t n =
+          sends_q_[static_cast<std::size_t>(vr)] * rep_at(op.layer_rep, l);
+      if (n == 0) continue;
+      const PointCost& pc = cost_[static_cast<std::size_t>(o)];
+      const std::size_t at = static_cast<std::size_t>(o);
+      for (std::size_t r = run_at_[at]; r < run_at_[at + 1]; ++r) {
+        const Run& run = runs_[r];
+        rows_.add(prof_r_->ws.data() + base + run.j0, run.j1 - run.j0,
+                  n * run.rep * pc.k);
+        rows_.add(prof_r_->ms.data() + base + run.j0, run.j1 - run.j0,
+                  n * run.rep * pc.m);
+      }
+    }
     const std::size_t mem_now = static_cast<std::size_t>(mem_end_);
     const std::size_t peak = static_cast<std::size_t>(mem_peak_);
     const std::size_t ul = static_cast<std::size_t>(l);
@@ -1322,9 +1235,22 @@ class Sweep {
   const std::size_t qq_;
   const std::size_t p_;
   const double gamma_;
+  const rotor_rows::Isa& rows_;  ///< the row kernels this CPU runs
   std::vector<PointCost> cost_;  ///< per op (collectives, skews)
-  const KidsCsr kids_q_;
-  const KidsCsr kids_c_;
+  const KidsCsr kids_q_;  ///< the row/column tree (column collectives)
+  /// Sends per virtual rank (child counts) of the row/column and depth
+  /// trees.
+  const std::vector<std::int64_t> sends_q_, sends_c_;
+  /// Runs of columns with equal nonzero counts of the compute ops and the
+  /// masked column broadcasts: op o's are runs_[run_at_[o] .. run_at_[o +
+  /// 1]).
+  struct Run {
+    int j0, j1, rep;
+  };
+  std::vector<Run> runs_;
+  std::vector<std::size_t> run_at_;
+  std::vector<int> masked_rows_;  ///< masked row broadcasts, by position
+  std::vector<int> masked_cols_;  ///< masked column broadcasts, likewise
   // Integer deltas of the mask-free collectives and of masked broadcasts
   // receives, per axis coordinate.
   Profile prof_li_;  ///< by (layer, row): column collectives, row receives

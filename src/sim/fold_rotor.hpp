@@ -20,7 +20,9 @@
 //     order with the exact CostHooks expressions (floating-point addition
 //     order preserved), including binomial bcast/reduce tree arrivals:
 //     a child's arrival is its parent's clock after that specific
-//     sequential send charge, never a closed form;
+//     sequential send charge, never a closed form. The inner loops over a
+//     grid row (sim/rotor_rows.hpp) run at the CPU's vector width, one
+//     rank per lane, and broadcasts replay their trees level by level;
 //   * words/messages sent/received are integer-valued (< 2^53), hence
 //     order-independent, and accumulate in int64 profiles: by (layer,
 //     row), (layer, column) and layer wherever a count depends only on

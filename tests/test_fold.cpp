@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -33,6 +34,7 @@
 #include "sim/fold_rotor.hpp"
 #include "sim/group.hpp"
 #include "sim/machine.hpp"
+#include "sim/rotor_rows.hpp"
 #include "sim/trace.hpp"
 #include "support/common.hpp"
 #include "support/json.hpp"
@@ -804,6 +806,276 @@ TEST(RotorPlan, SingleKindSchedulesPlanAndRun) {
             2 * 256 + 1);
   for (const K kind : {K::kCompute, K::kBcastRow, K::kBcastCol}) {
     expect_fiber_parity(summa_kind(34, 17, kind));
+  }
+}
+
+// ------------------------------------------------------ rotor row kernels
+
+// Every variant of sim/rotor_rows.hpp the host supports, against plain
+// scalar loops written out here. Clocks come from a coarse grid, so
+// arrivals often tie with the receiver's clock, and some idle times are
+// -0.0: a tie that idled would add +0.0 and flip that sign bit.
+
+namespace rr = sim::rotor_rows;
+
+/// The oracle's receive: idles only when the arrival is strictly later.
+double oracle_sync(double a, double cl, double& idl) {
+  if (a > cl) {
+    idl += a - cl;
+    return a;
+  }
+  return cl;
+}
+
+/// Comm::bcast's binomial tree in ascending virtual rank, each member's
+/// arrival held for its children: the walk the level order replaced.
+void walk_bcast(double* clk, double* idl, std::size_t stride, int n, int rho,
+                double cost) {
+  std::vector<double> arr(static_cast<std::size_t>(n));
+  for (int vr = 0; vr < n; ++vr) {
+    const std::size_t r = static_cast<std::size_t>((vr + rho) % n) * stride;
+    double cl = clk[r];
+    if (vr != 0) {
+      cl = oracle_sync(arr[static_cast<std::size_t>(vr)], cl, idl[r]);
+    }
+    int mask = 1;
+    while (mask < n && (vr & mask) == 0) mask <<= 1;
+    for (mask >>= 1; mask > 0; mask >>= 1) {
+      if (vr + mask < n) {
+        cl += cost;
+        arr[static_cast<std::size_t>(vr + mask)] = cl;
+      }
+    }
+    clk[r] = cl;
+  }
+}
+
+/// Clocks on a grid of `cost`-sized steps (ties likely) or uniform.
+std::vector<double> random_clocks(Rng& rng, std::size_t n, bool grid,
+                                  double cost) {
+  std::vector<double> v(n);
+  for (double& x : v) {
+    x = grid ? cost * static_cast<double>(rng.next_below(6))
+             : rng.uniform(0.0, 8.0 * cost);
+  }
+  return v;
+}
+
+/// Idle times, every fourth one -0.0.
+std::vector<double> random_idles(Rng& rng, std::size_t n) {
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = i % 4 == 0 ? -0.0 : rng.uniform(0.0, 1.0);
+  }
+  return v;
+}
+
+bool same_doubles(const std::vector<double>& x, const std::vector<double>& y) {
+  return x.size() == y.size() &&
+         (x.empty() ||
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0);
+}
+
+/// The variants this CPU runs (at least the baseline).
+std::vector<const rr::Isa*> supported_row_isas() {
+  std::vector<const rr::Isa*> out;
+  for (const rr::Isa& isa : rr::isas()) {
+    if (isa.supported()) out.push_back(&isa);
+  }
+  return out;
+}
+
+TEST(RotorRows, ActiveIsTheWidestSupportedVariant) {
+  const auto isas = supported_row_isas();
+  ASSERT_FALSE(isas.empty());
+  EXPECT_EQ(&rr::active(), isas.front());
+  EXPECT_STREQ(rr::isas().back().name, "baseline");
+}
+
+TEST(RotorRows, BroadcastMatchesTheVrOrderWalk) {
+  std::vector<int> sizes;
+  for (int n = 1; n <= 70; ++n) sizes.push_back(n);
+  for (const int n : {127, 128, 129, 512}) sizes.push_back(n);
+  Rng rng(11);
+  for (const rr::Isa* isa : supported_row_isas()) {
+    for (const int n : sizes) {
+      // Strided groups (depth collectives) interleave other ranks, which
+      // must stay untouched; a row has stride 1.
+      for (const std::size_t stride : {std::size_t{1}, std::size_t{3}}) {
+        for (int rho = 0; rho < n; ++rho) {
+          const bool grid = rho % 2 == 0;
+          const double cost = grid ? 0.5 : 0.1;
+          const std::size_t len = static_cast<std::size_t>(n) * stride + 2;
+          const auto clk = random_clocks(rng, len, grid, cost);
+          const auto idl = random_idles(rng, len);
+          auto want_c = clk, want_i = idl, got_c = clk, got_i = idl;
+          walk_bcast(want_c.data() + 1, want_i.data() + 1, stride, n, rho,
+                     cost);
+          isa->bcast(got_c.data() + 1, got_i.data() + 1, stride, n, rho,
+                     cost);
+          ASSERT_TRUE(same_doubles(want_c, got_c) &&
+                      same_doubles(want_i, got_i))
+              << isa->name << " n=" << n << " root=" << rho
+              << " stride=" << stride;
+        }
+      }
+    }
+  }
+}
+
+TEST(RotorRows, ComputeMatchesScalarOnRunsOfUnequalCounts) {
+  Rng rng(12);
+  for (const rr::Isa* isa : supported_row_isas()) {
+    for (int n = 0; n <= 70; ++n) {
+      auto clk = random_clocks(rng, static_cast<std::size_t>(n), false, 0.1);
+      auto flp = random_clocks(rng, static_cast<std::size_t>(n), false, 3.0);
+      auto want_c = clk, want_f = flp;
+      const double f = 1.7;
+      const double dt = 0.3 * f;
+      // Consecutive runs of random length, each with its own count.
+      for (int j0 = 0; j0 < n;) {
+        const int j1 =
+            std::min(n, j0 + 1 + static_cast<int>(rng.next_below(19)));
+        const int reps = static_cast<int>(rng.next_below(4));
+        for (int j = j0; j < j1; ++j) {
+          for (int t = 0; t < reps; ++t) {
+            want_f[static_cast<std::size_t>(j)] += f;
+            want_c[static_cast<std::size_t>(j)] += dt;
+          }
+        }
+        isa->compute(clk.data() + j0, flp.data() + j0, j1 - j0, reps, dt, f);
+        j0 = j1;
+      }
+      ASSERT_TRUE(same_doubles(want_c, clk) && same_doubles(want_f, flp))
+          << isa->name << " n=" << n;
+    }
+  }
+}
+
+TEST(RotorRows, ColumnRowMatchesScalar) {
+  Rng rng(13);
+  const int q = 45;
+  for (const rr::Isa* isa : supported_row_isas()) {
+    for (int trial = 0; trial < 400; ++trial) {
+      const bool grid = trial % 2 == 0;
+      const double cost = grid ? 0.5 : 0.1;
+      rr::ColRow row;
+      row.j0 = static_cast<int>(rng.next_below(q / 3));
+      row.j1 = row.j0 + static_cast<int>(rng.next_below(q - row.j0 + 1));
+      row.cross = static_cast<int>(rng.next_below(3));
+      row.n_dst = static_cast<int>(rng.next_below(4));
+      row.cost = cost;
+      const bool root = trial % 5 == 0;
+      const bool masked = trial % 3 != 0;
+      auto clk = random_clocks(rng, q, grid, cost);
+      auto idl = random_idles(rng, q);
+      const auto arrive = random_clocks(rng, q, grid, cost);
+      std::vector<std::vector<double>> lev(4, std::vector<double>(q, -1.0));
+      std::vector<std::int64_t> reps(q);
+      for (auto& v : reps) v = static_cast<std::int64_t>(rng.next_below(3));
+      const std::int64_t t = static_cast<std::int64_t>(rng.next_below(2));
+      // The scalar replay.
+      auto want_c = clk, want_i = idl;
+      auto want_lev = lev;
+      std::vector<bool> in(q, false);
+      for (int j = row.j0; j < row.j1; ++j) {
+        const std::size_t uj = static_cast<std::size_t>(j);
+        if (masked && reps[uj] <= t) continue;
+        in[uj] = true;
+        double cl = want_c[uj];
+        if (!root) cl = oracle_sync(arrive[uj], cl, want_i[uj]);
+        for (int s = 0; s < row.cross; ++s) cl += cost;
+        for (int s = 0; s < row.n_dst; ++s) {
+          cl += cost;
+          want_lev[static_cast<std::size_t>(s)][uj] = cl;
+        }
+        want_c[uj] = cl;
+      }
+      double* dst[4];
+      for (int s = 0; s < 4; ++s) {
+        dst[s] = lev[static_cast<std::size_t>(s)].data();
+      }
+      row.clk = clk.data();
+      row.idl = idl.data();
+      row.arrive = root ? nullptr : arrive.data();
+      row.dst = dst;
+      if (masked) {
+        row.reps = reps.data();
+        row.t = t;
+      }
+      isa->col_row(row);
+      ASSERT_TRUE(same_doubles(want_c, clk) && same_doubles(want_i, idl))
+          << isa->name << " trial " << trial;
+      // A column that takes no part may leave any value in the level
+      // buffer (no participating rank reads it); the others must match.
+      for (int s = 0; s < row.n_dst; ++s) {
+        for (int j = 0; j < q; ++j) {
+          const std::size_t us = static_cast<std::size_t>(s);
+          const std::size_t uj = static_cast<std::size_t>(j);
+          if (in[uj] || j < row.j0 || j >= row.j1) {
+            ASSERT_EQ(std::memcmp(&want_lev[us][uj], &lev[us][uj],
+                                  sizeof(double)),
+                      0)
+                << isa->name << " trial " << trial << " level " << s
+                << " column " << j;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RotorRows, SkewSendsAndReceivesMatchScalar) {
+  Rng rng(14);
+  for (const rr::Isa* isa : supported_row_isas()) {
+    for (int n = 0; n <= 40; ++n) {
+      for (const std::size_t stride : {std::size_t{1}, std::size_t{5}}) {
+        const bool grid = n % 2 == 0;
+        const double cost = grid ? 0.5 : 0.1;
+        const std::size_t un = static_cast<std::size_t>(n);
+        auto clk = random_clocks(rng, un, grid, cost);
+        auto idl = random_idles(rng, un);
+        const auto src = random_clocks(rng, un * stride + 1, grid, cost);
+        auto want_c = clk, want_i = idl;
+        for (std::size_t j = 0; j < un; ++j) {
+          want_c[j] = oracle_sync(src[j * stride], want_c[j], want_i[j]);
+        }
+        isa->recv(clk.data(), idl.data(), src.data(), stride, n);
+        ASSERT_TRUE(same_doubles(want_c, clk) && same_doubles(want_i, idl))
+            << isa->name << " recv n=" << n << " stride=" << stride;
+      }
+      auto clk = random_clocks(rng, static_cast<std::size_t>(n), false, 0.1);
+      std::vector<double> arr(static_cast<std::size_t>(n), -1.0);
+      auto want_c = clk;
+      auto want_a = arr;
+      for (std::size_t j = 0; j < want_c.size(); ++j) {
+        want_c[j] += 0.1;
+        want_a[j] = want_c[j];
+      }
+      isa->send(clk.data(), arr.data(), n, 0.1);
+      ASSERT_TRUE(same_doubles(want_c, clk) && same_doubles(want_a, arr))
+          << isa->name << " send n=" << n;
+    }
+  }
+}
+
+TEST(RotorRows, CountAddsMatchScalar) {
+  Rng rng(15);
+  for (const rr::Isa* isa : supported_row_isas()) {
+    for (int n = 0; n <= 40; ++n) {
+      std::vector<std::int64_t> dst(static_cast<std::size_t>(n) + 1),
+          src(static_cast<std::size_t>(n));
+      for (auto& v : dst) v = static_cast<std::int64_t>(rng.next_below(1000));
+      for (auto& v : src) v = static_cast<std::int64_t>(rng.next_below(10));
+      const std::int64_t s = 3 + n;
+      auto want = dst;
+      for (std::size_t i = 0; i < src.size(); ++i) want[i] += src[i] * s;
+      isa->add_scaled(dst.data(), src.data(), n, s);
+      ASSERT_EQ(want, dst) << isa->name << " add_scaled n=" << n;
+      for (std::size_t i = 0; i < src.size(); ++i) want[i] += s;
+      isa->add(dst.data(), n, s);
+      ASSERT_EQ(want, dst) << isa->name << " add n=" << n;
+    }
   }
 }
 
