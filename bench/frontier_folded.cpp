@@ -151,13 +151,21 @@ int main(int argc, char** argv) {
   // Rotor points also record the phases of the sweep's plan for a team of
   // three (the automatic team on a 4-CPU host), fixed so the count is the
   // same on every host: a sweep that synchronizes once per op again shows
-  // up in the exact gate.
-  auto record_phases = [&](const std::string& name, const algs::Problem& pb) {
+  // up in the exact gate. So do the bytes the schedule holds: masks that
+  // grow with q again show up there too.
+  auto record_rotor = [&](const std::string& name, const algs::Problem& pb) {
     const auto map = algs::find(pb.alg).fold(pb);
-    if (map != nullptr && map->rotor() != nullptr) {
-      records.exact(name, "phases", sim::rotor_phases(*map->rotor(), 3),
-                    "phases");
+    if (map == nullptr || map->rotor() == nullptr) return;
+    const sim::RotorSchedule& rs = *map->rotor();
+    records.exact(name, "phases", sim::rotor_phases(rs, 3), "phases");
+    // Its ops and their mask runs, by size (not capacity).
+    double bytes = static_cast<double>(rs.ops.size() * sizeof(sim::RotorOp));
+    for (const sim::RotorOp& op : rs.ops) {
+      bytes += static_cast<double>(
+          (op.row_rep.size() + op.col_rep.size() + op.layer_rep.size()) *
+          sizeof(sim::RotorRun));
     }
+    records.exact(name, "schedule_bytes", bytes, "bytes");
   };
 
   // Parity anchor: fiber-ghost vs folded-ghost on one spec, bit-identical
@@ -174,7 +182,7 @@ int main(int argc, char** argv) {
       ok = false;
     }
     record("anchor " + name, rd, fold, wall);
-    record_phases("anchor " + name, pb);
+    record_rotor("anchor " + name, pb);
   };
 
   // Frontier point: folded-only; must actually fold.
@@ -189,7 +197,7 @@ int main(int argc, char** argv) {
       ok = false;
     }
     record(name, r, seen, wall);
-    record_phases(name, pb);
+    record_rotor(name, pb);
   };
 
   // ---- Parity anchors (small p, both modes run) ----------------------

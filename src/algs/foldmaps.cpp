@@ -1,6 +1,7 @@
 #include "algs/foldmaps.hpp"
 
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -36,7 +37,10 @@ std::shared_ptr<const sim::FoldMap> foldmap_mm25d(int q, int c) {
   // c > 1: the depth broadcast/reduce couples layers whose four-way class
   // structure differs per (i, j); class replay cannot align those channels
   // exactly, so the machine runs per-fiber. c == 1 is pure Cannon.
-  if (c != 1 || q < 2) return nullptr;
+  if (c != 1 || q < 2 ||
+      static_cast<double>(q) * q > std::numeric_limits<int>::max()) {
+    return nullptr;
+  }
   // cannon_align with s0 = 0 makes row 0 keep its A block (self-send,
   // free) and column 0 keep its B block; everyone else pays a real send.
   // That splits the layer into exactly four cost classes; within each,
@@ -153,7 +157,7 @@ std::shared_ptr<const sim::FoldMap> foldmap_lu(int n, int nb, int q, int c) {
   // triangular solves and broadcasts repeat t[i] times per row/column
   // coordinate (the block-cyclic count of local panels beyond k), and the
   // trailing update runs t[i]·t[j] times — all expressed with the
-  // participation masks, roots rotating with k % q.
+  // participation masks (at most two runs each), roots rotating with k % q.
   const int nt = n / nb;
   const int ld = nt / q;
   const std::size_t nbw = static_cast<std::size_t>(nb) * nb;
@@ -175,14 +179,7 @@ std::shared_ptr<const sim::FoldMap> foldmap_lu(int n, int nb, int q, int c) {
   op(K::kAlloc).words = panel;  // u_panel
   for (int k = 0; k < nt; ++k) {
     const int kr = k % q;
-    std::vector<std::int32_t> diag(static_cast<std::size_t>(q), 0);
-    diag[static_cast<std::size_t>(kr)] = 1;
-    // t[r] = how many of the remaining block rows/columns k+1..nt-1 land
-    // on grid coordinate r.
-    std::vector<std::int32_t> t(static_cast<std::size_t>(q), 0);
-    for (int m = k + 1; m < nt; ++m) ++t[static_cast<std::size_t>(m % q)];
-    const bool trailing = nt - (k + 1) > 0;
-
+    const std::vector<sim::RotorRun> diag{{kr, kr + 1, 1}};
     sim::RotorOp& getrf = op(K::kCompute);
     getrf.flops = f_getrf;
     getrf.row_rep = diag;
@@ -195,7 +192,14 @@ std::shared_ptr<const sim::FoldMap> foldmap_lu(int n, int nb, int q, int c) {
     akk_row.root = kr;
     akk_row.words = nbw;
     akk_row.row_rep = diag;
-    if (trailing) {
+    if (k + 1 < nt) {
+      // t: how many of the block rows/columns k+1..nt-1 land on each grid
+      // coordinate: h = nt/q - (k+1)/q >= 1 from (k+1) mod q on, h-1 below.
+      const int h = ld - (k + 1) / q;
+      const int cut = (k + 1) % q;
+      std::vector<sim::RotorRun> t;
+      if (cut > 0 && h > 1) t.push_back({0, cut, h - 1});
+      t.push_back({cut, q, h});
       sim::RotorOp& trsm_l = op(K::kCompute);
       trsm_l.flops = f_trsm;
       trsm_l.row_rep = t;

@@ -102,6 +102,7 @@
 #include <bit>
 #include <cmath>
 #include <exception>
+#include <limits>
 #include <memory>
 #include <thread>
 
@@ -195,25 +196,54 @@ struct PointCost {
   std::int64_t m = 0;
 };
 
-int rep_at(const std::vector<std::int32_t>& mask, int i) {
-  return mask.empty() ? 1 : mask[static_cast<std::size_t>(i)];
+using Mask = std::vector<RotorRun>;
+
+/// f(begin, end, rep) for each run of `mask` on an axis of n, in order; an
+/// empty mask is one run over the whole axis.
+template <class F>
+void for_runs(const Mask& mask, int n, F&& f) {
+  if (mask.empty()) return f(0, n, 1);
+  for (const RotorRun& r : mask) f(r.begin, r.end, r.rep);
+}
+
+/// Participation count of coordinate i: its run's, 0 outside every run.
+int rep_at(const Mask& mask, int i) {
+  if (mask.empty()) return 1;
+  const auto run = std::partition_point(
+      mask.begin(), mask.end(), [i](const RotorRun& r) { return r.end <= i; });
+  return run != mask.end() && run->begin <= i ? run->rep : 0;
 }
 
 /// Largest participation count of a mask (1 when it is empty).
-int max_rep(const std::vector<std::int32_t>& mask) {
-  return mask.empty() ? 1 : *std::max_element(mask.begin(), mask.end());
+int max_rep(const Mask& mask) {
+  return mask.empty() ? 1 : std::ranges::max(mask, {}, &RotorRun::rep).rep;
+}
+
+/// f(x, rep) for every coordinate x of an axis of n that `mask` selects,
+/// in ascending order.
+template <class F>
+void each_rep(const Mask& mask, int n, F&& f) {
+  for_runs(mask, n, [&f](int b, int e, int rep) {
+    for (int x = b; x < e; ++x) f(x, rep);
+  });
 }
 
 /// Indices with a nonzero participation count (all of them when the mask
 /// is empty). `out_act` has capacity n, so this never allocates.
-void active(const std::vector<std::int32_t>& mask, int n,
-            std::vector<int>& out_act) {
+void active(const Mask& mask, int n, std::vector<int>& out_act) {
   out_act.clear();
-  for (int i = 0; i < n; ++i) {
-    if (mask.empty() || mask[static_cast<std::size_t>(i)] > 0) {
-      out_act.push_back(i);
-    }
-  }
+  each_rep(mask, n, [&out_act](int x, int) { out_act.push_back(x); });
+}
+
+/// Whether `outer` selects every coordinate that `inner` selects on an
+/// axis of n: x walks each inner run past the sorted outer runs holding it.
+bool covers(const Mask& outer, const Mask& inner, int n) {
+  bool in = true;
+  for_runs(inner, n, [&](int x, int e, int) {
+    for_runs(outer, n, [&x](int b, int f, int) { if (b <= x && x < f) x = f; });
+    in = in && x >= e;
+  });
+  return in;
 }
 
 /// Start of part k of [0, n) cut into `parts` near-equal parts.
@@ -332,26 +362,31 @@ void tree_profile(Profile& pf, std::size_t at,
 }
 
 /// Active coordinates of a mask on an axis of n (n when it is empty).
-double n_active(const std::vector<std::int32_t>& mask, int n) {
-  return mask.empty()
-             ? n
-             : static_cast<double>(std::count_if(
-                   mask.begin(), mask.end(),
-                   [](std::int32_t v) { return v > 0; }));
+double n_active(const Mask& mask, int n) {
+  double k = 0.0;
+  for_runs(mask, n, [&k](int b, int e, int) { k += e - b; });
+  return k;
 }
 
-/// Every check on the schedule's shape: grid, mask sizes and signs,
+/// Every check on the schedule's shape: grid and rank count, mask runs,
 /// collective roots and unmasked member axes, the skew/shift
 /// preconditions. A violation is a programming error.
 void check_schedule(const RotorSchedule& rs) {
   const int q = rs.q;
   const int c = rs.c;
   ALGE_CHECK(q >= 1 && c >= 1, "rotor schedule needs q >= 1 and c >= 1");
-  auto check_mask = [](const std::vector<std::int32_t>& mask, int n) {
-    ALGE_CHECK(mask.empty() || static_cast<int>(mask.size()) == n,
-               "rotor mask sized %zu on an axis of %d", mask.size(), n);
-    for (const std::int32_t v : mask) {
-      ALGE_CHECK(v >= 0, "negative rotor participation count");
+  ALGE_CHECK(static_cast<double>(q) * q * c <= std::numeric_limits<int>::max(),
+             "rotor grid %d x %d x %d has more ranks than an int holds", q,
+             q, c);
+  auto check_mask = [](const Mask& mask, int n) {
+    for (std::size_t k = 0; k < mask.size(); ++k) {
+      const RotorRun& r = mask[k];
+      ALGE_CHECK(0 <= r.begin && r.begin < r.end && r.end <= n,
+                 "rotor mask run [%d, %d) not in [0, %d)", r.begin, r.end, n);
+      ALGE_CHECK(k == 0 || r.begin >= mask[k - 1].end,
+                 "rotor mask run [%d, %d) out of order", r.begin, r.end);
+      ALGE_CHECK(r.rep >= 1, "rotor mask run [%d, %d) takes part %d times",
+                 r.begin, r.end, r.rep);
     }
   };
   for (const RotorOp& op : rs.ops) {
@@ -433,27 +468,21 @@ struct Phase {
 std::vector<Phase> plan_phases(const RotorSchedule& rs, int chunks) {
   const int q = rs.q;
   const int c = rs.c;
-  // The grid rows a row-local segment or a phase B touches: load and
-  // store touch all, phase B one layer, an op those its masks select.
-  auto has_layer = [&rs](const Seg& s, int l) {
-    if (s.step == Step::kColRows) return s.l == l;
-    return s.op < 0 ||
-           rep_at(rs.ops[static_cast<std::size_t>(s.op)].layer_rep, l) > 0;
+  // The grid rows a segment touches: load and store touch all (an empty
+  // mask), phase B one layer, an op those its masks select.
+  const Mask all;
+  auto mask = [&rs, &all](const Seg& s, Mask RotorOp::*axis) -> const Mask& {
+    return s.op < 0 ? all : rs.ops[static_cast<std::size_t>(s.op)].*axis;
   };
-  auto has_row = [&rs](const Seg& s, int i) {
-    return s.op < 0 ||
-           rep_at(rs.ops[static_cast<std::size_t>(s.op)].row_rep, i) > 0;
-  };
-  // Whether every grid row `s` touches is one of `lead`'s, so `s` can run
-  // on the rows the phase hands each chunk.
+  // Whether every grid row that row-local `s` touches is one of `lead`'s,
+  // so `s` can run on the rows the phase hands each chunk.
   auto within = [&](const Seg& lead, const Seg& s) {
-    for (int l = 0; l < c; ++l) {
-      if (has_layer(s, l) && !has_layer(lead, l)) return false;
-    }
-    for (int i = 0; i < q; ++i) {
-      if (has_row(s, i) && !has_row(lead, i)) return false;
-    }
-    return true;
+    const Mask& layers = mask(s, &RotorOp::layer_rep);
+    return (lead.step == Step::kColRows
+                ? n_active(layers, c) == 1 && rep_at(layers, lead.l) > 0
+                : covers(mask(lead, &RotorOp::layer_rep), layers, c)) &&
+           covers(mask(lead, &RotorOp::row_rep), mask(s, &RotorOp::row_rep),
+                  q);
   };
   std::vector<Phase> plan;
   plan.push_back({false, {Seg{}}});
@@ -638,15 +667,12 @@ class Sweep {
     if (col_groups) {
       arr_roots_.resize(static_cast<std::size_t>(nblk_) * q_);
     }
-    run_at_.push_back(0);
     for (std::size_t o = 0; o < rs.ops.size(); ++o) {
       const RotorOp& op = rs.ops[o];
       switch (op.kind) {
         case RotorOp::Kind::kAlloc:
         case RotorOp::Kind::kFree:
-          break;
         case RotorOp::Kind::kCompute:
-          col_runs(op);
           break;
         case RotorOp::Kind::kBcastRow:
         case RotorOp::Kind::kBcastCol:
@@ -662,7 +688,6 @@ class Sweep {
               masked_rows_.push_back(static_cast<int>(o));
             } else if (op.kind == RotorOp::Kind::kBcastCol) {
               masked_cols_.push_back(static_cast<int>(o));
-              col_runs(op);
             }
           } else if (op.kind == RotorOp::Kind::kBcastRow ||
                      op.kind == RotorOp::Kind::kBcastCol) {
@@ -685,7 +710,6 @@ class Sweep {
           skew_profile(op, cost_[o]);
           break;
       }
-      run_at_.push_back(runs_.size());
     }
   }
 
@@ -714,18 +738,6 @@ class Sweep {
   }
 
  private:
-  /// The runs of equal nonzero column counts of an op's col_rep, appended
-  /// to runs_ (an empty mask is one run over the whole row).
-  void col_runs(const RotorOp& op) {
-    for (int j = 0; j < q_;) {
-      const int rep = rep_at(op.col_rep, j);
-      int e = j + 1;
-      while (e < q_ && rep_at(op.col_rep, e) == rep) ++e;
-      if (rep > 0) runs_.push_back({j, e, rep});
-      j = e;
-    }
-  }
-
   /// The receive counts of a masked broadcast. Every member but the root
   /// receives once per repetition, and the repetition count depends only
   /// on the group, so a row or column group's receives go into the axis
@@ -737,28 +749,26 @@ class Sweep {
       pf.wr[at] += reps * pc.k;
       pf.mr[at] += reps * pc.m;
     };
-    for (int l = 0; l < c_; ++l) {
-      for (int x = 0; x < q_; ++x) {
-        const std::size_t lx = static_cast<std::size_t>(l) * q_ + x;
-        if (op.kind == RotorOp::Kind::kBcastRow) {  // group (l, i = x)
-          const std::int64_t reps =
-              rep_at(op.layer_rep, l) * rep_at(op.row_rep, x);
-          add(prof_li_, lx, reps);
-          add(pr, lx * q_ + op.root, -reps);
-        } else if (op.kind == RotorOp::Kind::kBcastCol) {  // group (l, j = x)
-          const std::int64_t reps =
-              rep_at(op.layer_rep, l) * rep_at(op.col_rep, x);
-          add(prof_lj_, lx, reps);
-          add(pr, static_cast<std::size_t>(l) * qq_ +
-                      static_cast<std::size_t>(op.root) * q_ + x,
-              -reps);
-        } else if (l != op.root) {  // depth group (i, j), rank by rank
-          for (int j = 0; j < q_; ++j) {
-            add(pr, lx * q_ + j, rep_at(op.row_rep, x) * rep_at(op.col_rep, j));
-          }
-        }
+    each_rep(op.layer_rep, c_, [&](int l, int lr) {
+      const std::size_t l0 = static_cast<std::size_t>(l) * q_;
+      if (op.kind == RotorOp::Kind::kBcastRow) {  // group (l, i)
+        each_rep(op.row_rep, q_, [&](int i, int ir) {
+          add(prof_li_, l0 + i, lr * ir);
+          add(pr, (l0 + i) * q_ + op.root, -lr * ir);
+        });
+      } else if (op.kind == RotorOp::Kind::kBcastCol) {  // group (l, j)
+        each_rep(op.col_rep, q_, [&](int j, int jr) {
+          add(prof_lj_, l0 + j, lr * jr);
+          add(pr, (l0 + op.root) * q_ + j, -lr * jr);
+        });
+      } else if (l != op.root) {  // depth group (i, j), rank by rank
+        each_rep(op.row_rep, q_, [&](int i, int ir) {
+          each_rep(op.col_rep, q_, [&](int j, int jr) {
+            add(pr, (l0 + i) * q_ + j, ir * jr);
+          });
+        });
       }
-    }
+    });
   }
 
   /// The integer counts of a skew or shift: every rank receives the
@@ -868,13 +878,10 @@ class Sweep {
     const double f = op.flops;
     // CostHooks::compute with speed=1.0: gamma_t*flops/1.0.
     const double dt = gamma_ * f;
-    const std::size_t o = static_cast<std::size_t>(s.op);
-    for (std::size_t r = run_at_[o]; r < run_at_[o + 1]; ++r) {
-      const Run& run = runs_[r];
-      rows_.compute(clock_.data() + base + run.j0,
-                    flops_.data() + base + run.j0, run.j1 - run.j0,
-                    ir * run.rep, dt, f);
-    }
+    for_runs(op.col_rep, q_, [&](int j0, int j1, int rep) {
+      rows_.compute(clock_.data() + base + j0, flops_.data() + base + j0,
+                    j1 - j0, ir * rep, dt, f);
+    });
   }
 
   /// A row collective on grid row (l, i), its repetitions back to back
@@ -1030,15 +1037,16 @@ class Sweep {
     const PointCost& pc = cost_[static_cast<std::size_t>(s0->op)];
     const int l = s0->l;
     const int t = s0->t;
-    active(op.col_rep, q_, sc.col_act);
-    const bool any = !sc.col_act.empty();
-    const int j0 = any ? sc.col_act.front() : 0;
-    const int j1 = any ? sc.col_act.back() + 1 : 0;
+    const int j0 = op.col_rep.empty() ? 0 : op.col_rep.front().begin;
+    const int j1 = op.col_rep.empty() ? q_ : op.col_rep.back().end;
     const bool uniform = op.col_rep.empty() && op.layer_rep.empty();
     std::int64_t* const reps = sc.col_reps.data();
     if (!uniform) {
       const int lr = rep_at(op.layer_rep, l);
-      for (int j = j0; j < j1; ++j) reps[j] = lr * rep_at(op.col_rep, j);
+      std::fill(reps + j0, reps + j1, 0);
+      for_runs(op.col_rep, q_, [&](int b, int e, int rep) {
+        std::fill(reps + b, reps + e, lr * rep);
+      });
     }
     double* const lev = sc.lev.data();
     auto level = [lev, this](int x) {
@@ -1178,7 +1186,7 @@ class Sweep {
     }
     // Those of the masked column broadcasts: the row's rank in column
     // group j sends its child count in each of the group's repetitions, so
-    // the row gets that count times the op's runs of column counts.
+    // the row gets that count times each run's column count.
     for (const int o : masked_cols_) {
       const RotorOp& op = rs_.ops[static_cast<std::size_t>(o)];
       int vr = i - op.root;
@@ -1187,14 +1195,10 @@ class Sweep {
           sends_q_[static_cast<std::size_t>(vr)] * rep_at(op.layer_rep, l);
       if (n == 0) continue;
       const PointCost& pc = cost_[static_cast<std::size_t>(o)];
-      const std::size_t at = static_cast<std::size_t>(o);
-      for (std::size_t r = run_at_[at]; r < run_at_[at + 1]; ++r) {
-        const Run& run = runs_[r];
-        rows_.add(prof_r_->ws.data() + base + run.j0, run.j1 - run.j0,
-                  n * run.rep * pc.k);
-        rows_.add(prof_r_->ms.data() + base + run.j0, run.j1 - run.j0,
-                  n * run.rep * pc.m);
-      }
+      for_runs(op.col_rep, q_, [&](int j0, int j1, int rep) {
+        rows_.add(prof_r_->ws.data() + base + j0, j1 - j0, n * rep * pc.k);
+        rows_.add(prof_r_->ms.data() + base + j0, j1 - j0, n * rep * pc.m);
+      });
     }
     const std::size_t mem_now = static_cast<std::size_t>(mem_end_);
     const std::size_t peak = static_cast<std::size_t>(mem_peak_);
@@ -1241,14 +1245,6 @@ class Sweep {
   /// Sends per virtual rank (child counts) of the row/column and depth
   /// trees.
   const std::vector<std::int64_t> sends_q_, sends_c_;
-  /// Runs of columns with equal nonzero counts of the compute ops and the
-  /// masked column broadcasts: op o's are runs_[run_at_[o] .. run_at_[o +
-  /// 1]).
-  struct Run {
-    int j0, j1, rep;
-  };
-  std::vector<Run> runs_;
-  std::vector<std::size_t> run_at_;
   std::vector<int> masked_rows_;  ///< masked row broadcasts, by position
   std::vector<int> masked_cols_;  ///< masked column broadcasts, likewise
   // Integer deltas of the mask-free collectives and of masked broadcasts

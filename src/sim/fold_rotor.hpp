@@ -43,12 +43,12 @@
 //     axis profiles and the plan come first; the team itself never
 //     throws.
 //
-// Participation masks (row_rep/col_rep/layer_rep) make one op vector
-// describe LU's shrinking active grid: member (i, j, l) participates
-// row_rep[i]*col_rep[j]*layer_rep[l] times consecutively (empty = 1 for
-// every coordinate). A group collective runs rep times for the group
-// selected by the cross-axis masks; repetition count >1 reproduces e.g.
-// LU ranks holding several block rows of a panel.
+// Participation masks (row_rep/col_rep/layer_rep, each a list of
+// RotorRuns) make one op vector describe LU's shrinking active grid:
+// member (i, j, l) participates row_rep(i)*col_rep(j)*layer_rep(l) times
+// consecutively. A group collective runs rep times for the group selected
+// by the cross-axis masks; repetition count >1 reproduces e.g. LU ranks
+// holding several block rows of a panel.
 //
 // Builders live in src/algs/foldmaps.cpp (foldmap_summa / foldmap_lu /
 // foldmap_mm25d for c > 1); the congruence claim is verified against
@@ -64,6 +64,12 @@ namespace alge::sim {
 
 struct MachineConfig;
 struct RankCounters;
+
+/// Coordinates [begin, end) of a grid axis taking part rep >= 1 times each;
+/// a mask lists sorted disjoint runs, and other coordinates take no part.
+struct RotorRun {
+  std::int32_t begin, end, rep;
+};
 
 /// One schedule position of a rotor program. Coordinates refer to the
 /// q x q x c grid of RotorSchedule (rank = l*q^2 + i*q + j).
@@ -87,10 +93,10 @@ struct RotorOp {
   int root = 0;
   std::size_t words = 0;  ///< payload words (collectives, skews, alloc/free)
   double flops = 0.0;     ///< compute cost (kCompute only)
-  /// Participation masks, indexed by row / column / layer coordinate.
-  /// Empty means "1 for every coordinate". A group collective must leave
-  /// its own axis unmasked (all members of a selected group take part).
-  std::vector<std::int32_t> row_rep, col_rep, layer_rep;
+  /// Participation masks (RotorRun). Empty means "1 for every coordinate",
+  /// so an op no rank takes part in is left out. A group collective must
+  /// leave its own axis unmasked (all members of a selected group take part).
+  std::vector<RotorRun> row_rep, col_rep, layer_rep;
 };
 
 /// A complete rotor schedule for a q x q x c grid (p = q*q*c ranks).

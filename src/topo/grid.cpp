@@ -1,6 +1,7 @@
 #include "topo/grid.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "support/common.hpp"
 
@@ -38,7 +39,11 @@ int Ring::left_of(int rank, int steps) const { return right_of(rank, -steps); }
 
 // --- Grid2D ---
 
-Grid2D::Grid2D(int q) : q_(q) { ALGE_REQUIRE(q >= 1, "grid needs q >= 1"); }
+Grid2D::Grid2D(int q) : q_(q) {
+  ALGE_REQUIRE(q >= 1, "grid needs q >= 1");
+  ALGE_REQUIRE(static_cast<double>(q) * q <= std::numeric_limits<int>::max(),
+               "grid %d x %d has more ranks than an int holds", q, q);
+}
 
 Grid2D Grid2D::for_p(int p) {
   const int q = exact_isqrt(p);
@@ -74,6 +79,9 @@ Group Grid2D::col_group(int j) const {
 
 Grid3D::Grid3D(int q, int c) : q_(q), c_(c) {
   ALGE_REQUIRE(q >= 1 && c >= 1, "grid needs q,c >= 1");
+  ALGE_REQUIRE(
+      static_cast<double>(q) * q * c <= std::numeric_limits<int>::max(),
+      "grid %d x %d x %d has more ranks than an int holds", q, q, c);
 }
 
 Grid3D Grid3D::for_p(int p, int c) {

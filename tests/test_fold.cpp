@@ -17,10 +17,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algs/foldmaps.hpp"
@@ -81,6 +83,63 @@ TEST(FoldMap, AllSingletonsIsTrivial) {
 
 // ------------------------------------------------------ builder shapes
 
+using Runs = std::vector<sim::RotorRun>;
+using Dense = std::vector<std::int32_t>;
+
+/// Participation count of coordinate x under `mask`: its run's, 0 outside
+/// every run, 1 when the mask is empty.
+int rep_at(const Runs& mask, int x) {
+  if (mask.empty()) return 1;
+  for (const sim::RotorRun& r : mask) {
+    if (r.begin <= x && x < r.end) return r.rep;
+  }
+  return 0;
+}
+
+/// `mask` as one count per coordinate of an axis of n (empty stays empty).
+Dense expand(const Runs& mask, int n) {
+  if (mask.empty()) return {};
+  Dense d(static_cast<std::size_t>(n));
+  for (int x = 0; x < n; ++x) d[static_cast<std::size_t>(x)] = rep_at(mask, x);
+  return d;
+}
+
+/// Bytes a schedule holds: its ops and their mask runs (sizes, not
+/// capacities), as bench/frontier_folded records them.
+std::size_t schedule_bytes(const sim::RotorSchedule& rs) {
+  std::size_t bytes = rs.ops.size() * sizeof(sim::RotorOp);
+  for (const sim::RotorOp& op : rs.ops) {
+    bytes += (op.row_rep.size() + op.col_rep.size() + op.layer_rep.size()) *
+             sizeof(sim::RotorRun);
+  }
+  return bytes;
+}
+
+/// The reference for foldmap_lu's runs: per op after the three
+/// allocations, its row and column masks as q-length counts, counted block
+/// by block (no op masks layers).
+std::vector<std::pair<Dense, Dense>> dense_lu_masks(int n, int nb, int q) {
+  const int nt = n / nb;
+  std::vector<std::pair<Dense, Dense>> ops;
+  for (int k = 0; k < nt; ++k) {
+    Dense diag(static_cast<std::size_t>(q), 0);
+    diag[static_cast<std::size_t>(k % q)] = 1;
+    Dense t(static_cast<std::size_t>(q), 0);
+    for (int m = k + 1; m < nt; ++m) ++t[static_cast<std::size_t>(m % q)];
+    ops.push_back({diag, diag});  // getrf
+    ops.push_back({{}, diag});    // A(k,k) down its column
+    ops.push_back({diag, {}});    // and across its row
+    if (k + 1 < nt) {
+      ops.push_back({t, diag});  // L panel solves
+      ops.push_back({diag, t});  // U panel solves
+      ops.push_back({t, {}});    // L broadcast
+      ops.push_back({{}, t});    // U broadcast
+      ops.push_back({t, t});     // trailing update
+    }
+  }
+  return ops;
+}
+
 TEST(FoldBuilders, Mm25dFoldsCannonIntoFourClasses) {
   const auto map = algs::foldmap_mm25d(3, 1);
   ASSERT_NE(map, nullptr);
@@ -101,6 +160,7 @@ TEST(FoldBuilders, Mm25dRefusesReplicatedLayers) {
   // rotor schedule instead.
   EXPECT_EQ(algs::foldmap_mm25d(4, 2), nullptr);
   EXPECT_EQ(algs::foldmap_mm25d(1, 1), nullptr);  // single rank: trivial
+  EXPECT_EQ(algs::foldmap_mm25d(46341, 1), nullptr);  // q² overflows an int
 }
 
 TEST(FoldBuilders, RotorMapsForRotatingSchedules) {
@@ -134,6 +194,38 @@ TEST(FoldBuilders, RotorMapsForRotatingSchedules) {
   // Ring replication bcasts along a pipeline, not the binomial tree the
   // rotor replays.
   EXPECT_EQ(algs::foldmap_mm25d(4, 2, 8, true), nullptr);
+}
+
+TEST(FoldBuilders, LuMasksMatchTheDenseOracle) {
+  for (const auto& [n, nb, q] : {std::array{48, 4, 4}, std::array{144, 4, 12},
+                                 std::array{148, 4, 37},
+                                 std::array{512, 8, 16},
+                                 std::array{4096, 8, 512}}) {
+    SCOPED_TRACE(testing::Message() << "n " << n << ", nb " << nb << ", q "
+                                    << q);
+    const auto map = algs::foldmap_lu(n, nb, q, 1);
+    const sim::RotorSchedule& rs = *map->rotor();
+    const auto ref = dense_lu_masks(n, nb, q);
+    ASSERT_EQ(rs.ops.size(), ref.size() + 6);  // three allocs, three frees
+    for (std::size_t o = 0; o < ref.size(); ++o) {
+      const sim::RotorOp& op = rs.ops[o + 3];
+      ASSERT_EQ(expand(op.row_rep, q), ref[o].first) << "op " << o + 3;
+      ASSERT_EQ(expand(op.col_rep, q), ref[o].second) << "op " << o + 3;
+      ASSERT_TRUE(op.layer_rep.empty()) << "op " << o + 3;
+    }
+  }
+}
+
+TEST(FoldBuilders, LuAtQ2048KeepsItsMasksSmall) {
+  // nt = q = 2048: ~16k ops. q-length masks would take ~200 MB here.
+  const auto map = algs::foldmap_lu(16384, 8, 2048, 1);
+  const sim::RotorSchedule& rs = *map->rotor();
+  for (const sim::RotorOp& op : rs.ops) {
+    EXPECT_LE(op.row_rep.size(), 2u);
+    EXPECT_LE(op.col_rep.size(), 2u);
+    EXPECT_TRUE(op.layer_rep.empty());
+  }
+  EXPECT_LT(schedule_bytes(rs), std::size_t{4} << 20);
 }
 
 TEST(FoldBuilders, CapsAndFftAreSingleClass) {
@@ -531,7 +623,7 @@ TEST(RotorTeam, LuShrinkingMasksAreBitIdentical) {
 
 /// Per-rank counters of the fiber program that `rs` describes, for a
 /// schedule of compute ops and row and column broadcasts only: member
-/// (i, j, l) takes part row_rep[i]·col_rep[j]·layer_rep[l] times in a row.
+/// (i, j, l) takes part row_rep(i)·col_rep(j)·layer_rep(l) times in a row.
 std::vector<sim::RankCounters> fiber_counters(const sim::RotorSchedule& rs) {
   const int q = rs.q;
   sim::MachineConfig cfg = rotor_cfg(rotor_mp(), rs.p());
@@ -542,12 +634,9 @@ std::vector<sim::RankCounters> fiber_counters(const sim::RotorSchedule& rs) {
     const int l = r / (q * q);
     const int i = r / q % q;
     const int j = r % q;
-    auto rep = [](const std::vector<std::int32_t>& mask, int x) {
-      return mask.empty() ? 1 : mask[static_cast<std::size_t>(x)];
-    };
     for (const sim::RotorOp& op : rs.ops) {
-      const int reps =
-          rep(op.row_rep, i) * rep(op.col_rep, j) * rep(op.layer_rep, l);
+      const int reps = rep_at(op.row_rep, i) * rep_at(op.col_rep, j) *
+                       rep_at(op.layer_rep, l);
       std::vector<double> buf(op.words);
       for (int t = 0; t < reps; ++t) {
         if (op.kind == sim::RotorOp::Kind::kCompute) {
@@ -591,8 +680,7 @@ TEST(RotorTeam, LayeredMaskedColumnBroadcastsMatchFibers) {
   rs.q = 11;
   rs.c = 3;
   using K = sim::RotorOp::Kind;
-  auto add = [&rs](K kind, int root, std::vector<std::int32_t> col_rep,
-                   std::vector<std::int32_t> layer_rep) {
+  auto add = [&rs](K kind, int root, Runs col_rep, Runs layer_rep) {
     sim::RotorOp op;
     op.kind = kind;
     op.root = root;
@@ -602,13 +690,15 @@ TEST(RotorTeam, LayeredMaskedColumnBroadcastsMatchFibers) {
     op.layer_rep = std::move(layer_rep);
     rs.ops.push_back(std::move(op));
   };
-  const std::vector<std::int32_t> cols = {3, 0, 1, 2, 0, 1, 1, 3, 0, 2, 1};
-  add(K::kCompute, 3, cols, {1, 2, 0});
+  // Column counts 3 0 1 2 0 1 1 3 0 2 1.
+  const Runs cols = {{0, 1, 3}, {2, 3, 1}, {3, 4, 2}, {5, 7, 1},
+                     {7, 8, 3}, {9, 10, 2}, {10, 11, 1}};
+  add(K::kCompute, 3, cols, {{0, 1, 1}, {1, 2, 2}});
   add(K::kBcastCol, 4, {}, {});
-  add(K::kBcastCol, 10, cols, {2, 0, 1});
-  add(K::kCompute, 1, {}, {0, 1, 3});
-  add(K::kBcastCol, 0, {0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}, {});
-  add(K::kBcastCol, 7, {}, {1, 0, 2});
+  add(K::kBcastCol, 10, cols, {{0, 1, 2}, {2, 3, 1}});
+  add(K::kCompute, 1, {}, {{1, 2, 1}, {2, 3, 3}});
+  add(K::kBcastCol, 0, {{6, 7, 1}}, {});
+  add(K::kBcastCol, 7, {}, {{0, 1, 1}, {2, 3, 2}});
   expect_fiber_parity(rs);
 }
 
@@ -624,9 +714,8 @@ TEST(RotorTeam, FusedLayeredMaskedPhasesMatchFibers) {
   rs.q = 11;
   rs.c = 3;
   using K = sim::RotorOp::Kind;
-  auto add = [&rs](K kind, int root, std::vector<std::int32_t> row_rep,
-                   std::vector<std::int32_t> col_rep,
-                   std::vector<std::int32_t> layer_rep) {
+  auto add = [&rs](K kind, int root, Runs row_rep, Runs col_rep,
+                   Runs layer_rep) {
     sim::RotorOp op;
     op.kind = kind;
     op.root = root;
@@ -637,28 +726,26 @@ TEST(RotorTeam, FusedLayeredMaskedPhasesMatchFibers) {
     op.layer_rep = std::move(layer_rep);
     rs.ops.push_back(std::move(op));
   };
-  auto one_hot = [](int n, int at, int reps) {
-    std::vector<std::int32_t> v(static_cast<std::size_t>(n), 0);
-    v[static_cast<std::size_t>(at)] = reps;
-    return v;
-  };
-  const std::vector<std::int32_t> rows = {2, 0, 1, 1, 3, 0, 1, 2, 1, 0, 1};
-  const std::vector<std::int32_t> cols = {3, 0, 1, 2, 0, 1, 1, 3, 0, 2, 1};
-  add(K::kCompute, 5, rows, {}, {1, 2, 0});
+  // Row counts 2 0 1 1 3 0 1 2 1 0 1, column counts 3 0 1 2 0 1 1 3 0 2 1.
+  const Runs rows = {{0, 1, 2}, {2, 4, 1}, {4, 5, 3}, {6, 7, 1},
+                     {7, 8, 2}, {8, 9, 1}, {10, 11, 1}};
+  const Runs cols = {{0, 1, 3}, {2, 3, 1}, {3, 4, 2}, {5, 7, 1},
+                     {7, 8, 3}, {9, 10, 2}, {10, 11, 1}};
+  add(K::kCompute, 5, rows, {}, {{0, 1, 1}, {1, 2, 2}});
   add(K::kBcastRow, 3, {}, {}, {});
-  add(K::kBcastCol, 4, {}, {}, {0, 0, 1});
-  add(K::kCompute, 6, rows, cols, {0, 0, 2});
-  add(K::kBcastRow, 8, rows, {}, {0, 0, 1});
-  add(K::kBcastCol, 10, {}, cols, {2, 0, 1});
-  add(K::kCompute, 1, one_hot(11, 5, 1), one_hot(11, 7, 2), {0, 1, 0});
-  add(K::kBcastRow, 2, one_hot(11, 2, 1), {}, {1, 0, 0});
-  add(K::kCompute, 4, one_hot(11, 2, 2), cols, {1, 0, 0});
-  add(K::kBcastCol, 2, {}, one_hot(11, 6, 2), {0, 1, 0});
+  add(K::kBcastCol, 4, {}, {}, {{2, 3, 1}});
+  add(K::kCompute, 6, rows, cols, {{2, 3, 2}});
+  add(K::kBcastRow, 8, rows, {}, {{2, 3, 1}});
+  add(K::kBcastCol, 10, {}, cols, {{0, 1, 2}, {2, 3, 1}});
+  add(K::kCompute, 1, {{5, 6, 1}}, {{7, 8, 2}}, {{1, 2, 1}});
+  add(K::kBcastRow, 2, {{2, 3, 1}}, {}, {{0, 1, 1}});
+  add(K::kCompute, 4, {{2, 3, 2}}, cols, {{0, 1, 1}});
+  add(K::kBcastCol, 2, {}, {{6, 7, 2}}, {{1, 2, 1}});
   add(K::kCompute, 0, {}, {}, {});
   add(K::kBcastRow, 9, rows, {}, {});
   add(K::kBcastCol, 7, {}, {}, {});
-  add(K::kBcastRow, 0, {}, {}, {0, 0, 1});
-  add(K::kCompute, 3, {}, cols, {0, 0, 1});
+  add(K::kBcastRow, 0, {}, {}, {{2, 3, 1}});
+  add(K::kCompute, 3, {}, cols, {{2, 3, 1}});
   expect_fiber_parity(rs);
 }
 
@@ -722,6 +809,117 @@ TEST(RotorTeam, CapacityOverflowThrowsTheSameErrorAndLeavesOutUnchanged) {
   EXPECT_NE(first.find("out of memory"), std::string::npos) << first;
 }
 
+// --------------------------------------------------- rotor schedule checks
+
+/// rotor_run must refuse `rs` with an internal_error whose message holds
+/// `what`, leaving the p counters it is given as they were.
+void expect_refused(const sim::RotorSchedule& rs, const std::string& what,
+                    int p) {
+  std::vector<sim::RankCounters> before(static_cast<std::size_t>(p));
+  for (int r = 0; r < p; ++r) {
+    before[static_cast<std::size_t>(r)].clock = r + 0.5;
+  }
+  std::vector<sim::RankCounters> out = before;
+  try {
+    sim::rotor_run(rs, rotor_cfg(rotor_mp(), p), out, 1);
+    ADD_FAILURE() << "not refused: " << what;
+  } catch (const internal_error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(out == before) << what << ": out was modified";
+}
+
+sim::RotorOp rotor_op(sim::RotorOp::Kind kind, int root, Runs row_rep,
+                      Runs col_rep, Runs layer_rep) {
+  sim::RotorOp op;
+  op.kind = kind;
+  op.root = root;
+  op.row_rep = std::move(row_rep);
+  op.col_rep = std::move(col_rep);
+  op.layer_rep = std::move(layer_rep);
+  return op;
+}
+
+/// expect_refused for a 4 x 4 x 2 schedule of the single op `op`.
+void expect_op_refused(const sim::RotorOp& op, const std::string& what) {
+  sim::RotorSchedule rs;
+  rs.q = 4;
+  rs.c = 2;
+  rs.ops.push_back(op);
+  expect_refused(rs, what, 32);
+}
+
+using K = sim::RotorOp::Kind;
+
+TEST(RotorCheck, RefusesRunsOutsideTheAxis) {
+  expect_op_refused(rotor_op(K::kCompute, 0, {{2, 5, 1}}, {}, {}),
+                    "rotor mask run [2, 5) not in [0, 4)");
+  expect_op_refused(rotor_op(K::kCompute, 0, {}, {{-1, 2, 1}}, {}),
+                    "rotor mask run [-1, 2) not in [0, 4)");
+  expect_op_refused(rotor_op(K::kCompute, 0, {}, {{2, 2, 1}}, {}),
+                    "rotor mask run [2, 2) not in [0, 4)");
+  expect_op_refused(rotor_op(K::kCompute, 0, {}, {}, {{1, 3, 1}}),
+                    "rotor mask run [1, 3) not in [0, 2)");
+}
+
+TEST(RotorCheck, RefusesOverlappingAndUnsortedRuns) {
+  expect_op_refused(
+      rotor_op(K::kCompute, 0, {{0, 2, 1}, {1, 3, 2}}, {}, {}),
+      "rotor mask run [1, 3) out of order");
+  expect_op_refused(
+      rotor_op(K::kBcastRow, 0, {{2, 3, 1}, {0, 1, 1}}, {}, {}),
+      "rotor mask run [0, 1) out of order");
+}
+
+TEST(RotorCheck, RefusesCountsBelowOne) {
+  expect_op_refused(rotor_op(K::kCompute, 0, {}, {{0, 1, 0}}, {}),
+                    "rotor mask run [0, 1) takes part 0 times");
+  expect_op_refused(rotor_op(K::kBcastCol, 0, {}, {}, {{1, 2, -1}}),
+                    "rotor mask run [1, 2) takes part -1 times");
+}
+
+TEST(RotorCheck, RefusesMaskedMemberAxes) {
+  expect_op_refused(rotor_op(K::kBcastRow, 0, {}, {{0, 1, 1}}, {}),
+                    "row collective with a masked column axis");
+  expect_op_refused(rotor_op(K::kBcastCol, 0, {{0, 1, 1}}, {}, {}),
+                    "column collective with a masked row axis");
+  for (const K kind : {K::kBcastDepth, K::kReduceDepth}) {
+    expect_op_refused(rotor_op(kind, 0, {}, {}, {{0, 1, 1}}),
+                      "depth collective with a masked layer axis");
+  }
+}
+
+TEST(RotorCheck, RefusesMaskedSkewsAndShifts) {
+  for (const K kind : {K::kSkewA, K::kSkewB, K::kShiftA, K::kShiftB}) {
+    expect_op_refused(rotor_op(kind, 0, {{0, 1, 1}}, {}, {}),
+                      "skew/shift ops are unmasked");
+    expect_op_refused(rotor_op(kind, 0, {}, {}, {{1, 2, 1}}),
+                      "skew/shift ops are unmasked");
+  }
+}
+
+TEST(RotorCheck, RefusesRootsOutOfRange) {
+  expect_op_refused(rotor_op(K::kBcastRow, 4, {}, {}, {}),
+                    "rotor collective root 4 on a group of 4");
+  expect_op_refused(rotor_op(K::kBcastCol, -1, {}, {}, {}),
+                    "rotor collective root -1 on a group of 4");
+  expect_op_refused(rotor_op(K::kReduceDepth, 2, {}, {}, {}),
+                    "rotor collective root 2 on a group of 2");
+}
+
+TEST(RotorCheck, RefusesGridsWhoseRankCountOverflowsAnInt) {
+  // 65537² wraps to 131,073 in int arithmetic; 46341² wraps negative.
+  sim::RotorSchedule rs;
+  rs.q = 65537;
+  expect_refused(rs, "rotor grid 65537 x 65537 x 1 has more ranks", 4);
+  rs.q = 46341;
+  expect_refused(rs, "rotor grid 46341 x 46341 x 1 has more ranks", 4);
+  rs.q = 32768;
+  rs.c = 2;
+  expect_refused(rs, "rotor grid 32768 x 32768 x 2 has more ranks", 4);
+}
+
 // ------------------------------------------------------- rotor phase plan
 
 // Phase counts of the sweep's plan (one team synchronization each). The
@@ -763,8 +961,12 @@ TEST(RotorPlan, LuReplayRoundsAddTwoPhasesEach) {
     if (op.kind != sim::RotorOp::Kind::kBcastCol || op.col_rep.empty()) {
       continue;
     }
-    extra += *std::max_element(op.col_rep.begin(), op.col_rep.end()) - 1;
-    for (std::int32_t& reps : op.col_rep) reps = std::min(reps, 1);
+    int most = 1;
+    for (sim::RotorRun& run : op.col_rep) {
+      most = std::max(most, run.rep);
+      run.rep = 1;
+    }
+    extra += most - 1;
   }
   ASSERT_GT(extra, 0);
   for (const int threads : {1, 3, 7}) {
@@ -1120,6 +1322,28 @@ TEST(FoldEngine, ExecuteMatchesFibersBitForBit) {
   EXPECT_GT(rd.fold_slots, 0);
   rd.fold_slots = 0;
   EXPECT_EQ(rf, rd);
+}
+
+TEST(FoldEngine, RefusesGridsWhoseRankCountOverflowsAnInt) {
+  // A serve "experiment" request such as {"alg":"summa","n":65537,
+  // "q":65537,"exec_mode":"folded"}: refused by the grid, before the
+  // machine allocates anything per rank.
+  for (const auto& [alg, q] : {std::pair{engine::Alg::kSumma, 65537},
+                               std::pair{engine::Alg::kMm25d, 46341}}) {
+    engine::ExperimentSpec spec = foldable_mm_spec();
+    spec.alg = alg;
+    spec.n = q;
+    spec.q = q;
+    spec.exec_mode = sim::ExecMode::kFolded;
+    try {
+      engine::execute(spec);
+      ADD_FAILURE() << "q=" << q << " not refused";
+    } catch (const invalid_argument_error& e) {
+      EXPECT_NE(std::string(e.what()).find("more ranks than an int holds"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(FoldEngine, FoldedRequiresGhostData) {
