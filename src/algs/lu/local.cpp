@@ -14,7 +14,9 @@ void check_square(std::size_t len, int n) {
 }
 }  // namespace
 
-void lu_factor_inplace(std::span<double> a, int n) {
+// The three kernels start on a cache-line boundary, so their loops keep the
+// same layout, and speed, when code linked before them changes size.
+[[gnu::aligned(64)]] void lu_factor_inplace(std::span<double> a, int n) {
   check_square(a.size(), n);
   for (int k = 0; k < n; ++k) {
     const double pivot = a[static_cast<std::size_t>(k) * n + k];
@@ -31,7 +33,8 @@ void lu_factor_inplace(std::span<double> a, int n) {
   }
 }
 
-void trsm_lower_left(std::span<const double> lu, std::span<double> b, int n) {
+[[gnu::aligned(64)]] void trsm_lower_left(std::span<const double> lu,
+                                          std::span<double> b, int n) {
   check_square(lu.size(), n);
   check_square(b.size(), n);
   // Solve L·X = B row by row (L unit lower).
@@ -46,8 +49,8 @@ void trsm_lower_left(std::span<const double> lu, std::span<double> b, int n) {
   }
 }
 
-void trsm_upper_right(std::span<const double> lu, std::span<double> b,
-                      int n) {
+[[gnu::aligned(64)]] void trsm_upper_right(std::span<const double> lu,
+                                           std::span<double> b, int n) {
   check_square(lu.size(), n);
   check_square(b.size(), n);
   // Solve X·U = B column by column (U non-unit upper).

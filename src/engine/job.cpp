@@ -1,7 +1,11 @@
 #include "engine/job.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cinttypes>
-#include <cstdlib>
+#include <climits>
+#include <cmath>
+#include <initializer_list>
 
 #include "support/common.hpp"
 
@@ -27,8 +31,46 @@ constexpr struct {
     {Alg::kCollA2aBruck, "coll_a2a_bruck"},
 };
 
+[[noreturn]] void refuse(std::string_view key, const char* want) {
+  throw invalid_argument_error(strfmt("\"%.*s\" must be %s",
+                                      static_cast<int>(key.size()),
+                                      key.data(), want));
+}
+
+/// Refuses every key of object `v` outside `known`.
+void require_known_keys(const json::Value& v,
+                        std::initializer_list<std::string_view> known,
+                        const char* where) {
+  for (const auto& [key, val] : v.as_object()) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      throw invalid_argument_error(
+          strfmt("unknown key \"%s\" in %s", key.c_str(), where));
+    }
+  }
+}
+
 int get_int(const json::Value& v, std::string_view key) {
-  return static_cast<int>(v.at(key).as_double());
+  const json::Value& x = v.at(key);
+  if (x.is_number()) {
+    const double d = x.as_double();
+    // Range first: converting a double outside int range is undefined.
+    if (d >= INT_MIN && d <= INT_MAX && d == std::trunc(d)) {
+      return static_cast<int>(d);
+    }
+  }
+  refuse(key, "an integral number in int range");
+}
+
+std::uint64_t get_seed(const json::Value& v, std::string_view key) {
+  const json::Value& x = v.at(key);
+  if (x.is_string()) {
+    const std::string& s = x.as_string();
+    std::uint64_t seed = 0;
+    const char* end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, seed);
+    if (ec == std::errc{} && ptr == end) return seed;
+  }
+  refuse(key, "a decimal string of a 64-bit unsigned integer");
 }
 
 }  // namespace
@@ -49,6 +91,11 @@ json::Value machine_params_to_json(const core::MachineParams& mp) {
 }
 
 core::MachineParams machine_params_from_json(const json::Value& v) {
+  require_known_keys(v,
+                     {"gamma_t", "beta_t", "alpha_t", "gamma_e", "beta_e",
+                      "alpha_e", "delta_e", "eps_e", "mem_words",
+                      "max_msg_words"},
+                     "\"params\"");
   core::MachineParams mp;
   mp.gamma_t = v.at("gamma_t").as_double();
   mp.beta_t = v.at("beta_t").as_double();
@@ -106,11 +153,17 @@ json::Value ExperimentSpec::to_json() const {
   if (!fault_plan.empty()) o.set("fault_plan", fault_plan);
   if (data_mode == sim::DataMode::kGhost) o.set("data_mode", "ghost");
   if (exec_mode == sim::ExecMode::kFolded) o.set("exec_mode", "folded");
-  if (!transport.empty()) o.set("transport", transport);
   return o;
 }
 
 ExperimentSpec ExperimentSpec::from_json(const json::Value& v) {
+  require_known_keys(
+      v,
+      {"alg", "n", "q", "c", "p", "k", "nb", "r_dim", "c_dim",
+       "payload_words", "ring_replication", "caps_schedule", "caps_cutoff",
+       "fft_bruck", "verify", "seed", "params", "chaos_seed", "fault_plan",
+       "data_mode", "exec_mode"},
+      "experiment spec");
   ExperimentSpec s;
   s.alg = alg_from_string(v.at("alg").as_string());
   s.n = get_int(v, "n");
@@ -127,10 +180,10 @@ ExperimentSpec ExperimentSpec::from_json(const json::Value& v) {
   s.caps_cutoff = get_int(v, "caps_cutoff");
   s.fft_bruck = v.at("fft_bruck").as_bool();
   s.verify = v.at("verify").as_bool();
-  s.seed = std::strtoull(v.at("seed").as_string().c_str(), nullptr, 10);
+  s.seed = get_seed(v, "seed");
   s.params = machine_params_from_json(v.at("params"));
-  if (const json::Value* cs = v.find("chaos_seed"); cs != nullptr) {
-    s.chaos_seed = std::strtoull(cs->as_string().c_str(), nullptr, 10);
+  if (v.find("chaos_seed") != nullptr) {
+    s.chaos_seed = get_seed(v, "chaos_seed");
   }
   if (const json::Value* fp = v.find("fault_plan"); fp != nullptr) {
     s.fault_plan = fp->as_string();
@@ -151,9 +204,6 @@ ExperimentSpec ExperimentSpec::from_json(const json::Value& v) {
       ALGE_REQUIRE(mode == "fibers", "unknown exec_mode \"%s\"",
                    mode.c_str());
     }
-  }
-  if (const json::Value* tr = v.find("transport"); tr != nullptr) {
-    s.transport = tr->as_string();
   }
   return s;
 }
@@ -212,8 +262,8 @@ ExperimentResult ExperimentResult::from_json(const json::Value& v) {
   r.energy.leakage = e.at("leakage").as_double();
   r.max_abs_error = v.at("max_abs_error").as_double();
   r.verified = v.at("verified").as_bool();
-  if (const json::Value* fs = v.find("fold_slots"); fs != nullptr) {
-    r.fold_slots = static_cast<int>(fs->as_double());
+  if (v.find("fold_slots") != nullptr) {
+    r.fold_slots = get_int(v, "fold_slots");
   }
   return r;
 }

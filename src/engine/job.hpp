@@ -90,15 +90,11 @@ struct ExperimentSpec {
   // serialized only when set, so existing cache keys are unchanged.
   sim::ExecMode exec_mode = sim::ExecMode::kFibers;
 
-  // Transport backend (src/transport): "" or "sim" runs on the virtual-
-  // clock simulator; "shm" / "tcp" execute the algorithm for real through
-  // the registered backend executor (engine/backend.hpp). Default-inert and
-  // serialized only when set, like the axes above, so existing cache keys
-  // are unchanged. Real backends require the fault/ghost/fold axes to stay
-  // at their defaults and verify=false.
-  std::string transport;
-
   json::Value to_json() const;
+  /// Strict decoder: throws invalid_argument_error naming the key for an
+  /// unknown key (top level or in "params"), an integer field that is not
+  /// a finite integral number in int range, or a seed that is not a
+  /// decimal uint64 string; json_error for a missing key.
   static ExperimentSpec from_json(const json::Value& v);
 
   /// Deterministic compact encoding; equal specs produce equal strings.

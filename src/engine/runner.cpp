@@ -7,7 +7,6 @@
 
 #include "chaos/fault_plan.hpp"
 #include "chaos/schedule.hpp"
-#include "engine/backend.hpp"
 #include "engine/pool.hpp"
 #include "sim/comm.hpp"
 #include "sim/machine.hpp"
@@ -97,8 +96,7 @@ ExperimentSpec spec_of(const algs::Problem& pb) {
           .r_dim = pb.r_dim, .c_dim = pb.c_dim,
           .ring_replication = pb.ring_replication,
           .caps_schedule = pb.caps_schedule, .caps_cutoff = pb.caps_cutoff,
-          .fft_bruck = pb.fft_bruck, .seed = pb.seed, .fault_plan = {},
-          .transport = {}};
+          .fft_bruck = pb.fft_bruck, .seed = pb.seed, .fault_plan = {}};
 }
 
 sim::MachineConfig machine_config(const ExperimentSpec& spec) {
@@ -131,19 +129,6 @@ namespace {
 
 ExperimentResult run_spec(const ExperimentSpec& spec, bool trace,
                           const algs::Inspect& inspect) {
-  // Transport axis, resolved before every other axis: a real backend
-  // executes the whole spec itself (and rejects incompatible axes). "sim"
-  // is the explicit name of the default path (distinct cache key,
-  // identical result).
-  if (!spec.transport.empty() && spec.transport != "sim") {
-    const BackendExecutor* exec = find_backend_executor(spec.transport);
-    ALGE_REQUIRE(exec != nullptr,
-                 "no executor registered for transport \"%s\" — link "
-                 "alge_transport and call "
-                 "transport::register_engine_backends() first",
-                 spec.transport.c_str());
-    return (*exec)(spec);
-  }
   sim::MachineConfig cfg = machine_config(spec);
   cfg.enable_trace = trace;
   // The collective microbenches follow the table algorithms in Alg.

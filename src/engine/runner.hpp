@@ -28,7 +28,7 @@ namespace alge::engine {
 algs::Problem problem_of(const ExperimentSpec& spec);
 
 /// The inverse of problem_of: a spec running `pb`, with every engine axis
-/// (machine parameters, modes, chaos, transport) at its default.
+/// (machine parameters, modes, chaos) at its default.
 ExperimentSpec spec_of(const algs::Problem& pb);
 
 /// The simulated machine `spec` asks for: parameters, data and execution
@@ -37,10 +37,9 @@ ExperimentSpec spec_of(const algs::Problem& pb);
 /// unknown fault plan. The caller sets p (and any trace or ledger flags).
 sim::MachineConfig machine_config(const ExperimentSpec& spec);
 
-/// Execute one spec on the calling thread (cache not consulted): a real
-/// transport backend when spec.transport names one, otherwise
-/// algs::run(problem_of(spec), machine_config(spec), spec.verify) — or the
-/// collective microbench spec.alg names.
+/// Execute one spec on the simulator, on the calling thread (cache not
+/// consulted): algs::run(problem_of(spec), machine_config(spec),
+/// spec.verify) — or the collective microbench spec.alg names.
 ExperimentResult execute(const ExperimentSpec& spec);
 
 /// Like execute(), but with tracing enabled on the simulated machine: the

@@ -166,10 +166,7 @@ EnergyLedger build_energy_ledger(const sim::Machine& m,
 }
 
 EnergyLedger build_energy_ledger(const sim::Machine& m) {
-  const sim::SimTotals t = m.totals();
-  const double mean_mem = static_cast<double>(t.mem_highwater_total) /
-                          static_cast<double>(m.p());
-  return build_energy_ledger(m, mean_mem);
+  return build_energy_ledger(m, m.totals().mean_highwater(m.p()));
 }
 
 }  // namespace alge::obs

@@ -22,7 +22,10 @@
 //                                                       ExperimentSpec
 //                                                       defaults and
 //                                                       data_mode defaults
-//                                                       to GHOST
+//                                                       to GHOST; the spec
+//                                                       is decoded strictly
+//                                                       (ExperimentSpec::
+//                                                       from_json)
 //     "navigate"   (p_samples, m_samples, budgets, simulate, fault_plans,
 //                  …)                                 full Pareto-frontier
 //                                                     report from

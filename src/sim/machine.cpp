@@ -234,53 +234,10 @@ const RankCounters& Machine::rank_counters(int rank) const {
   return ranks_[static_cast<std::size_t>(slot_of(rank))].counters;
 }
 
-SimTotals Machine::totals() const {
-  SimTotals t;
-  const auto add = [&t](const RankCounters& c) {
-    t.flops_total += c.flops;
-    t.words_total += c.words_sent;
-    t.msgs_total += c.msgs_sent;
-    t.words_hops_total += c.words_hops;
-    t.msgs_hops_total += c.msgs_hops;
-    t.flops_max = std::max(t.flops_max, c.flops);
-    t.words_sent_max = std::max(t.words_sent_max, c.words_sent);
-    t.msgs_sent_max = std::max(t.msgs_sent_max, c.msgs_sent);
-    t.mem_highwater_max = std::max(t.mem_highwater_max, c.mem_highwater);
-    t.mem_highwater_total += c.mem_highwater;
-  };
-  if (!rotor_counters_.empty()) {
-    // Rotor evaluation already stores one RankCounters per world rank, in
-    // world-rank order — the per-fiber summation order by construction.
-    for (const auto& c : rotor_counters_) add(c);
-  } else if (fold_active_) {
-    // Accumulate in world-rank order through the fold map: every class
-    // member contributes its (shared) class counters at its own position,
-    // reproducing the per-fiber floating-point summation order exactly —
-    // this is what makes folded totals and energy bit-identical, not just
-    // close.
-    for (int r = 0; r < cfg_.p; ++r) {
-      add(ranks_[static_cast<std::size_t>(cfg_.fold->class_of(r))].counters);
-    }
-  } else {
-    for (const auto& r : ranks_) add(r.counters);
-  }
-  return t;
-}
-
-SimEnergy Machine::energy() const { return energy(totals()); }
-
-SimEnergy Machine::energy(const SimTotals& t) const {
-  const double mean_mem = static_cast<double>(t.mem_highwater_total) /
-                          static_cast<double>(cfg_.p);
-  return energy_with_memory(mean_mem, t);
-}
-
-SimEnergy Machine::energy_with_memory(double mem_words_per_rank,
-                                      const SimTotals& t) const {
-  const double T = makespan();
-  const core::MachineParams& mp = cfg_.params;
+SimEnergy energy_of(const core::MachineParams& mp, int p, double makespan,
+                    const SimTotals& t, double mem_words_per_rank) {
   SimEnergy e;
-  e.makespan = T;
+  e.makespan = makespan;
   // Summed counts are the physical energy: p·(γe·F_per_proc) == γe·F_total
   // for balanced work, but the summed form stays correct when it is not.
   e.breakdown.flops = mp.gamma_e * t.flops_total;
@@ -289,9 +246,42 @@ SimEnergy Machine::energy_with_memory(double mem_words_per_rank,
   e.breakdown.words = mp.beta_e * t.words_hops_total;
   e.breakdown.messages = mp.alpha_e * t.msgs_hops_total;
   e.breakdown.memory =
-      static_cast<double>(cfg_.p) * mp.delta_e * mem_words_per_rank * T;
-  e.breakdown.leakage = static_cast<double>(cfg_.p) * mp.eps_e * T;
+      static_cast<double>(p) * mp.delta_e * mem_words_per_rank * makespan;
+  e.breakdown.leakage = static_cast<double>(p) * mp.eps_e * makespan;
   return e;
+}
+
+SimTotals Machine::totals() const {
+  SimTotals t;
+  if (!rotor_counters_.empty()) {
+    // Rotor evaluation already stores one RankCounters per world rank, in
+    // world-rank order — the per-fiber summation order by construction.
+    for (const auto& c : rotor_counters_) accumulate(t, c);
+  } else if (fold_active_) {
+    // Accumulate in world-rank order through the fold map: every class
+    // member contributes its (shared) class counters at its own position,
+    // reproducing the per-fiber floating-point summation order exactly —
+    // this is what makes folded totals and energy bit-identical, not just
+    // close.
+    for (int r = 0; r < cfg_.p; ++r) {
+      accumulate(
+          t, ranks_[static_cast<std::size_t>(cfg_.fold->class_of(r))].counters);
+    }
+  } else {
+    for (const auto& r : ranks_) accumulate(t, r.counters);
+  }
+  return t;
+}
+
+SimEnergy Machine::energy() const { return energy(totals()); }
+
+SimEnergy Machine::energy(const SimTotals& t) const {
+  return energy_with_memory(t.mean_highwater(cfg_.p), t);
+}
+
+SimEnergy Machine::energy_with_memory(double mem_words_per_rank,
+                                      const SimTotals& t) const {
+  return energy_of(cfg_.params, cfg_.p, makespan(), t, mem_words_per_rank);
 }
 
 }  // namespace alge::sim

@@ -42,6 +42,7 @@
 // tests/test_engine.cpp).
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -138,8 +139,30 @@ struct SimTotals {
   std::size_t mem_highwater_max = 0;
   std::size_t mem_highwater_total = 0;
 
+  /// M̄: the mean per-rank memory high-water mark over p ranks.
+  double mean_highwater(int p) const {
+    return static_cast<double>(mem_highwater_total) / static_cast<double>(p);
+  }
+
   bool operator==(const SimTotals&) const = default;
 };
+
+/// Add one rank's counters to `t`. Every totals() — the Machine's in each
+/// execution mode and the transport reports' — sums through this in
+/// world-rank order, which is what keeps them bit-identical. Inline, as
+/// the Machine calls it once per world rank.
+inline void accumulate(SimTotals& t, const RankCounters& c) {
+  t.flops_total += c.flops;
+  t.words_total += c.words_sent;
+  t.msgs_total += c.msgs_sent;
+  t.words_hops_total += c.words_hops;
+  t.msgs_hops_total += c.msgs_hops;
+  t.flops_max = std::max(t.flops_max, c.flops);
+  t.words_sent_max = std::max(t.words_sent_max, c.words_sent);
+  t.msgs_sent_max = std::max(t.msgs_sent_max, c.msgs_sent);
+  t.mem_highwater_max = std::max(t.mem_highwater_max, c.mem_highwater);
+  t.mem_highwater_total += c.mem_highwater;
+}
 
 /// Eq. (2) evaluated on the measured run; see Machine::energy().
 struct SimEnergy {
@@ -149,6 +172,13 @@ struct SimEnergy {
   /// Average power P = E / T.
   double power() const { return breakdown.total() / makespan; }
 };
+
+/// Eq. (2) over the totals `t` of a p-rank run of virtual makespan T, with
+/// `mem_words_per_rank` words held per rank for δe. The γe/βe/αe terms use
+/// total (summed) counts — physically every executed flop and transmitted
+/// word costs energy — and the δe/εe terms use p·(δe·M+εe)·T.
+SimEnergy energy_of(const core::MachineParams& mp, int p, double makespan,
+                    const SimTotals& t, double mem_words_per_rank);
 
 class Machine {
  public:
@@ -240,11 +270,10 @@ class Machine {
   /// than phase_names() when the rank never entered later phases.
   const std::vector<PhaseCounters>& phase_counters(int rank) const;
 
-  /// Eq. (2) on the measured run. The γe/βe/αe terms use total (summed)
-  /// counts — physically every executed flop and transmitted word costs
-  /// energy — and the δe/εe terms use p·(δe·M̄+εe)·T with M̄ the mean per-rank
-  /// memory high-water mark. For the balanced algorithms in this repo this
-  /// is exactly the paper's p·(γe·F + βe·W + αe·S + δe·M·T + εe·T).
+  /// Eq. (2) on the measured run (energy_of) with M̄, the mean per-rank
+  /// memory high-water mark, as the memory held. For the balanced
+  /// algorithms in this repo this is exactly the paper's
+  /// p·(γe·F + βe·W + αe·S + δe·M·T + εe·T).
   SimEnergy energy() const;
   /// Same, from this machine's totals() already computed by the caller
   /// (one pass over the per-rank counters instead of two more).

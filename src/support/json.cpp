@@ -163,7 +163,12 @@ class Parser {
     if (consume('}')) return obj;
     while (true) {
       skip_ws();
+      const std::size_t key_pos = pos_;
       std::string key = parse_string();
+      if (obj.find(key) != nullptr) {
+        throw json_error(strfmt("json: duplicate key \"%s\" at offset %zu",
+                                key.c_str(), key_pos));
+      }
       skip_ws();
       expect(':');
       obj.set(std::move(key), parse_value());
@@ -303,7 +308,14 @@ Value& Value::push_back(Value v) {
 
 Value& Value::set(std::string key, Value v) {
   if (!is_object()) throw json_error("json: value is not an object");
-  std::get<Object>(v_).emplace_back(std::move(key), std::move(v));
+  Object& members = std::get<Object>(v_);
+  for (auto& [k, old] : members) {
+    if (k == key) {
+      old = std::move(v);
+      return *this;
+    }
+  }
+  members.emplace_back(std::move(key), std::move(v));
   return *this;
 }
 

@@ -65,8 +65,8 @@ class Value {
   /// Append an element (requires an array value).
   Value& push_back(Value v);
 
-  /// Append a key (requires an object value); keys are not deduplicated —
-  /// encoders are expected to emit each key once.
+  /// Set a member (requires an object value): replaces an existing key's
+  /// value in place, keeping its position, or appends a new key.
   Value& set(std::string key, Value v);
 
   /// Pointer to a member, or nullptr (requires an object value).
@@ -86,7 +86,8 @@ class Value {
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> v_;
 };
 
-/// Parse a complete JSON document; trailing non-whitespace is an error.
+/// Parse a complete JSON document; trailing non-whitespace and a key
+/// repeated within one object are errors.
 Value parse(std::string_view text);
 
 }  // namespace alge::json

@@ -90,35 +90,13 @@ double RunReport::makespan() const {
 
 sim::SimTotals RunReport::totals() const {
   sim::SimTotals t;
-  for (const RankReport& r : ranks) {
-    const sim::RankCounters& c = r.model;
-    t.flops_total += c.flops;
-    t.words_total += c.words_sent;
-    t.msgs_total += c.msgs_sent;
-    t.words_hops_total += c.words_hops;
-    t.msgs_hops_total += c.msgs_hops;
-    t.flops_max = std::max(t.flops_max, c.flops);
-    t.words_sent_max = std::max(t.words_sent_max, c.words_sent);
-    t.msgs_sent_max = std::max(t.msgs_sent_max, c.msgs_sent);
-    t.mem_highwater_max = std::max(t.mem_highwater_max, c.mem_highwater);
-    t.mem_highwater_total += c.mem_highwater;
-  }
+  for (const RankReport& r : ranks) sim::accumulate(t, r.model);
   return t;
 }
 
 sim::SimEnergy RunReport::energy(const core::MachineParams& mp) const {
   const sim::SimTotals t = totals();
-  const double T = makespan();
-  const double mean_mem = static_cast<double>(t.mem_highwater_total) /
-                          static_cast<double>(p);
-  sim::SimEnergy e;
-  e.makespan = T;
-  e.breakdown.flops = mp.gamma_e * t.flops_total;
-  e.breakdown.words = mp.beta_e * t.words_hops_total;
-  e.breakdown.messages = mp.alpha_e * t.msgs_hops_total;
-  e.breakdown.memory = static_cast<double>(p) * mp.delta_e * mean_mem * T;
-  e.breakdown.leakage = static_cast<double>(p) * mp.eps_e * T;
-  return e;
+  return sim::energy_of(mp, p, makespan(), t, t.mean_highwater(p));
 }
 
 RunReport run(Backend backend, const RunOptions& opts,

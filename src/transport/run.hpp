@@ -9,8 +9,8 @@
 // The model travels with the rank: each real-backend rank owns a full
 // Machine(p) whose CostHooks charge exactly as the simulator's, with the
 // peer clocks arriving inside chunk frames. RunReport::totals()/energy()
-// reproduce Machine::totals()/energy() — world-rank summation order
-// included — so a real run plugs into the same Eq. (1)/(2) comparisons.
+// go through the Machine's own sim::accumulate / sim::energy_of in world-rank
+// order, so a real run plugs into the same Eq. (1)/(2) comparisons.
 #pragma once
 
 #include <functional>
@@ -82,8 +82,8 @@ struct RunReport {
 
   /// Virtual makespan: max over ranks of the model clock.
   double makespan() const;
-  /// World-rank-order aggregation, reproducing Machine::totals() exactly
-  /// (summation order included).
+  /// sim::accumulate over the ranks in world-rank order, as
+  /// Machine::totals() sums.
   sim::SimTotals totals() const;
   /// Eq. (2) on the model counters, as Machine::energy() computes it.
   sim::SimEnergy energy(const core::MachineParams& params) const;

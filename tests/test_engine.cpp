@@ -171,6 +171,71 @@ TEST(Job, ResultJsonRoundTripIsBitExact) {
   EXPECT_EQ(back, r);
 }
 
+/// Decoding `v` throws invalid_argument_error whose message names `key`.
+void expect_refused(const json::Value& v, const std::string& key) {
+  try {
+    (void)ExperimentSpec::from_json(v);
+    ADD_FAILURE() << "accepted " << v.dump();
+  } catch (const invalid_argument_error& e) {
+    EXPECT_NE(std::string(e.what()).find('"' + key + '"'), std::string::npos)
+        << e.what();
+  }
+}
+
+json::Value spec_json_with(const std::string& key, json::Value value) {
+  json::Value v = small_mm_spec().to_json();
+  v.set(key, std::move(value));
+  return v;
+}
+
+TEST(Job, SpecJsonRefusesIntegersThatAreNotExactInts) {
+  for (const char* key : {"n", "q", "c", "p", "k", "nb", "r_dim", "c_dim",
+                          "payload_words", "caps_cutoff"}) {
+    for (const json::Value& bad :
+         {json::Value(1e300), json::Value(-1e300), json::Value(16.7),
+          json::Value(2147483648.0), json::Value(-2147483649.0),
+          json::Value("16"), json::Value(true), json::Value(nullptr)}) {
+      SCOPED_TRACE(std::string(key) + " = " + bad.dump());
+      expect_refused(spec_json_with(key, bad), key);
+    }
+    EXPECT_EQ(ExperimentSpec::from_json(spec_json_with(key, 2147483647.0))
+                  .to_json()
+                  .at(key)
+                  .as_double(),
+              2147483647.0);
+    EXPECT_NO_THROW(
+        ExperimentSpec::from_json(spec_json_with(key, -2147483648.0)));
+  }
+}
+
+TEST(Job, SpecJsonRefusesSeedsThatAreNotDecimalUint64) {
+  for (const char* key : {"seed", "chaos_seed"}) {
+    for (const json::Value& bad :
+         {json::Value("abc"), json::Value(""), json::Value("-1"),
+          json::Value("+1"), json::Value(" 1"), json::Value("12x"),
+          json::Value("18446744073709551616"), json::Value(7)}) {
+      SCOPED_TRACE(std::string(key) + " = " + bad.dump());
+      expect_refused(spec_json_with(key, bad), key);
+    }
+  }
+  const ExperimentSpec max = ExperimentSpec::from_json(
+      spec_json_with("chaos_seed", "18446744073709551615"));
+  EXPECT_EQ(max.chaos_seed, 18446744073709551615ULL);
+}
+
+TEST(Job, SpecJsonRefusesUnknownKeys) {
+  // "transport" named a real backend before specs ran on the simulator
+  // only; accepting it now would run such a spec silently on the simulator.
+  for (const char* key : {"transport", "tranport", "seeds", ""}) {
+    expect_refused(spec_json_with(key, "sim"), key);
+  }
+  json::Value v = small_mm_spec().to_json();
+  json::Value params = v.at("params");
+  params.set("gama_e", 1.0);
+  v.set("params", std::move(params));
+  expect_refused(v, "gama_e");
+}
+
 TEST(Job, AlgNamesRoundTrip) {
   for (const Alg a :
        {Alg::kMm25d, Alg::kSumma, Alg::kCaps, Alg::kNBody, Alg::kLu,

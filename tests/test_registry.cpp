@@ -79,7 +79,8 @@ TEST_P(AlgTable, VerifiedRunIsSane) {
 
 // One closure on every backend: the engine's simulator path and the
 // transport layer's simulator backend run the same program to the same
-// costs, bit for bit.
+// costs and the same Eq. (2) energy, bit for bit. (The real backends meet
+// the transport simulator's totals in test_transport_conformance.)
 TEST_P(AlgTable, EngineAndTransportSimAgreeBitForBit) {
   engine::ExperimentSpec spec = engine::spec_of(problem());
   spec.params = test_params();
@@ -93,6 +94,8 @@ TEST_P(AlgTable, EngineAndTransportSimAgreeBitForBit) {
   EXPECT_EQ(via_engine.p, via_transport.p);
   EXPECT_TRUE(via_engine.totals == via_transport.totals());
   EXPECT_EQ(via_engine.makespan, via_transport.makespan());
+  EXPECT_TRUE(via_engine.energy ==
+              via_transport.energy(test_params()).breakdown);
 }
 
 INSTANTIATE_TEST_SUITE_P(Presets, AlgTable, ::testing::ValuesIn(cases()),

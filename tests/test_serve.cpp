@@ -656,6 +656,45 @@ TEST(Server, MalformedTrafficGetsErrorsNotCrashes) {
   ts.server.stop();
 }
 
+TEST(Server, BadSpecIsRefusedUncachedAndTheConnectionGoesOn) {
+  TestServer ts;
+  const int fd = ts.connect();
+  const std::string bad_n =
+      R"({"kind":"experiment","spec":{"alg":"mm25d","n":1e300,"q":2,"c":1}})";
+  const std::string bad_key =
+      R"({"kind":"experiment","spec":{"alg":"mm25d","n":16,"q":2,"c":1,)"
+      R"("transport":"shm"}})";
+  const std::string good =
+      R"({"kind":"experiment","spec":{"alg":"mm25d","n":16,"q":2,"c":1}})";
+  std::string out;
+  for (const std::string* req : {&bad_n, &bad_key, &bad_n, &good}) {
+    serve::append_frame(out, *req);
+  }
+  ASSERT_TRUE(serve::write_all(fd, out));
+  FrameReader reader(fd);
+  std::string_view payload;
+  for (const char* key : {"\"n\"", "\"transport\"", "\"n\""}) {
+    ASSERT_EQ(reader.next(&payload), Status::kFrame);
+    const json::Value v = json::parse(std::string(payload));
+    EXPECT_FALSE(v.at("ok").as_bool());
+    EXPECT_NE(v.at("error").as_string().find(key), std::string::npos)
+        << payload;
+  }
+  ASSERT_EQ(reader.next(&payload), Status::kFrame);
+  EXPECT_EQ(answer_of(std::string(payload)),
+            engine::execute(ghost_mm_spec()).to_json().dump());
+  ::close(fd);
+  ts.server.stop();
+  // Refusals are never stored: the repeated bad request was recomputed,
+  // and only the good spec reached the answer store and the result cache.
+  const json::Value stats = ts.service.stats_json();
+  EXPECT_EQ(
+      stats.at("classes").at("experiment").at("answer_hits").as_double(),
+      0.0);
+  EXPECT_EQ(stats.at("answer_store_entries").as_double(), 1.0);
+  EXPECT_EQ(ts.service.result_cache().stats().misses, 1u);
+}
+
 TEST(Server, OversizedFrameErrorsAndCloses) {
   serve::QueryService service;
   serve::ServerOptions opts;

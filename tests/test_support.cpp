@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "support/cli.hpp"
 #include "support/common.hpp"
@@ -235,6 +239,58 @@ TEST(Json, MissingKeyThrowsFindReturnsNull) {
   EXPECT_EQ(v.find("b"), nullptr);
   EXPECT_THROW(v.at("b"), json::json_error);
   EXPECT_DOUBLE_EQ(v.at("a").as_double(), 1.0);
+}
+
+TEST(Json, SetReplacesAnExistingKeyInPlace) {
+  json::Value o = json::Value::object();
+  o.set("a", 1).set("b", 2).set("a", 3);
+  EXPECT_EQ(o.dump(), R"({"a":3,"b":2})");
+  EXPECT_EQ(o.as_object().size(), 2u);
+}
+
+TEST(Json, ParseRefusesARepeatedKeyWithinOneObject) {
+  EXPECT_THROW(json::parse(R"({"a":1,"a":2})"), json::json_error);
+  EXPECT_THROW(json::parse(R"({"o":{"k":1,"k":1}})"), json::json_error);
+  try {
+    json::parse(R"({"a":1,"b":{"c":2},"b":3})");
+    FAIL() << "expected json_error";
+  } catch (const json::json_error& e) {
+    EXPECT_NE(std::string(e.what()).find("\"b\""), std::string::npos)
+        << e.what();
+  }
+  // The same key in sibling objects is not a repeat.
+  EXPECT_NO_THROW(json::parse(R"([{"a":1},{"a":2}])"));
+  EXPECT_NO_THROW(json::parse(R"({"a":{"a":1}})"));
+}
+
+// Every committed JSON document parses (so holds no repeated key) and
+// survives dump/parse unchanged.
+TEST(Json, CommittedDocumentsRoundTrip) {
+  namespace fs = std::filesystem;
+  std::vector<fs::path> files;
+  for (const auto& e : fs::directory_iterator(ALGE_SOURCE_DIR)) {
+    const std::string name = e.path().filename().string();
+    if (name.starts_with("BENCH") && name.ends_with(".json")) {
+      files.push_back(e.path());
+    }
+  }
+  for (const auto& e : fs::recursive_directory_iterator(
+           fs::path(ALGE_SOURCE_DIR) / "tests" / "golden")) {
+    if (e.path().extension() == ".json") files.push_back(e.path());
+  }
+  ASSERT_GE(files.size(), 24u);
+  for (const fs::path& path : files) {
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    // bench_diff's truncated-input fixture is not JSON by design.
+    if (path.filename() == "malformed.json") {
+      EXPECT_THROW(json::parse(text.str()), json::json_error);
+      continue;
+    }
+    const json::Value v = json::parse(text.str());
+    EXPECT_EQ(json::parse(v.dump()), v) << path;
+  }
 }
 
 

@@ -1,20 +1,13 @@
 // Unit tests for the transport layer's building blocks: chunk math, backend
-// naming, self-send accounting, the runner report aggregation, and the
-// engine's transport axis (spec serialization, executor registry,
-// dispatch).
+// naming, self-send accounting and the runner report aggregation.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
-#include "engine/backend.hpp"
-#include "engine/job.hpp"
-#include "engine/runner.hpp"
 #include "sim/comm.hpp"
 #include "support/common.hpp"
-#include "transport/engine_backend.hpp"
 #include "transport/programs.hpp"
 #include "transport/run.hpp"
 #include "transport/wire.hpp"
@@ -115,84 +108,6 @@ TEST(Programs, NamesCoverAllSevenAlgorithms) {
   ProgramSpec unknown;
   unknown.alg = "qrjob";
   EXPECT_THROW(make_program(unknown), invalid_argument_error);
-}
-
-// --- engine transport axis ---
-
-engine::ExperimentSpec small_mm_spec() {
-  engine::ExperimentSpec spec;
-  spec.alg = engine::Alg::kMm25d;
-  spec.params = core::MachineParams::unit();
-  spec.n = 8;
-  spec.q = 2;
-  spec.c = 1;
-  return spec;
-}
-
-TEST(EngineAxis, TransportFieldIsDefaultInertInTheCacheKey) {
-  const engine::ExperimentSpec plain = small_mm_spec();
-  engine::ExperimentSpec simmed = small_mm_spec();
-  simmed.transport = "sim";
-  // Unset stays absent from the canonical encoding (cache keys unchanged);
-  // set is serialized and round-trips.
-  EXPECT_EQ(plain.canonical_json().find("transport"), std::string::npos);
-  EXPECT_NE(simmed.canonical_json().find("transport"), std::string::npos);
-  const engine::ExperimentSpec back =
-      engine::ExperimentSpec::from_json(simmed.to_json());
-  EXPECT_EQ(back.transport, "sim");
-  EXPECT_TRUE(back == simmed);
-}
-
-TEST(EngineAxis, SimTransportNameExecutesIdenticallyToUnset) {
-  const engine::ExperimentResult plain = engine::execute(small_mm_spec());
-  engine::ExperimentSpec spec = small_mm_spec();
-  spec.transport = "sim";
-  EXPECT_TRUE(engine::execute(spec) == plain);
-}
-
-TEST(EngineAxis, UnknownTransportIsAClearError) {
-  engine::ExperimentSpec spec = small_mm_spec();
-  spec.transport = "mpi";
-  EXPECT_THROW(engine::execute(spec), invalid_argument_error);
-}
-
-TEST(EngineAxis, RegistryFindsWhatWasRegistered) {
-  EXPECT_EQ(engine::find_backend_executor("never-registered"), nullptr);
-  register_engine_backends();
-  EXPECT_NE(engine::find_backend_executor("shm"), nullptr);
-  EXPECT_NE(engine::find_backend_executor("tcp"), nullptr);
-  const std::vector<std::string> names = engine::backend_executor_names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "shm"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "tcp"), names.end());
-}
-
-TEST(EngineAxis, RealBackendRejectsSimulatorOnlyAxes) {
-  register_engine_backends();
-  engine::ExperimentSpec spec = small_mm_spec();
-  spec.transport = "shm";
-  spec.data_mode = sim::DataMode::kGhost;
-  EXPECT_THROW(engine::execute(spec), invalid_argument_error);
-  spec.data_mode = sim::DataMode::kFull;
-  spec.chaos_seed = 17;
-  EXPECT_THROW(engine::execute(spec), invalid_argument_error);
-  spec.chaos_seed = 0;
-  spec.verify = true;
-  EXPECT_THROW(engine::execute(spec), invalid_argument_error);
-}
-
-// The real execution path reproduces the simulator's result: same model,
-// same aggregation, so the makespan/totals/energy of a shm run equal the
-// simulated ones for the same spec.
-TEST(EngineAxis, ShmExecutionMatchesSimulatedResult) {
-  register_engine_backends();
-  const engine::ExperimentResult simmed = engine::execute(small_mm_spec());
-  engine::ExperimentSpec spec = small_mm_spec();
-  spec.transport = "shm";
-  const engine::ExperimentResult real = engine::execute(spec);
-  EXPECT_EQ(real.p, simmed.p);
-  EXPECT_EQ(real.makespan, simmed.makespan);
-  EXPECT_TRUE(real.totals == simmed.totals);
-  EXPECT_EQ(real.energy.total(), simmed.energy.total());
 }
 
 }  // namespace
