@@ -167,6 +167,20 @@ int main(int argc, char** argv) {
     s.c = 1;
     compare(strfmt("scaling_mm n=%d q=8", n), s);
   }
+  // 2.5D LU on the same machine, one shape where c divides q and one
+  // where it does not: every owned-block loop of lu_25d (rows strided by
+  // q, slice columns by lcm(q, c)) runs under the exact gate, and
+  // ghost_seconds times the fiber program's own control flow.
+  for (const auto& [n, q] : {std::pair{512, 8}, std::pair{384, 6}}) {
+    engine::ExperimentSpec s;
+    s.params = mp;
+    s.alg = engine::Alg::kLu;
+    s.n = n;
+    s.nb = 8;
+    s.q = q;
+    s.c = 4;
+    compare(strfmt("lu25d n=%d nb=8 q=%d c=4", n, q), s);
+  }
   if (full_set) {
     engine::ExperimentSpec s;
     s.params = mp;

@@ -67,19 +67,31 @@ std::vector<double> naive_dft(std::span<const double> in, int n,
                               bool inverse) {
   ALGE_REQUIRE(in.size() == 2 * static_cast<std::size_t>(n),
                "buffer must hold %d complex points", n);
+  // Roots of unity w[m] = e^{∓2πi·m/n}. Term (j, k) uses w[j·k mod n], so
+  // every angle is reduced exactly in integers before it meets cos/sin.
+  const long double sign = inverse ? +1.0L : -1.0L;
+  std::vector<double> wr(in.size() / 2);
+  std::vector<double> wi(in.size() / 2);
+  for (int m = 0; m < n; ++m) {
+    const long double ang =
+        sign * 2.0L * std::numbers::pi_v<long double> * m / n;
+    wr[static_cast<std::size_t>(m)] = static_cast<double>(std::cos(ang));
+    wi[static_cast<std::size_t>(m)] = static_cast<double>(std::sin(ang));
+  }
   std::vector<double> out(in.size(), 0.0);
-  const double sign = inverse ? +1.0 : -1.0;
   for (int k = 0; k < n; ++k) {
     double sr = 0.0;
     double si = 0.0;
+    int m = 0;  // j·k mod n
     for (int j = 0; j < n; ++j) {
-      const double ang = sign * 2.0 * std::numbers::pi * j * k / n;
-      const double cr = std::cos(ang);
-      const double ci = std::sin(ang);
+      const double cr = wr[static_cast<std::size_t>(m)];
+      const double ci = wi[static_cast<std::size_t>(m)];
       const double xr = in[2 * static_cast<std::size_t>(j)];
       const double xi = in[2 * static_cast<std::size_t>(j) + 1];
       sr += xr * cr - xi * ci;
       si += xr * ci + xi * cr;
+      m += k;
+      if (m >= n) m -= n;
     }
     out[2 * static_cast<std::size_t>(k)] = sr;
     out[2 * static_cast<std::size_t>(k) + 1] = si;

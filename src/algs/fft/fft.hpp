@@ -20,7 +20,8 @@ namespace alge::algs {
 /// 1/n.
 void fft_inplace(std::span<double> data, int n, bool inverse = false);
 
-/// O(n²) reference DFT.
+/// O(n²) reference DFT, independent of the FFT kernel: one table of the n
+/// roots of unity, indexed by j·k mod n.
 std::vector<double> naive_dft(std::span<const double> in, int n,
                               bool inverse = false);
 

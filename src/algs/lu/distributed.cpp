@@ -1,6 +1,7 @@
 #include "algs/lu/distributed.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "algs/lu/local.hpp"
@@ -11,6 +12,13 @@ namespace alge::algs {
 
 namespace {
 constexpr int kTagGather = 401;
+
+/// The first index >= lo that is congruent to r modulo m (lo >= 0,
+/// 0 <= r < m). Owned-index loops start here and step by m, so a rank
+/// walks its own blocks only, never the whole index space.
+int first_from(int lo, int r, int m) {
+  return lo + (r - lo % m + m) % m;
+}
 }  // namespace
 
 void BlockCyclic::validate() const {
@@ -65,33 +73,33 @@ void lu_2d(sim::Comm& comm, const topo::Grid2D& grid, const BlockCyclic& bc,
     if (mycol == kc) comm.bcast(akk.view(), kr, col_g);
     if (myrow == kr) comm.bcast(akk.view(), kc, row_g);
 
+    // My first block-row and block-column of the trailing submatrix.
+    const int i0 = first_from(k + 1, myrow, q);
+    const int j0 = first_from(k + 1, mycol, q);
+
     // Panels: L(i,k) = A(i,k)·U(k,k)⁻¹ on column kc; U(k,j) = L(k,k)⁻¹·A(k,j)
     // on row kr.
     if (mycol == kc) {
-      for (int i = k + 1; i < nt; ++i) {
-        if (i % q != myrow) continue;
+      for (int i = i0; i < nt; i += q) {
         if (!gm) trsm_upper_right(akk.span(), block(i, k).span(), nb);
         comm.compute(trsm_flops(nb));
       }
     }
     if (myrow == kr) {
-      for (int j = k + 1; j < nt; ++j) {
-        if (j % q != mycol) continue;
+      for (int j = j0; j < nt; j += q) {
         if (!gm) trsm_lower_left(akk.span(), block(k, j).span(), nb);
         comm.compute(trsm_flops(nb));
       }
     }
 
     // Broadcast the panels into the trailing submatrix.
-    for (int i = k + 1; i < nt; ++i) {
-      if (i % q != myrow) continue;
+    for (int i = i0; i < nt; i += q) {
       if (mycol == kc && !gm) {
         std::copy_n(block(i, k).data(), nbw, l_slot(i).data());
       }
       comm.bcast(l_slot(i), kc, row_g);
     }
-    for (int j = k + 1; j < nt; ++j) {
-      if (j % q != mycol) continue;
+    for (int j = j0; j < nt; j += q) {
       if (myrow == kr && !gm) {
         std::copy_n(block(k, j).data(), nbw, u_slot(j).data());
       }
@@ -99,10 +107,8 @@ void lu_2d(sim::Comm& comm, const topo::Grid2D& grid, const BlockCyclic& bc,
     }
 
     // Trailing update of my blocks.
-    for (int i = k + 1; i < nt; ++i) {
-      if (i % q != myrow) continue;
-      for (int j = k + 1; j < nt; ++j) {
-        if (j % q != mycol) continue;
+    for (int i = i0; i < nt; i += q) {
+      for (int j = j0; j < nt; j += q) {
         if (!gm) {
           matmul_sub(l_slot(i).data(), u_slot(j).data(), block(i, j).data(),
                      nb, nb, nb);
@@ -137,6 +143,20 @@ void lu_25d(sim::Comm& comm, const topo::Grid3D& grid, const BlockCyclic& bc,
   const sim::Group col_g = grid.col_group(mycol, l);
   const sim::Group depth_g = grid.depth_group(myrow, mycol);
   auto slice_of = [&](int J) { return J % c; };  // layer updating column J
+  // The columns this rank updates are J ≡ mycol (mod q) with
+  // slice_of(J) == l: one residue class modulo lcm(q, c), or none when
+  // mycol and l differ modulo gcd(q, c).
+  const int qc = std::lcm(q, c);
+  int slice_res = -1;
+  for (int r = mycol; r < qc; r += q) {
+    if (slice_of(r) == l) {
+      slice_res = r;
+      break;
+    }
+  }
+  auto first_slice_col = [&](int lo) {
+    return slice_res < 0 ? nt : first_from(lo, slice_res, qc);
+  };
 
   // Replicate the matrix across the layers.
   sim::Buffer mine = comm.alloc(bc.local_words());
@@ -164,6 +184,8 @@ void lu_25d(sim::Comm& comm, const topo::Grid3D& grid, const BlockCyclic& bc,
     const int kr = k % q;
     const int kc = k % q;
     const int lk = slice_of(k);  // layer whose copy of column k is current
+    const int i0 = first_from(k + 1, myrow, q);
+    const int j0 = first_slice_col(k + 1);
 
     // 1. Layer lk factors the diagonal block and forms the L panel.
     if (l == lk) {
@@ -174,8 +196,7 @@ void lu_25d(sim::Comm& comm, const topo::Grid3D& grid, const BlockCyclic& bc,
       }
       if (mycol == kc) {
         comm.bcast(akk.view(), kr, col_g);
-        for (int i = k + 1; i < nt; ++i) {
-          if (i % q != myrow) continue;
+        for (int i = i0; i < nt; i += q) {
           if (!gm) trsm_upper_right(akk.span(), block(i, k).span(), nb);
           comm.compute(trsm_flops(nb));
           if (!gm) std::copy_n(block(i, k).data(), nbw, l_slot(i).data());
@@ -186,8 +207,7 @@ void lu_25d(sim::Comm& comm, const topo::Grid3D& grid, const BlockCyclic& bc,
     // 2. Depth broadcasts: A(k,k) and the L panel leave layer lk.
     if (myrow == kr && mycol == kc) comm.bcast(akk.view(), lk, depth_g);
     if (mycol == kc) {
-      for (int i = k + 1; i < nt; ++i) {
-        if (i % q != myrow) continue;
+      for (int i = i0; i < nt; i += q) {
         comm.bcast(l_slot(i), lk, depth_g);
         // Keep every layer's copy of column k current (it is column k's
         // home slice only on layer lk, but the factored panel is part of
@@ -203,21 +223,18 @@ void lu_25d(sim::Comm& comm, const topo::Grid3D& grid, const BlockCyclic& bc,
     // 3. Within each layer: U panel for this layer's slice columns.
     if (myrow == kr) comm.bcast(akk.view(), kc, row_g);
     if (myrow == kr) {
-      for (int j = k + 1; j < nt; ++j) {
-        if (j % q != mycol || slice_of(j) != l) continue;
+      for (int j = j0; j < nt; j += qc) {
         if (!gm) trsm_lower_left(akk.span(), block(k, j).span(), nb);
         comm.compute(trsm_flops(nb));
       }
     }
 
     // 4. Panel broadcasts within the layer.
-    for (int i = k + 1; i < nt; ++i) {
-      if (i % q != myrow) continue;
+    for (int i = i0; i < nt; i += q) {
       // l_slot(i) already holds L(i,k) on column kc ranks (depth bcast).
       comm.bcast(l_slot(i), kc, row_g);
     }
-    for (int j = k + 1; j < nt; ++j) {
-      if (j % q != mycol || slice_of(j) != l) continue;
+    for (int j = j0; j < nt; j += qc) {
       if (myrow == kr && !gm) {
         std::copy_n(block(k, j).data(), nbw, u_slot(j).data());
       }
@@ -225,10 +242,8 @@ void lu_25d(sim::Comm& comm, const topo::Grid3D& grid, const BlockCyclic& bc,
     }
 
     // 5. Trailing update of my slice.
-    for (int i = k + 1; i < nt; ++i) {
-      if (i % q != myrow) continue;
-      for (int j = k + 1; j < nt; ++j) {
-        if (j % q != mycol || slice_of(j) != l) continue;
+    for (int i = i0; i < nt; i += q) {
+      for (int j = j0; j < nt; j += qc) {
         if (!gm) {
           matmul_sub(l_slot(i).data(), u_slot(j).data(), block(i, j).data(),
                      nb, nb, nb);
@@ -238,24 +253,24 @@ void lu_25d(sim::Comm& comm, const topo::Grid3D& grid, const BlockCyclic& bc,
     }
   }
 
-  // Gather: block (I,J)'s final value lives on layer slice_of(J).
-  for (int I = 0; I < nt; ++I) {
-    if (I % q != myrow) continue;
-    for (int J = 0; J < nt; ++J) {
-      if (J % q != mycol) continue;
-      const int home = slice_of(J);
-      if (home == 0) {
-        if (l == 0 && !gm) {
-          std::copy_n(block(I, J).data(), nbw,
-                      local_blocks.data() + bc.local_offset(I, J));
-        }
-        continue;
-      }
-      if (l == home) {
+  // Gather: block (I,J)'s final value lives on layer slice_of(J). Layer 0
+  // takes every block of its own, copying its slice and receiving the
+  // rest; layer l > 0 sends its slice, in the same (I, J) order.
+  for (int I = myrow; I < nt; I += q) {
+    if (l != 0) {
+      for (int J = first_slice_col(0); J < nt; J += qc) {
         comm.send(grid.rank_of(myrow, mycol, 0), block(I, J), kTagGather);
-      } else if (l == 0) {
+      }
+      continue;
+    }
+    for (int J = mycol; J < nt; J += q) {
+      const int home = slice_of(J);
+      if (home != 0) {
         comm.recv(grid.rank_of(myrow, mycol, home),
                   local_blocks.sub(bc.local_offset(I, J), nbw), kTagGather);
+      } else if (!gm) {
+        std::copy_n(block(I, J).data(), nbw,
+                    local_blocks.data() + bc.local_offset(I, J));
       }
     }
   }

@@ -61,6 +61,20 @@ int get_int(const json::Value& v, std::string_view key) {
   refuse(key, "an integral number in int range");
 }
 
+/// A word count from a cached result: an integral number in [0, 2^53],
+/// the range a double holds exactly. Anything else is a json_error, so a
+/// damaged cache entry reads as corrupt rather than reaching a cast to
+/// size_t that is undefined out of range.
+std::size_t get_count(const json::Value& v, std::string_view key) {
+  const double d = v.at(key).as_double();
+  if (d >= 0.0 && d <= 0x1p53 && d == std::trunc(d)) {
+    return static_cast<std::size_t>(d);
+  }
+  throw json::json_error(strfmt("\"%.*s\" must be an integral count in "
+                                "[0, 2^53]",
+                                static_cast<int>(key.size()), key.data()));
+}
+
 std::uint64_t get_seed(const json::Value& v, std::string_view key) {
   const json::Value& x = v.at(key);
   if (x.is_string()) {
@@ -250,10 +264,8 @@ ExperimentResult ExperimentResult::from_json(const json::Value& v) {
   r.totals.flops_max = t.at("flops_max").as_double();
   r.totals.words_sent_max = t.at("words_sent_max").as_double();
   r.totals.msgs_sent_max = t.at("msgs_sent_max").as_double();
-  r.totals.mem_highwater_max =
-      static_cast<std::size_t>(t.at("mem_highwater_max").as_double());
-  r.totals.mem_highwater_total =
-      static_cast<std::size_t>(t.at("mem_highwater_total").as_double());
+  r.totals.mem_highwater_max = get_count(t, "mem_highwater_max");
+  r.totals.mem_highwater_total = get_count(t, "mem_highwater_total");
   const json::Value& e = v.at("energy");
   r.energy.flops = e.at("flops").as_double();
   r.energy.words = e.at("words").as_double();

@@ -333,6 +333,49 @@ TEST(Cache, CorruptedDiskEntryRecoversAsMiss) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Cache, BadHighwaterCountReadsAsCorrupt) {
+  // The memory high-water fields decode to size_t: a negative, fractional
+  // or out-of-range number must be refused as a json error (a miss counted
+  // in `corrupt`), never cast.
+  const std::string dir = testing::TempDir() + "alge_cache_highwater_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  const ExperimentSpec spec = small_mm_spec();
+  const ExperimentResult r = execute(spec);
+  std::string entry_path;
+  {
+    ResultCache cache(dir);
+    cache.store(spec, r);
+    for (const auto& f : std::filesystem::directory_iterator(dir)) {
+      entry_path = f.path().string();
+    }
+  }
+  ASSERT_FALSE(entry_path.empty());
+  for (const char* field : {"mem_highwater_max", "mem_highwater_total"}) {
+    for (const double bad : {-1e300, 1.5, 1e300, -1.0, 0x1p53 + 2.0}) {
+      json::Value result = r.to_json();
+      json::Value totals = result.at("totals");
+      totals.set(field, bad);
+      result.set("totals", totals);
+      EXPECT_THROW(ExperimentResult::from_json(result), json::json_error)
+          << field << " = " << bad;
+      json::Value doc = json::Value::object();
+      doc.set("spec", spec.to_json()).set("result", result);
+      { std::ofstream(entry_path, std::ios::trunc) << doc.dump(); }
+      ResultCache cache(dir);
+      EXPECT_FALSE(cache.lookup(spec).has_value()) << field << " = " << bad;
+      EXPECT_EQ(cache.stats().corrupt, 1u) << field << " = " << bad;
+    }
+    // 2^53 is the largest count a double holds exactly: still accepted.
+    json::Value result = r.to_json();
+    json::Value totals = result.at("totals");
+    totals.set(field, 0x1p53);
+    result.set("totals", totals);
+    EXPECT_NO_THROW(ExperimentResult::from_json(result)) << field;
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // -------------------------------------------------------------- runner ----
 
 /// Every table entry at size classes 4 and 8, verified, plus the variants

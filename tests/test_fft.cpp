@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numbers>
 #include <tuple>
 #include <vector>
 
@@ -34,6 +36,46 @@ TEST(FftLocal, MatchesNaiveDft) {
     auto y = x;
     fft_inplace(y, n);
     EXPECT_LT(max_abs_diff(y, naive_dft(x, n)), 1e-9 * n) << n;
+  }
+}
+
+TEST(FftLocal, NaiveDftMatchesLongDoubleDirectSum) {
+  // The reference against a direct evaluation in long double, every angle
+  // formed from its own product j·k: the table and its wrap-around index
+  // must not make the reference weaker than the sum it stands for.
+  Rng rng(5);
+  for (int n : {1, 3, 12, 2048}) {
+    const auto x = random_complex(n, rng);
+    for (const bool inverse : {false, true}) {
+      const long double sign = inverse ? +1.0L : -1.0L;
+      const auto y = naive_dft(x, n, inverse);
+      double err = 0.0;
+      for (int k = 0; k < n; ++k) {
+        long double sr = 0.0L;
+        long double si = 0.0L;
+        for (int j = 0; j < n; ++j) {
+          const long double ang = sign * 2.0L *
+                                  std::numbers::pi_v<long double> *
+                                  (static_cast<long double>(j) * k) / n;
+          const long double cr = std::cos(ang);
+          const long double ci = std::sin(ang);
+          const long double xr = x[2 * static_cast<std::size_t>(j)];
+          const long double xi = x[2 * static_cast<std::size_t>(j) + 1];
+          sr += xr * cr - xi * ci;
+          si += xr * ci + xi * cr;
+        }
+        if (inverse) {
+          sr /= n;
+          si /= n;
+        }
+        err = std::max({err,
+                        std::abs(static_cast<double>(
+                            sr - y[2 * static_cast<std::size_t>(k)])),
+                        std::abs(static_cast<double>(
+                            si - y[2 * static_cast<std::size_t>(k) + 1]))});
+      }
+      EXPECT_LE(err, 1e-12 * n) << "n=" << n << " inverse=" << inverse;
+    }
   }
 }
 

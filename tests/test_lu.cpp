@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
 #include <vector>
@@ -189,7 +190,58 @@ INSTANTIATE_TEST_SUITE_P(GridsAndSizes, Lu25DRuns,
                                            std::tuple{2, 2, 4, 2},
                                            std::tuple{3, 2, 3, 2},
                                            std::tuple{4, 2, 2, 2},
-                                           std::tuple{2, 4, 2, 4}));
+                                           std::tuple{2, 4, 2, 4},
+                                           // Neither of q, c divides the
+                                           // other, and nt is not a
+                                           // multiple of lcm(q, c) = 12.
+                                           std::tuple{4, 3, 2, 2},
+                                           std::tuple{6, 4, 2, 3}));
+
+/// lu_25d at (q, c, nb, nt_per) on a full-data and a ghost machine: the
+/// cost state — per-rank counters, totals, makespan, energy — must be
+/// bit-identical, so the owned-block loops walk the same schedule whether
+/// or not there is data.
+void expect_lu25d_cost_parity(int q, int c, int nb, int nt_per) {
+  const int n = nb * q * nt_per;
+  BlockCyclic bc{n, nb, q};
+  topo::Grid3D grid(q, c);
+  Rng rng(93);
+  const auto local = scatter_block_cyclic(diagonally_dominant_matrix(n, rng),
+                                          bc);
+  auto program = [&](sim::Comm& comm) {
+    const int r = comm.rank();
+    if (grid.layer_of(r) != 0) {
+      lu_25d(comm, grid, bc, {});
+      return;
+    }
+    sim::Buffer blocks = comm.alloc(bc.local_words());
+    if (!comm.ghost()) {
+      const auto& mine = local[static_cast<std::size_t>(grid.row_of(r)) * q +
+                               grid.col_of(r)];
+      std::copy(mine.begin(), mine.end(), blocks.data());
+    }
+    lu_25d(comm, grid, bc, blocks.view());
+  };
+  sim::MachineConfig cfg = unit_config(grid.p());
+  sim::Machine full(cfg);
+  cfg.data_mode = sim::DataMode::kGhost;
+  sim::Machine ghost(cfg);
+  full.run(program);
+  ghost.run(program);
+  for (int r = 0; r < grid.p(); ++r) {
+    EXPECT_EQ(full.rank_counters(r), ghost.rank_counters(r)) << "rank " << r;
+  }
+  EXPECT_EQ(full.totals(), ghost.totals());
+  EXPECT_EQ(full.makespan(), ghost.makespan());
+  EXPECT_EQ(full.energy().breakdown, ghost.energy().breakdown);
+}
+
+TEST(LuCosts, GhostMatchesFullWhereGridsDoNotNest) {
+  expect_lu25d_cost_parity(4, 3, 2, 2);  // nt = 8 against lcm(4, 3) = 12
+  expect_lu25d_cost_parity(6, 4, 2, 3);  // nt = 18 against lcm(6, 4) = 12
+  expect_lu25d_cost_parity(3, 2, 3, 2);  // c does not divide q
+  expect_lu25d_cost_parity(4, 2, 2, 2);  // c divides q
+}
 
 TEST(LuCosts, LatencyGrowsWithReplication) {
   // Section IV: unlike matmul, 2.5D LU's critical-path message count does
