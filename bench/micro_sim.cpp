@@ -26,11 +26,12 @@
 // and LU's V-A time (the structured 1-D solve). The zoomed (p, M) grid they
 // replaced cost ~100× more, which the committed baseline's 4× gate catches.
 //
-// BM_LocalKernels/<kernel> times one local kernel call at real_p4's sizes:
+// BM_LocalKernels/<kernel> times local kernel calls at real_p4's sizes:
 // the 512³ block product of Cannon and SUMMA at n = 1024, q = 2
-// (items = flops), and one 4096-particle same-block force sweep (items =
-// interactions). Each runs the widest kernel variant the CPU supports
-// (algs/kernels.hpp).
+// (items = flops), one 4096-particle same-block force sweep (items =
+// interactions), one rank's 256 column FFTs of the 1024×1024 FFT and one
+// rank's 8192×32 TSQR leaf factorization (items = the flops each charges).
+// Each runs the widest kernel variant the CPU supports (algs/kernels.hpp).
 //
 // --bench-json=PATH writes the BENCH_sim.json records: per benchmark the
 // minimum real time and the maximum items_per_second over the
@@ -51,9 +52,11 @@
 #include <string_view>
 #include <vector>
 
+#include "algs/fft/fft.hpp"
 #include "algs/foldmaps.hpp"
 #include "algs/matmul/local.hpp"
 #include "algs/nbody/nbody.hpp"
+#include "algs/qr/tsqr.hpp"
 #include "bench_common.hpp"
 #include "core/opt.hpp"
 #include "fiber/fiber.hpp"
@@ -331,6 +334,47 @@ void BM_LocalKernels_nbody_4096(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalKernels_nbody_4096)
     ->Name("BM_LocalKernels/nbody_4096")
+    ->Unit(benchmark::kMillisecond);
+
+void BM_LocalKernels_fft_1024x256(benchmark::State& state) {
+  const int n = 1024;
+  const int cols = 256;
+  Rng rng(3);
+  std::vector<double> x0(2 * static_cast<std::size_t>(n) * cols);
+  rng.fill_uniform(x0, -1.0, 1.0);
+  std::vector<double> x(x0.size());
+  for (auto _ : state) {
+    std::copy(x0.begin(), x0.end(), x.begin());  // a fresh signal each time
+    for (int j = 0; j < cols; ++j) {
+      algs::fft_inplace(
+          std::span(x).subspan(2 * static_cast<std::size_t>(j) * n, 2 * n), n);
+    }
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(cols * algs::fft_flops(n)));
+}
+BENCHMARK(BM_LocalKernels_fft_1024x256)
+    ->Name("BM_LocalKernels/fft_1024x256")
+    ->Unit(benchmark::kMillisecond);
+
+void BM_LocalKernels_qr_8192x32(benchmark::State& state) {
+  const int m = 8192;
+  const int b = 32;
+  Rng rng(4);
+  const std::vector<double> a0 = algs::random_matrix(m, b, rng);
+  std::vector<double> a(a0.size());
+  for (auto _ : state) {
+    std::copy(a0.begin(), a0.end(), a.begin());  // tsqr factors a copy too
+    benchmark::DoNotOptimize(algs::householder_qr_r(a, m, b).data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(algs::qr_flops(m, b)));
+}
+BENCHMARK(BM_LocalKernels_qr_8192x32)
+    ->Name("BM_LocalKernels/qr_8192x32")
     ->Unit(benchmark::kMillisecond);
 
 // --trace-out=PATH: export a Chrome trace of a small representative run — a

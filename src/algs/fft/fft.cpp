@@ -1,8 +1,11 @@
 #include "algs/fft/fft.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <optional>
 
+#include "algs/kernels.hpp"
 #include "support/common.hpp"
 
 namespace alge::algs {
@@ -21,46 +24,7 @@ void fft_inplace(std::span<double> data, int n, bool inverse) {
   ALGE_REQUIRE(is_pow2(n), "FFT size %d must be a power of two", n);
   ALGE_REQUIRE(data.size() == 2 * static_cast<std::size_t>(n),
                "buffer must hold %d complex points (%d words)", n, 2 * n);
-  // Bit-reversal permutation.
-  const int lg = ilog2(n);
-  for (int i = 0; i < n; ++i) {
-    int rev = 0;
-    for (int b = 0; b < lg; ++b) rev |= ((i >> b) & 1) << (lg - 1 - b);
-    if (i < rev) {
-      std::swap(data[2 * static_cast<std::size_t>(i)],
-                data[2 * static_cast<std::size_t>(rev)]);
-      std::swap(data[2 * static_cast<std::size_t>(i) + 1],
-                data[2 * static_cast<std::size_t>(rev) + 1]);
-    }
-  }
-  const double sign = inverse ? +1.0 : -1.0;
-  for (int len = 2; len <= n; len <<= 1) {
-    const double ang = sign * 2.0 * std::numbers::pi / len;
-    const double wr = std::cos(ang);
-    const double wi = std::sin(ang);
-    for (int start = 0; start < n; start += len) {
-      double cr = 1.0;
-      double ci = 0.0;
-      for (int off = 0; off < len / 2; ++off) {
-        const std::size_t a = 2 * static_cast<std::size_t>(start + off);
-        const std::size_t b =
-            2 * static_cast<std::size_t>(start + off + len / 2);
-        const double xr = data[b] * cr - data[b + 1] * ci;
-        const double xi = data[b] * ci + data[b + 1] * cr;
-        data[b] = data[a] - xr;
-        data[b + 1] = data[a + 1] - xi;
-        data[a] += xr;
-        data[a + 1] += xi;
-        const double ncr = cr * wr - ci * wi;
-        ci = cr * wi + ci * wr;
-        cr = ncr;
-      }
-    }
-  }
-  if (inverse) {
-    const double inv_n = 1.0 / n;
-    for (double& x : data) x *= inv_n;
-  }
+  kernels::active().fft(data.data(), kernels::FftTables(n, inverse));
 }
 
 std::vector<double> naive_dft(std::span<const double> in, int n,
@@ -126,20 +90,21 @@ void fft_parallel(sim::Comm& comm, int n, int r_dim, int c_dim,
   const int h = comm.rank();
 
   // Step 1+2: R-point FFT down each of my columns, then twiddle
-  // Z[k1,j2] = Y[k1,j2]·w_n^{j2·k1}.
+  // Z[k1,j2] = Y[k1,j2]·w_n^{j2·k1}. One table per transform size.
+  std::optional<kernels::FftTables> col_tables;
+  std::optional<kernels::FftTables> row_tables;
+  if (!gm) {
+    col_tables.emplace(r_dim, false);
+    row_tables.emplace(c_dim, false);
+  }
+  const kernels::Isa& isa = kernels::active();
   sim::Buffer work = comm.alloc(my_cols.size());
   if (!gm) std::copy(my_cols.span().begin(), my_cols.span().end(),
                      work.data());
   for (int jl = 0; jl < cl; ++jl) {
     if (!gm) {
-      auto col = work.span().subspan(2 * static_cast<std::size_t>(jl) * r_dim,
-                                     2 * static_cast<std::size_t>(r_dim));
-      fft_inplace(col, r_dim);
-    }
-    comm.compute(fft_flops(r_dim));
-    if (!gm) {
-      auto col = work.span().subspan(2 * static_cast<std::size_t>(jl) * r_dim,
-                                     2 * static_cast<std::size_t>(r_dim));
+      double* col = work.data() + 2 * static_cast<std::size_t>(jl) * r_dim;
+      isa.fft(col, *col_tables);
       const int j2 = h * cl + jl;
       for (int k1 = 0; k1 < r_dim; ++k1) {
         const double ang = -2.0 * std::numbers::pi *
@@ -153,26 +118,24 @@ void fft_parallel(sim::Comm& comm, int n, int r_dim, int c_dim,
         re = nr;
       }
     }
+    comm.compute(fft_flops(r_dim));
     comm.compute(6.0 * r_dim);  // twiddle multiplies
   }
 
   // Step 3: all-to-all transpose. Block for rank h': my columns × its k1
-  // range, (C/p)·(R/p) complex points each.
+  // range, (C/p)·(R/p) complex points each: one run of rl points per column.
   const std::size_t blk = 2 * static_cast<std::size_t>(cl) * rl;
+  const std::size_t run = 2 * static_cast<std::size_t>(rl);
   sim::Buffer sendbuf = comm.alloc(blk * static_cast<std::size_t>(p));
   sim::Buffer recvbuf = comm.alloc(blk * static_cast<std::size_t>(p));
   if (!gm) {
     for (int dst = 0; dst < p; ++dst) {
       double* out = sendbuf.data() + blk * static_cast<std::size_t>(dst);
-      std::size_t w = 0;
       for (int jl = 0; jl < cl; ++jl) {
-        for (int k1l = 0; k1l < rl; ++k1l) {
-          const int k1 = dst * rl + k1l;
-          const std::size_t src =
-              2 * (static_cast<std::size_t>(jl) * r_dim + k1);
-          out[w++] = work[src];
-          out[w++] = work[src + 1];
-        }
+        const double* in = work.data() +
+                           2 * static_cast<std::size_t>(jl) * r_dim +
+                           run * static_cast<std::size_t>(dst);
+        std::copy_n(in, run, out + run * static_cast<std::size_t>(jl));
       }
     }
   }
@@ -184,20 +147,13 @@ void fft_parallel(sim::Comm& comm, int n, int r_dim, int c_dim,
   }
 
   // Reassemble my rows: the block from rank `src` holds its columns
-  // j2 = src·C/p + jl at my k1 values.
+  // j2 = src·C/p + jl at my k1 values, column by column.
   if (!gm) {
     for (int src = 0; src < p; ++src) {
-      const double* in = recvbuf.data() + blk * static_cast<std::size_t>(src);
-      std::size_t w = 0;
-      for (int jl = 0; jl < cl; ++jl) {
-        const int j2 = src * cl + jl;
-        for (int k1l = 0; k1l < rl; ++k1l) {
-          const std::size_t dst =
-              2 * (static_cast<std::size_t>(k1l) * c_dim + j2);
-          my_rows.span()[dst] = in[w++];
-          my_rows.span()[dst + 1] = in[w++];
-        }
-      }
+      transpose_complex(recvbuf.data() + blk * static_cast<std::size_t>(src),
+                        rl, my_rows.span().data() +
+                                2 * static_cast<std::size_t>(src) * cl,
+                        c_dim, cl, rl);
     }
   }
 
@@ -205,12 +161,32 @@ void fft_parallel(sim::Comm& comm, int n, int r_dim, int c_dim,
   // X[k1 + k2·R].
   for (int k1l = 0; k1l < rl; ++k1l) {
     if (!gm) {
-      auto row = my_rows.span().subspan(
-          2 * static_cast<std::size_t>(k1l) * c_dim,
-          2 * static_cast<std::size_t>(c_dim));
-      fft_inplace(row, c_dim);
+      isa.fft(my_rows.span().data() + 2 * static_cast<std::size_t>(k1l) * c_dim,
+              *row_tables);
     }
     comm.compute(fft_flops(c_dim));
+  }
+}
+
+void transpose_complex(const double* src, std::size_t lds, double* dst,
+                       std::size_t ldd, int rows, int cols) {
+  // Square tiles of points: each tile reads kTile runs of 16·kTile bytes
+  // and writes kTile such runs, so neither side strides across memory.
+  constexpr int kTile = 16;
+  for (int r0 = 0; r0 < rows; r0 += kTile) {
+    const int r1 = std::min(rows, r0 + kTile);
+    for (int c0 = 0; c0 < cols; c0 += kTile) {
+      const int c1 = std::min(cols, c0 + kTile);
+      for (int c = c0; c < c1; ++c) {
+        double* out = dst + 2 * static_cast<std::size_t>(c) * ldd;
+        for (int r = r0; r < r1; ++r) {
+          const double* in = src + 2 * (static_cast<std::size_t>(r) * lds +
+                                        static_cast<std::size_t>(c));
+          out[2 * static_cast<std::size_t>(r)] = in[0];
+          out[2 * static_cast<std::size_t>(r) + 1] = in[1];
+        }
+      }
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 // complex points is 2n words — the factor 2 is a constant the models absorb.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -44,5 +45,10 @@ enum class AllToAllKind { kDirect, kBruck };
 void fft_parallel(sim::Comm& comm, int n, int r_dim, int c_dim,
                   sim::ConstPayload my_cols, sim::Payload my_rows,
                   AllToAllKind kind = AllToAllKind::kDirect);
+
+/// dst[c·ldd + r] = src[r·lds + c] for r < rows, c < cols, counted in
+/// complex points (two words each): a copy, tile by tile.
+void transpose_complex(const double* src, std::size_t lds, double* dst,
+                       std::size_t ldd, int rows, int cols);
 
 }  // namespace alge::algs

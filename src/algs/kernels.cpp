@@ -1,8 +1,12 @@
 #include "algs/kernels.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
+#include <numbers>
+#include <utility>
+#include <vector>
 
 #include "support/cpu.hpp"
 
@@ -79,13 +83,56 @@ inline V vsqrt(V x) {
 
 constexpr Isa kIsas[] = {
 #if defined(__x86_64__)
-    {"avx512", cpu::avx512f, avx512::matmul, avx512::forces},
-    {"avx2", cpu::avx2, avx2::matmul, avx2::forces},
+    {"avx512", cpu::avx512f, avx512::matmul, avx512::forces, avx512::qr,
+     avx512::fft},
+    {"avx2", cpu::avx2, avx2::matmul, avx2::forces, avx2::qr, avx2::fft},
 #endif
-    {"baseline", cpu::baseline, baseline::matmul, baseline::forces},
+    {"baseline", cpu::baseline, baseline::matmul, baseline::forces,
+     baseline::qr, baseline::fft},
 };
 
 }  // namespace
+
+FftTables::FftTables(int n, bool inverse) : n(n), inverse(inverse) {
+  swaps.reserve(static_cast<std::size_t>(n));
+  for (int i = 0, rev = 0; i < n; ++i) {
+    if (i < rev) {
+      swaps.push_back(i);
+      swaps.push_back(rev);
+    }
+    // rev(i + 1): add one to rev counting from the top bit down.
+    int bit = n >> 1;
+    while (rev & bit) {
+      rev ^= bit;
+      bit >>= 1;
+    }
+    rev |= bit;
+  }
+  // Per stage, w ← w·e^{∓2πi/len} from w = 1 in the scalar expression
+  // order: a fixed recurrence, so every block of the stage reads the same
+  // rounded values.
+  twiddles.resize(4 * static_cast<std::size_t>(n - 1));
+  const double sign = inverse ? +1.0 : -1.0;
+  for (int len = 2; len <= n; len <<= 1) {
+    const double ang = sign * 2.0 * std::numbers::pi / len;
+    const double wr = std::cos(ang);
+    const double wi = std::sin(ang);
+    const int h = len / 2;
+    double* const pr = twiddles.data() + 4 * static_cast<std::size_t>(h - 1);
+    double* const pi = pr + 2 * h;
+    double cr = 1.0;
+    double ci = 0.0;
+    for (int off = 0; off < h; ++off) {
+      pr[2 * off] = cr;
+      pr[2 * off + 1] = cr;
+      pi[2 * off] = -ci;
+      pi[2 * off + 1] = ci;
+      const double ncr = cr * wr - ci * wi;
+      ci = cr * wi + ci * wr;
+      cr = ncr;
+    }
+  }
+}
 
 std::span<const Isa> isas() { return kIsas; }
 

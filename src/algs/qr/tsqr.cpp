@@ -1,8 +1,8 @@
 #include "algs/qr/tsqr.hpp"
 
 #include <algorithm>
-#include <cmath>
 
+#include "algs/kernels.hpp"
 #include "support/common.hpp"
 
 namespace alge::algs {
@@ -11,39 +11,7 @@ std::vector<double> householder_qr_r(std::span<double> a, int m, int b) {
   ALGE_REQUIRE(m >= b && b >= 1, "need m >= b >= 1 (got %d x %d)", m, b);
   ALGE_REQUIRE(a.size() == static_cast<std::size_t>(m) * b,
                "block must be m*b = %d words", m * b);
-  std::vector<double> v(static_cast<std::size_t>(m));
-  for (int k = 0; k < b; ++k) {
-    // Householder vector for column k below the diagonal.
-    double norm2 = 0.0;
-    for (int i = k; i < m; ++i) {
-      const double x = a[static_cast<std::size_t>(i) * b + k];
-      norm2 += x * x;
-    }
-    const double norm = std::sqrt(norm2);
-    if (norm == 0.0) continue;  // column already zero below; R entry is 0
-    const double x0 = a[static_cast<std::size_t>(k) * b + k];
-    const double alpha = x0 >= 0.0 ? -norm : norm;
-    double vnorm2 = 0.0;
-    for (int i = k; i < m; ++i) {
-      v[static_cast<std::size_t>(i)] =
-          a[static_cast<std::size_t>(i) * b + k] - (i == k ? alpha : 0.0);
-      vnorm2 += v[static_cast<std::size_t>(i)] * v[static_cast<std::size_t>(i)];
-    }
-    if (vnorm2 == 0.0) continue;
-    // Apply H = I - 2 v vᵀ / (vᵀv) to columns k..b-1.
-    for (int j = k; j < b; ++j) {
-      double dot = 0.0;
-      for (int i = k; i < m; ++i) {
-        dot += v[static_cast<std::size_t>(i)] *
-               a[static_cast<std::size_t>(i) * b + j];
-      }
-      const double scale = 2.0 * dot / vnorm2;
-      for (int i = k; i < m; ++i) {
-        a[static_cast<std::size_t>(i) * b + j] -=
-            scale * v[static_cast<std::size_t>(i)];
-      }
-    }
-  }
+  kernels::active().qr(a.data(), m, b);
   std::vector<double> r(static_cast<std::size_t>(b) * b, 0.0);
   for (int i = 0; i < b; ++i) {
     for (int j = i; j < b; ++j) {

@@ -329,14 +329,8 @@ Instance make_fft(const Problem& pb) {
     auto columns = [&] {
       const std::vector<double>& x = in.get();
       std::vector<double> cols(2 * words(r_dim, cl));
-      for (int jl = 0; jl < cl; ++jl) {
-        const int j2 = comm.rank() * cl + jl;
-        for (int j1 = 0; j1 < r_dim; ++j1) {
-          cols[2 * (words(jl, r_dim) + j1)] = x[2 * (words(j1, c_dim) + j2)];
-          cols[2 * (words(jl, r_dim) + j1) + 1] =
-              x[2 * (words(j1, c_dim) + j2) + 1];
-        }
-      }
+      transpose_complex(x.data() + 2 * words(comm.rank(), cl), c_dim,
+                        cols.data(), r_dim, r_dim, cl);
       return cols;
     };
     const std::size_t row_words = 2 * words(c_dim, rl);
@@ -387,16 +381,19 @@ Instance make_tsqr(const Problem& pb) {
   // QᵀQ = I  =>  AᵀA = RᵀR: the factorization-independent check (R is only
   // unique up to row signs, so compare Gram matrices, not entries).
   auto verify = [rows_local, b, p, in](const Outputs& outs) {
+    // Row by row, each entry summing over rows in ascending order; the
+    // lower triangle mirrors the upper (the products commute exactly).
     auto gram = [b](std::span<const double> a, int rows) {
       std::vector<double> g(words(b, b), 0.0);
-      for (int i = 0; i < b; ++i) {
-        for (int j = 0; j < b; ++j) {
-          double s = 0.0;
-          for (int row = 0; row < rows; ++row) {
-            s += a[words(row, b) + i] * a[words(row, b) + j];
-          }
-          g[words(i, b) + j] = s;
+      for (int row = 0; row < rows; ++row) {
+        const double* ar = a.data() + words(row, b);
+        for (int i = 0; i < b; ++i) {
+          double* gi = g.data() + words(i, b);
+          for (int j = i; j < b; ++j) gi[j] += ar[i] * ar[j];
         }
+      }
+      for (int i = 0; i < b; ++i) {
+        for (int j = 0; j < i; ++j) g[words(i, b) + j] = g[words(j, b) + i];
       }
       return g;
     };

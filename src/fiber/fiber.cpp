@@ -52,9 +52,11 @@
 // pointer through save_sp, adopt load_sp, restore, return "into" the
 // resumed context. The compiler treats the call as a normal opaque
 // function call, so caller-saved state is already spilled per the ABI.
+// It starts a 64-byte line, so its timing does not move with the size of
+// the code linked before it.
 extern "C" void alge_fiber_switch(void** save_sp, void* load_sp);
 asm(".text\n"
-    ".align 16\n"
+    ".p2align 6\n"
     ".globl alge_fiber_switch\n"
     ".type alge_fiber_switch, @function\n"
     "alge_fiber_switch:\n"

@@ -7,9 +7,11 @@
 #include <vector>
 
 #include "algs/fft/fft.hpp"
+#include "algs/kernels.hpp"
 #include "algs/matmul/local.hpp"  // max_abs_diff
 #include "sim/comm.hpp"
 #include "sim/machine.hpp"
+#include "sim_test_util.hpp"
 #include "support/common.hpp"
 #include "support/rng.hpp"
 
@@ -27,6 +29,111 @@ std::vector<double> random_complex(int n, Rng& rng) {
   std::vector<double> x(2 * static_cast<std::size_t>(n));
   rng.fill_uniform(x, -1.0, 1.0);
   return x;
+}
+
+// The radix-2 loop the kernels replaced, which rebuilt the bit reversal and
+// the twiddle recurrence on every call: every variant must match it bit
+// for bit. Contraction is off so the reference stays unfused even in a
+// build that targets an FMA machine.
+[[gnu::optimize("fp-contract=off")]] void scalar_fft(std::vector<double>& d,
+                                                     int n, bool inverse) {
+  int lg = 0;
+  while ((1 << lg) < n) ++lg;
+  for (int i = 0; i < n; ++i) {
+    int rev = 0;
+    for (int b = 0; b < lg; ++b) rev |= ((i >> b) & 1) << (lg - 1 - b);
+    if (i < rev) {
+      std::swap(d[2 * static_cast<std::size_t>(i)],
+                d[2 * static_cast<std::size_t>(rev)]);
+      std::swap(d[2 * static_cast<std::size_t>(i) + 1],
+                d[2 * static_cast<std::size_t>(rev) + 1]);
+    }
+  }
+  const double sign = inverse ? +1.0 : -1.0;
+  for (int len = 2; len <= n; len <<= 1) {
+    const double ang = sign * 2.0 * std::numbers::pi / len;
+    const double wr = std::cos(ang);
+    const double wi = std::sin(ang);
+    for (int start = 0; start < n; start += len) {
+      double cr = 1.0;
+      double ci = 0.0;
+      for (int off = 0; off < len / 2; ++off) {
+        const std::size_t a = 2 * static_cast<std::size_t>(start + off);
+        const std::size_t b =
+            2 * static_cast<std::size_t>(start + off + len / 2);
+        const double xr = d[b] * cr - d[b + 1] * ci;
+        const double xi = d[b] * ci + d[b + 1] * cr;
+        d[b] = d[a] - xr;
+        d[b + 1] = d[a + 1] - xi;
+        d[a] += xr;
+        d[a + 1] += xi;
+        const double ncr = cr * wr - ci * wi;
+        ci = cr * wi + ci * wr;
+        cr = ncr;
+      }
+    }
+  }
+  if (inverse) {
+    const double inv_n = 1.0 / n;
+    for (double& x : d) x *= inv_n;
+  }
+}
+
+TEST(FftLocal, EveryIsaVariantBitIdenticalToScalarLoop) {
+  // n = 1 … 2^14, forward and inverse; the inputs hold signed zeros and
+  // exact small integers next to random values, so a butterfly that
+  // rounds or signs a zero differently shows.
+  Rng rng(29);
+  for (int n = 1; n <= 1 << 14; n *= 2) {
+    auto x = random_complex(n, rng);
+    for (std::size_t i = 0; i < x.size(); i += 7) x[i] = -0.0;
+    for (std::size_t i = 3; i < x.size(); i += 11) x[i] = 1.0;
+    for (const bool inverse : {false, true}) {
+      auto want = x;
+      scalar_fft(want, n, inverse);
+      const kernels::FftTables tables(n, inverse);
+      for (const kernels::Isa& isa : kernels::isas()) {
+        if (!isa.supported()) continue;
+        auto got = x;
+        isa.fft(got.data(), tables);
+        EXPECT_TRUE(testutil::same_bits(got, want))
+            << isa.name << " n=" << n << " inverse=" << inverse;
+      }
+      auto got = x;
+      fft_inplace(got, n, inverse);
+      EXPECT_TRUE(testutil::same_bits(got, want))
+          << "fft_inplace n=" << n << " inverse=" << inverse;
+    }
+  }
+}
+
+TEST(FftLocal, TransposeComplexCopiesEveryPoint) {
+  // Shapes below, at and across the copy's tile edge, into a wider
+  // destination whose other points stay untouched.
+  for (const auto& [rows, cols] :
+       {std::pair{1, 1}, {3, 5}, {16, 16}, {17, 33}, {64, 7}, {40, 100}}) {
+    const std::size_t lds = static_cast<std::size_t>(cols) + 3;
+    const std::size_t ldd = static_cast<std::size_t>(rows) + 2;
+    std::vector<double> src(2 * lds * static_cast<std::size_t>(rows));
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      src[i] = static_cast<double>(i);
+    }
+    std::vector<double> dst(2 * ldd * static_cast<std::size_t>(cols), -1.0);
+    transpose_complex(src.data(), lds, dst.data(), ldd, rows, cols);
+    for (int c = 0; c < cols; ++c) {
+      for (std::size_t r = 0; r < ldd; ++r) {
+        for (std::size_t w = 0; w < 2; ++w) {
+          const double want =
+              r < static_cast<std::size_t>(rows)
+                  ? src[2 * (r * lds + static_cast<std::size_t>(c)) + w]
+                  : -1.0;
+          const std::size_t at = 2 * (static_cast<std::size_t>(c) * ldd + r);
+          ASSERT_EQ(dst[at + w], want)
+              << rows << "x" << cols << " r=" << r << " c=" << c;
+        }
+      }
+    }
+  }
 }
 
 TEST(FftLocal, MatchesNaiveDft) {
@@ -180,7 +287,12 @@ INSTANTIATE_TEST_SUITE_P(
         std::tuple{2, 8, 8, AllToAllKind::kBruck},
         std::tuple{4, 16, 16, AllToAllKind::kBruck},
         std::tuple{8, 16, 16, AllToAllKind::kBruck},
-        std::tuple{16, 16, 16, AllToAllKind::kBruck}));
+        std::tuple{16, 16, 16, AllToAllKind::kBruck},
+        // Rectangles where one rank's columns or rows are fewer than the
+        // transposes' 16-point tile.
+        std::tuple{4, 64, 256, AllToAllKind::kDirect},
+        std::tuple{8, 256, 64, AllToAllKind::kDirect},
+        std::tuple{4, 32, 128, AllToAllKind::kBruck}));
 
 TEST(FftCosts, PaperTradeoffBetweenVariants) {
   // Section IV: naive all-to-all has S = Θ(p), W = Θ(n/p); the tree version

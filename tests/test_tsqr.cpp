@@ -3,10 +3,12 @@
 #include <cmath>
 #include <vector>
 
+#include "algs/kernels.hpp"
 #include "algs/matmul/local.hpp"
 #include "algs/qr/tsqr.hpp"
 #include "sim/comm.hpp"
 #include "sim/machine.hpp"
+#include "sim_test_util.hpp"
 #include "support/common.hpp"
 #include "support/rng.hpp"
 
@@ -84,6 +86,99 @@ TEST(HouseholderQr, RankDeficientColumnHandled) {
   const auto r = householder_qr_r(a, m, b);
   EXPECT_NEAR(r[1], 0.0, 1e-14);
   EXPECT_NEAR(r[3], 0.0, 1e-14);
+}
+
+// The column-at-a-time Householder loop the kernels replaced: every variant
+// must leave the whole block bit for bit as it does. Contraction is off so
+// the reference stays unfused even in a build that targets an FMA machine.
+[[gnu::optimize("fp-contract=off")]] void scalar_householder(
+    std::vector<double>& a, int m, int b) {
+  std::vector<double> v(static_cast<std::size_t>(m));
+  auto at = [&](int i, int j) -> double& {
+    return a[static_cast<std::size_t>(i) * b + j];
+  };
+  auto vi = [&](int i) -> double& { return v[static_cast<std::size_t>(i)]; };
+  for (int k = 0; k < b; ++k) {
+    double norm2 = 0.0;
+    for (int i = k; i < m; ++i) norm2 += at(i, k) * at(i, k);
+    const double norm = std::sqrt(norm2);
+    if (norm == 0.0) continue;
+    const double alpha = at(k, k) >= 0.0 ? -norm : norm;
+    double vnorm2 = 0.0;
+    for (int i = k; i < m; ++i) {
+      vi(i) = at(i, k) - (i == k ? alpha : 0.0);
+      vnorm2 += vi(i) * vi(i);
+    }
+    if (vnorm2 == 0.0) continue;
+    for (int j = k; j < b; ++j) {
+      double dot = 0.0;
+      for (int i = k; i < m; ++i) dot += vi(i) * at(i, j);
+      const double scale = 2.0 * dot / vnorm2;
+      for (int i = k; i < m; ++i) at(i, j) -= scale * vi(i);
+    }
+  }
+}
+
+/// Every variant the host runs leaves the block as the scalar loop does.
+void expect_every_isa_matches_scalar(const std::vector<double>& a0, int m,
+                                     int b) {
+  auto want = a0;
+  scalar_householder(want, m, b);
+  for (const kernels::Isa& isa : kernels::isas()) {
+    if (!isa.supported()) continue;
+    auto got = a0;
+    isa.qr(got.data(), m, b);
+    EXPECT_TRUE(testutil::same_bits(got, want))
+        << isa.name << " " << m << "x" << b;
+  }
+}
+
+TEST(HouseholderQr, EveryIsaVariantBitIdenticalToScalarLoop) {
+  // b = 1, b not a multiple of any vector width, m = b, tall blocks, the
+  // stacked 2b×b of the TSQR tree and real_p4's 8192×32, plus seeded
+  // shapes; all with the whole block compared, below the diagonal too.
+  std::vector<std::pair<int, int>> shapes = {
+      {1, 1},  {7, 1},   {5, 5},  {8, 8},   {9, 9},    {13, 3},  {40, 7},
+      {33, 17}, {64, 32}, {50, 20}, {70, 37}, {100, 64}, {300, 65},
+      {8192, 32}};
+  Rng rng(30);
+  for (int t = 0; t < 30; ++t) {
+    const int b = 1 + static_cast<int>(rng.next_below(80));
+    shapes.emplace_back(b + static_cast<int>(rng.next_below(120)), b);
+  }
+  for (const auto& [m, b] : shapes) {
+    expect_every_isa_matches_scalar(random_matrix(m, b, rng), m, b);
+  }
+}
+
+TEST(HouseholderQr, EveryIsaVariantTakesTheDegenerateBranchesAsScalar) {
+  // A zero column takes the norm == 0 branch, and so does a nonzero one
+  // whose squares underflow (1e-170); one whose square is subnormal
+  // (-2.3e-162) runs a reflector of subnormal vᵀv; a column equal to the
+  // one before it holds only rounding residue below the diagonal after
+  // that one's reflection. No finite input reaches the vnorm2 == 0
+  // branch: vᵀv sums the same squares as the norm except the first, which
+  // |v_k| = |x_k| + norm makes no smaller, so norm² > 0 implies vᵀv > 0.
+  Rng rng(31);
+  for (const int b : {1, 3, 9, 17}) {
+    const int m = b + 5;
+    for (const double x0 : {0.0, 1e-170, -2.3e-162}) {
+      auto a = random_matrix(m, b, rng);
+      for (int i = 0; i < m; ++i) a[static_cast<std::size_t>(i) * b] = 0.0;
+      a[0] = x0;
+      expect_every_isa_matches_scalar(a, m, b);
+    }
+    if (b > 1) {
+      auto twin = random_matrix(m, b, rng);
+      for (int i = 0; i < m; ++i) {
+        twin[static_cast<std::size_t>(i) * b + 1] =
+            twin[static_cast<std::size_t>(i) * b];
+      }
+      expect_every_isa_matches_scalar(twin, m, b);
+    }
+    expect_every_isa_matches_scalar(
+        std::vector<double>(static_cast<std::size_t>(b) * b, 0.0), b, b);
+  }
 }
 
 TEST(HouseholderQr, RejectsWideBlocks) {
